@@ -1,13 +1,14 @@
-"""Benchmark: dense vs. exact-sparse vs. approximate-LSH batch planning.
+"""Benchmark: dense baseline vs. exact-sparse vs. approximate-LSH batch planning.
 
 *Batch planning* is everything between featurization and prompting: DBSCAN
 clustering of the question feature vectors and covering-based demonstration
 selection.  Three arms plan the same synthetic Gaussian-blob workload at
 identical, pre-resolved radii:
 
-- **dense** (n <= 20 000): the pre-refactor implementation — the full
-  ``(n, n)`` pairwise matrix plus per-point Python loops.
-- **exact sparse** (n <= 100 000): blocked CSR epsilon-graphs
+- **dense** (n <= 20 000): this benchmark's own copy of the pre-refactor
+  implementation — the full ``(n, n)`` pairwise matrix, per-point Python
+  loops and an eager (re-scan every round) greedy set cover.
+- **exact sparse** (n <= 100 000): the planner's blocked CSR epsilon-graphs
   (:mod:`repro.clustering.neighbors`) with a lazy-greedy set cover.
 - **LSH** (every size, including ``--n 1000000``): the approximate
   MinHash-LSH epsilon-graph — candidates from a banded MinHash index over
@@ -21,6 +22,11 @@ least ``RECALL_FLOOR``, and its covering selections must match the exact
 arm's — covering radii and cross joins stay exact in every regime.  Peak
 planning memory is measured with ``tracemalloc`` (numpy buffers included) and
 the LSH arm is asserted to stay under ``--max-peak-gb`` at every size.
+
+Every invocation also runs a small-n sweep (``SMALL_N_SIZES``, n = 16 to
+2048, untraced, median of ``SMALL_N_REPEATS``) timing the dense arm against
+the exact sparse arm under the same label/selection identity oracles; it is
+reported under ``small_n``.
 
 The run emits ``BENCH_planning.json`` in the repository root with the
 headline numbers.  Unlike other ``BENCH_*`` artifacts the planning report is
@@ -55,7 +61,7 @@ from repro.clustering.neighbors import (
 )
 from repro.data.schema import EntityPair, MatchLabel, Record
 from repro.selection.covering import CoveringSelector
-from repro.selection.set_cover import greedy_set_cover_eager
+from repro.selection.set_cover import SetCoverSolution
 from repro.text.tokenizer import ApproxTokenizer
 
 #: Where the headline numbers land (repository root).
@@ -67,6 +73,15 @@ DEFAULT_SIZES = (2000, 8000, 20000, 100_000)
 
 #: Sizes of the CI smoke run; 5000 exercises the LSH recall oracle.
 SMALL_SIZES = (300, 600, 5000)
+
+#: Sizes of the small-n sweep, run on every invocation: dense baseline vs.
+#: planner down to a service flush (n ~ 16), where a fixed per-call cost
+#: would show as a crossover.  The LSH arm is left out: that regime is only
+#: routed above 100 000 points.
+SMALL_N_SIZES = (16, 64, 256, 1024, 2048)
+
+#: Timed runs per arm and size in the small-n sweep (median reported).
+SMALL_N_REPEATS = 3
 
 #: Largest n the dense (quadratic-matrix) baseline arm runs at.
 DENSE_ARM_LIMIT = 20_000
@@ -179,6 +194,40 @@ def make_batches(questions, batch_size: int = 8, seed: int = 5) -> list[Question
 # -- the dense baseline: the pre-refactor planning implementation -------------
 
 
+def baseline_set_cover(num_items, coverage, weights=None) -> SetCoverSolution:
+    """Pre-refactor greedy set cover: re-scan every candidate each round."""
+    if weights is None:
+        weights = [1.0] * len(coverage)
+    universe = set(range(num_items))
+    candidate_sets = [set(cover) & universe for cover in coverage]
+    coverable = set().union(*candidate_sets)
+    uncovered = set(coverable)
+    remaining = list(range(len(candidate_sets)))
+    selected = []
+    while uncovered and remaining:
+        best, best_efficiency, best_gain = -1, 0.0, 0
+        for candidate in remaining:
+            gain = len(candidate_sets[candidate] & uncovered)
+            if gain == 0:
+                continue
+            efficiency = gain / weights[candidate]
+            if efficiency > best_efficiency or (
+                efficiency == best_efficiency and gain > best_gain
+            ):
+                best, best_efficiency, best_gain = candidate, efficiency, gain
+        if best < 0:
+            break
+        selected.append(best)
+        remaining.remove(best)
+        uncovered -= candidate_sets[best]
+    return SetCoverSolution(
+        selected=tuple(selected),
+        covered_items=frozenset(coverable - uncovered),
+        uncovered_items=frozenset((universe - coverable) | uncovered),
+        total_weight=float(sum(weights[index] for index in selected)),
+    )
+
+
 def baseline_dbscan(features: np.ndarray, eps: float, min_samples: int = 2):
     """Pre-refactor DBSCAN: dense matrix, per-point neighbour lists, list BFS."""
     n = features.shape[0]
@@ -222,7 +271,7 @@ def baseline_covering(
         frozenset(np.flatnonzero(distances[:, demo] < threshold).tolist())
         for demo in range(num_pool)
     ]
-    generation = greedy_set_cover_eager(num_questions, coverage, weights=None)
+    generation = baseline_set_cover(num_questions, coverage, weights=None)
     demonstration_set = list(generation.selected)
     for question_index in sorted(generation.uncovered_items):
         nearest = int(np.argmin(distances[question_index]))
@@ -244,7 +293,7 @@ def baseline_covering(
                     if distances[question_index, demo] < threshold
                 )
             )
-        solution = greedy_set_cover_eager(
+        solution = baseline_set_cover(
             len(batch_questions),
             local_coverage,
             weights=[token_weights[demo] for demo in demonstration_set],
@@ -283,7 +332,7 @@ def run_sparse_arm(question_features, pool_features, pool, batches, eps, thresho
     # approx_threshold=None pins this arm to the *exact* blocked join at every
     # size — without it, the planner's default would route n > 100k to LSH and
     # the arm would stop being an exact baseline.
-    planner = NeighborPlanner(dense_threshold=0, approx_threshold=None)
+    planner = NeighborPlanner(approx_threshold=None)
     clusterer = DBSCAN(eps=eps, min_samples=2, planner=planner)
     fitted, cluster_seconds = _timed(lambda: clusterer.fit(question_features))
     selector = CoveringSelector(threshold=threshold, planner=planner)
@@ -301,10 +350,10 @@ def run_sparse_arm(question_features, pool_features, pool, batches, eps, thresho
 def run_lsh_arm(
     question_features, pool_features, pool, batches, eps, threshold, with_covering
 ):
-    # approx_threshold=0 (with dense_threshold=0) forces every self-join
-    # through the MinHash-LSH epsilon-graph; cross joins (covering) stay
-    # exact by design, so selections remain comparable to the exact arm.
-    planner = NeighborPlanner(dense_threshold=0, approx_threshold=0)
+    # approx_threshold=0 forces every self-join through the MinHash-LSH
+    # epsilon-graph; cross joins (covering) stay exact by design, so
+    # selections remain comparable to the exact arm.
+    planner = NeighborPlanner(approx_threshold=0)
     clusterer = DBSCAN(eps=eps, min_samples=2, planner=planner)
     fitted, cluster_seconds = _timed(lambda: clusterer.fit(question_features))
     selections = None
@@ -377,6 +426,68 @@ def score_lsh_graph(features: np.ndarray, eps: float) -> dict[str, object]:
 # -- the driver ----------------------------------------------------------------
 
 
+def make_workload(n: int, seed: int):
+    """One size's inputs: features, pool, batches and the shared radii.
+
+    All arms plan at identical radii, resolved once — radius resolution is
+    part of the planner but not of this stopwatch, which isolates the
+    geometry consumers.  Above the dense limit the percentile is scaled to
+    hold expected degree ~constant.
+    """
+    m = max(50, min(2000, n // 10))
+    question_features, pool_features = make_features(n, m, seed)
+    if n <= EXACT_ARM_LIMIT:
+        questions, pool = make_pairs(n, m, seed)
+        batches = make_batches(questions)
+    else:
+        pool, batches = None, None
+    percentile = radius_percentile_for(n)
+    eps = sample_percentile_radius(question_features, percentile)
+    threshold = sample_percentile_radius(question_features, percentile * 0.8)
+    return m, question_features, pool_features, pool, batches, percentile, eps, threshold
+
+
+def run_small_n_sweep(seed: int) -> list[dict[str, object]]:
+    """Dense baseline vs. planner at SMALL_N_SIZES, under the identity oracles."""
+    rows = []
+    for n in SMALL_N_SIZES:
+        m, question_features, pool_features, pool, batches, _, eps, threshold = (
+            make_workload(n, seed)
+        )
+        arguments = (question_features, pool_features, pool, batches, eps, threshold)
+        seconds: dict[str, list[float]] = {"dense": [], "sparse": []}
+        for _ in range(SMALL_N_REPEATS):
+            dense, dense_seconds = _timed(lambda: run_dense_arm(*arguments))
+            sparse, sparse_seconds = _timed(lambda: run_sparse_arm(*arguments))
+            if not np.array_equal(dense["labels"], sparse["labels"]):
+                raise AssertionError(f"n={n}: sparse DBSCAN labels diverge from dense")
+            if dense["selections"] != sparse["selections"]:
+                raise AssertionError(
+                    f"n={n}: sparse covering selections diverge from dense"
+                )
+            seconds["dense"].append(dense_seconds)
+            seconds["sparse"].append(sparse_seconds)
+        dense_median = float(np.median(seconds["dense"]))
+        sparse_median = float(np.median(seconds["sparse"]))
+        rows.append(
+            {
+                "n": n,
+                "m": m,
+                "repeats": SMALL_N_REPEATS,
+                "dense_seconds": round(dense_median, 5),
+                "sparse_seconds": round(sparse_median, 5),
+                "dense_sparse_equal": True,
+                "speedup": round(dense_median / sparse_median, 2),
+            }
+        )
+        print(
+            f"n={n:>7} m={m:>5}  dense {dense_median:8.4f}s  "
+            f"sparse {sparse_median:8.4f}s  (median of {SMALL_N_REPEATS})",
+            file=sys.stderr,
+        )
+    return rows
+
+
 def run_planning_bench(
     sizes,
     min_speedup: float,
@@ -386,21 +497,10 @@ def run_planning_bench(
 ) -> dict[str, object]:
     results = []
     for n in sizes:
-        m = max(50, min(2000, n // 10))
         covering_runs = n <= EXACT_ARM_LIMIT
-        question_features, pool_features = make_features(n, m, seed)
-        if covering_runs:
-            questions, pool = make_pairs(n, m, seed)
-            batches = make_batches(questions)
-        else:
-            pool, batches = None, None
-        # All arms plan at identical radii, resolved once from a seeded
-        # sample — radius resolution is part of the planner but not of this
-        # stopwatch, which isolates the geometry consumers.  Above the dense
-        # limit the percentile is scaled to hold expected degree ~constant.
-        percentile = radius_percentile_for(n)
-        eps = sample_percentile_radius(question_features, percentile)
-        threshold = sample_percentile_radius(question_features, percentile * 0.8)
+        m, question_features, pool_features, pool, batches, percentile, eps, threshold = (
+            make_workload(n, seed)
+        )
 
         entry: dict[str, object] = {
             "n": n,
@@ -533,6 +633,7 @@ def run_planning_bench(
             "seed": seed,
         },
         "results": results,
+        "small_n": run_small_n_sweep(seed),
         "headline": headline,
     }
     if min_speedup > 0:

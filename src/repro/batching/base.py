@@ -48,12 +48,6 @@ class QuestionBatcher(ABC):
     #: Strategy name used in configuration and reports.
     name: str = "batcher"
 
-    #: Metric of the pairwise question-distance matrix this strategy can
-    #: consume (clustering-based batchers), or ``None`` when it ignores
-    #: distances entirely (random batching) — the pipeline uses this to skip
-    #: computing a matrix nobody reads.
-    distance_metric: str | None = None
-
     def __init__(self, batch_size: int = 8, seed: int = 0) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -65,7 +59,6 @@ class QuestionBatcher(ABC):
         self,
         questions: Sequence[EntityPair],
         features: np.ndarray,
-        distances: np.ndarray | None = None,
         planner: NeighborPlanner | None = None,
     ) -> list[QuestionBatch]:
         """Group ``questions`` into batches.
@@ -76,28 +69,18 @@ class QuestionBatcher(ABC):
         Args:
             questions: the question pairs, in evaluation order.
             features: ``(len(questions), d)`` feature matrix.
-            distances: optional precomputed pairwise distance matrix over
-                ``features`` in this strategy's :attr:`distance_metric` (the
-                feature engine caches one for small question sets); computed
-                on demand when omitted.
-            planner: optional dense/sparse routing policy
+            planner: optional routing policy
                 (:class:`~repro.clustering.neighbors.NeighborPlanner`) for the
-                clustering step; above the planner's dense threshold DBSCAN
-                runs over a sparse epsilon-neighbor graph instead of a dense
-                matrix.  Ignored by strategies that never look at distances.
+                clustering step's epsilon-neighbor graph.  Ignored by
+                strategies that never look at distances.
         """
 
     def _cluster_questions(
-        self,
-        features: np.ndarray,
-        distances: np.ndarray | None = None,
-        planner: NeighborPlanner | None = None,
+        self, features: np.ndarray, planner: NeighborPlanner | None = None
     ) -> list[list[int]]:
         """Cluster question feature vectors with DBSCAN (noise → singleton clusters)."""
         clusterer = DBSCAN(min_samples=2)
-        result = clusterer.fit(
-            np.asarray(features, dtype=float), distances=distances, planner=planner
-        )
+        result = clusterer.fit(np.asarray(features, dtype=float), planner=planner)
         return result.clusters(include_noise_as_singletons=True)
 
     def _make_batches(

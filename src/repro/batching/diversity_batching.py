@@ -22,18 +22,16 @@ class DiversityQuestionBatcher(QuestionBatcher):
     """Compose each batch from questions of different clusters."""
 
     name = "diverse"
-    distance_metric = "euclidean"
 
     def create_batches(
         self,
         questions: Sequence[EntityPair],
         features: np.ndarray,
-        distances: np.ndarray | None = None,
         planner: NeighborPlanner | None = None,
     ) -> list[QuestionBatch]:
         if not questions:
             return []
-        clusters = self._cluster_questions(features, distances=distances, planner=planner)
+        clusters = self._cluster_questions(features, planner=planner)
         # Clusters are FIFO queues, largest first, so early batches are maximally diverse.
         queues: deque[deque[int]] = deque(
             deque(cluster) for cluster in sorted(clusters, key=len, reverse=True)

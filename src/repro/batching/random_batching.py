@@ -26,7 +26,6 @@ class RandomQuestionBatcher(QuestionBatcher):
         self,
         questions: Sequence[EntityPair],
         features: np.ndarray,
-        distances: np.ndarray | None = None,
         planner: NeighborPlanner | None = None,
     ) -> list[QuestionBatch]:
         indices = list(range(len(questions)))

@@ -25,19 +25,17 @@ class SimilarityQuestionBatcher(QuestionBatcher):
     """Fill each batch from within a single cluster of similar questions."""
 
     name = "similar"
-    distance_metric = "euclidean"
 
     def create_batches(
         self,
         questions: Sequence[EntityPair],
         features: np.ndarray,
-        distances: np.ndarray | None = None,
         planner: NeighborPlanner | None = None,
     ) -> list[QuestionBatch]:
         if not questions:
             return []
         rng = random.Random(self.seed)
-        clusters = self._cluster_questions(features, distances=distances, planner=planner)
+        clusters = self._cluster_questions(features, planner=planner)
         groups: list[list[int]] = []
 
         # Stage 1: carve full batches out of every cluster.

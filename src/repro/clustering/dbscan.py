@@ -5,14 +5,11 @@ The paper clusters question feature vectors with DBSCAN before batching
 expansion over the index arrays of a CSR-style
 :class:`~repro.clustering.neighbors.NeighborGraph`: frontiers are numpy
 arrays, neighbour gathers are vectorized, and an enqueued mask guarantees
-every point enters a frontier at most once.  Where the graph comes from is a
-routing decision made by a :class:`~repro.clustering.neighbors.NeighborPlanner`:
-
-* small inputs threshold the dense pairwise matrix (usually cached by the
-  feature engine) — the historical code path, bit-identical labels;
-* large inputs build the graph with blocked radius joins and resolve the
-  automatic ``eps`` from a seeded distance sample, so the dense ``(n, n)``
-  matrix is never materialised.
+every point enters a frontier at most once.  The graph and the automatic
+``eps`` come from a :class:`~repro.clustering.neighbors.NeighborPlanner`:
+blocked radius joins (or, for very large inputs, the approximate LSH join)
+and a percentile radius that is exact up to 2,048 points and sampled above,
+so the ``(n, n)`` distance matrix is never materialised for the graph.
 
 Labels ``0..k-1`` are assigned in seed order and noise points are marked
 ``-1``; downstream batching treats every noise point as its own singleton
@@ -25,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.neighbors import (
-    NeighborGraph,
-    NeighborPlanner,
-    default_planner,
-    dense_percentile_radius,
-)
+from repro.clustering.neighbors import NeighborGraph, NeighborPlanner, default_planner
 
 #: Label assigned by DBSCAN to noise points.
 NOISE_LABEL = -1
@@ -83,7 +75,7 @@ class DBSCAN:
         min_samples: minimum neighbourhood size for a core point.
         eps_percentile: percentile used by the automatic radius rule.
         metric: distance metric (``"euclidean"`` or ``"cosine"``).
-        planner: dense/sparse routing policy; defaults to the process-wide
+        planner: exact/LSH routing policy; defaults to the process-wide
             :func:`~repro.clustering.neighbors.default_planner`.
     """
 
@@ -107,26 +99,14 @@ class DBSCAN:
         self.metric = metric
         self.planner = planner
 
-    def _resolve_eps(self, distances: np.ndarray) -> float:
-        """The automatic radius rule over a precomputed dense matrix."""
-        if self.eps is not None:
-            return self.eps
-        return dense_percentile_radius(distances, self.eps_percentile)
-
     def fit(
-        self,
-        features: np.ndarray,
-        distances: np.ndarray | None = None,
-        planner: NeighborPlanner | None = None,
+        self, features: np.ndarray, planner: NeighborPlanner | None = None
     ) -> DBSCANResult:
         """Cluster the row vectors of ``features``.
 
         Args:
-            features: ``(n, d)`` feature matrix (ignored when ``distances`` is
-                supplied, except for its row count).
-            distances: optional precomputed ``(n, n)`` distance matrix; when
-                supplied the run is always dense (the historical contract).
-            planner: per-call override of the dense/sparse routing policy.
+            features: ``(n, d)`` feature matrix.
+            planner: per-call override of the routing policy.
         """
         features = np.asarray(features, dtype=float)
         if features.ndim != 2:
@@ -138,16 +118,6 @@ class DBSCAN:
                 num_clusters=0,
                 core_point_mask=np.empty(0, dtype=bool),
             )
-        if distances is not None:
-            # Caller-supplied matrix: always dense, no planner involved.
-            eps = self._resolve_eps(distances)
-            graph = NeighborGraph.from_dense(
-                distances, eps, metric=self.metric, inclusive=True
-            )
-            return self._fit_graph(graph)
-        # The planner routes (and counts) both regimes; its dense regime
-        # thresholds the provider-cached matrix, so results are identical to
-        # passing that matrix explicitly.
         active = planner or self.planner or default_planner()
         eps = (
             self.eps

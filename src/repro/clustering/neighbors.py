@@ -18,25 +18,24 @@ float64 at n = 100k).  This module answers both questions with bounded memory:
 * :func:`build_neighbor_graph` / :func:`build_cross_neighbor_graph` — blocked
   radius joins: distances are computed in fixed-size row blocks (peak memory
   ``O(block_size * n)``) and only the edges within the radius are kept.
-* :func:`sample_percentile_radius` — percentile radii resolved from a seeded
-  sample of pairwise distances instead of the full matrix.
+* :func:`sample_percentile_radius` — percentile radii: exact over every
+  pairwise distance up to :data:`EXACT_RADIUS_MAX_POINTS` points, from a
+  seeded sample of pairwise distances above.
 * :func:`build_lsh_neighbor_graph` — the *approximate* epsilon self-join for
   very large inputs: candidate pairs come from a banded MinHash-LSH index
   over quantized grid-cell tokens (reusing the
   :mod:`repro.blocking.minhash` primitives), exact distances are computed
   only on candidates, so every surviving edge is a true edge — the result is
   always a subgraph of the exact graph, with probabilistic recall.
-* :class:`NeighborPlanner` — the policy object deciding, per planning request,
-  between three regimes: the classic dense matrix (small inputs, where the
-  cached matrix is cheap and the historical code path stays byte-identical),
-  the exact sparse blocked path (large inputs), and the LSH approximate path
-  (above ``approx_threshold``, where even the blocked exact join's
+* :class:`NeighborPlanner` — the policy object deciding, per self-join,
+  between the exact sparse blocked path and the LSH approximate path (above
+  ``approx_threshold``, where even the blocked exact join's
   ``O(n^2 / block)`` slab scans are too slow).
 
 The planner is threaded through the
 :class:`~repro.features.engine.FeatureStore`, the clustering-based batchers,
-:class:`~repro.clustering.dbscan.DBSCAN` and the covering selector; the dense
-and exact sparse regimes are golden-tested to produce identical plans on
+:class:`~repro.clustering.dbscan.DBSCAN` and the covering selector.  The
+exact regime is golden-tested against a test-only dense-matrix oracle on
 fixed seeds, and the LSH regime is property-tested to stay a subgraph of the
 exact graph at a recall floor.
 """
@@ -48,7 +47,7 @@ import math
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, ContextManager
+from typing import ContextManager
 
 import numpy as np
 
@@ -59,14 +58,15 @@ from repro.clustering.distance import (
     pairwise_distances,
 )
 
-#: Inputs with at most this many points use the dense distance-matrix path.
-DEFAULT_DENSE_THRESHOLD = 2048
-
 #: Rows per block in blocked radius joins (peak slab = block_size * n floats).
 DEFAULT_BLOCK_SIZE = 1024
 
 #: Pairwise distances sampled when resolving a percentile radius sparsely.
 DEFAULT_SAMPLE_SIZE = 262_144
+
+#: Percentile radii over at most this many points are exact: every pairwise
+#: distance is computed (one ``(n, n)`` matrix, 32 MB at the bound).
+EXACT_RADIUS_MAX_POINTS = 2048
 
 #: Seed of the radius-sampling RNG (fixed: planning must be reproducible).
 DEFAULT_SAMPLE_SEED = 0
@@ -139,40 +139,6 @@ class NeighborGraph:
             inclusive=self.inclusive,
         )
 
-    @classmethod
-    def from_dense(
-        cls,
-        distances: np.ndarray,
-        radius: float,
-        metric: str = "euclidean",
-        inclusive: bool = True,
-    ) -> "NeighborGraph":
-        """Build the graph from a precomputed dense distance matrix.
-
-        This is the small-n path: the dense matrix is already cached by the
-        feature engine, so thresholding it reproduces the historical
-        neighbourhoods bit-for-bit.  Self-edges (the diagonal) are excluded
-        for square matrices.
-        """
-        distances = np.asarray(distances)
-        mask = distances <= radius if inclusive else distances < radius
-        if mask.ndim != 2:
-            raise ValueError(f"expected a 2-D distance matrix, got shape {mask.shape}")
-        if mask.shape[0] == mask.shape[1]:
-            np.fill_diagonal(mask, False)
-        rows, cols = np.nonzero(mask)
-        counts = np.bincount(rows, minlength=mask.shape[0])
-        indptr = np.zeros(mask.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(
-            indptr=indptr,
-            indices=cols.astype(np.int64, copy=False),
-            num_cols=mask.shape[1],
-            radius=float(radius),
-            metric=metric,
-            inclusive=inclusive,
-        )
-
 
 def _assemble(
     blocks_indices: list[np.ndarray], counts: np.ndarray, num_cols: int,
@@ -214,9 +180,9 @@ def _self_join_slab(
 
     Matches :func:`~repro.clustering.distance.pairwise_distances` semantics:
     :func:`~repro.clustering.distance.cross_distances` reports two zero
-    vectors as maximally distant under the cosine metric, while the dense
-    self-join treats them as coincident — the patch keeps blocked graphs
-    bit-compatible with dense-matrix graphs.
+    vectors as maximally distant under the cosine metric, while a self-join
+    treats them as coincident — the patch keeps blocked graphs equal to
+    graphs thresholded from the full pairwise matrix.
     """
     slab = cross_distances(features[start:stop], features, metric=metric)
     if zero_mask is not None:
@@ -709,19 +675,27 @@ def build_lsh_neighbor_graph(
 
 
 def dense_percentile_radius(distances: np.ndarray, percentile: float) -> float:
-    """The historical percentile-radius rule over a dense distance matrix.
+    """The percentile-radius rule over a full pairwise distance matrix.
 
     Takes the given percentile of the *positive off-diagonal* entries,
     falling back to 1.0 when every off-diagonal distance is zero (all points
-    coincide).  This is the single definition shared by DBSCAN's automatic
-    ``eps``, the covering threshold ``t`` and the planner's dense regime —
-    the dense/sparse plan identity rests on all of them using the same rule.
+    coincide).  This is the rule behind DBSCAN's automatic ``eps`` and the
+    covering threshold ``t``; :func:`sample_percentile_radius` applies it
+    directly in its exact regime.
     """
     off_diagonal = distances[~np.eye(distances.shape[0], dtype=bool)]
     positive = off_diagonal[off_diagonal > 0.0]
     if positive.size == 0:
         return 1.0
     return float(np.percentile(positive, percentile))
+
+
+def _radius_is_exact(num_points: int, sample_size: int) -> bool:
+    """Whether a percentile radius over ``num_points`` points is exact."""
+    return (
+        num_points <= EXACT_RADIUS_MAX_POINTS
+        or num_points * (num_points - 1) <= sample_size
+    )
 
 
 def sample_percentile_radius(
@@ -732,25 +706,23 @@ def sample_percentile_radius(
     seed: int = DEFAULT_SAMPLE_SEED,
     chunk_size: int = 8192,
 ) -> float:
-    """Percentile of the pairwise distance distribution from a seeded sample.
+    """Percentile of the pairwise distance distribution (exact or sampled).
 
-    The dense rules (:class:`~repro.clustering.dbscan.DBSCAN`'s automatic
+    The radius rules (:class:`~repro.clustering.dbscan.DBSCAN`'s automatic
     ``eps``, the covering threshold ``t``) take a percentile of all positive
-    off-diagonal distances — an O(n^2) computation over an O(n^2) matrix.
-    This resolver never materialises the matrix:
+    off-diagonal distances (:func:`dense_percentile_radius`):
 
-    * **exact regime** — when the full off-diagonal population ``n * (n - 1)``
-      fits in ``sample_size``, every off-diagonal distance is enumerated in
-      blocked slabs; the result is bit-identical to the dense rules (each
-      unordered pair contributes both of its symmetric entries, exactly as
-      the dense off-diagonal does).
+    * **exact regime** — up to :data:`EXACT_RADIUS_MAX_POINTS` points, or
+      while the full off-diagonal population ``n * (n - 1)`` fits in
+      ``sample_size``, every pairwise distance is computed and the rule is
+      applied to all of them.
     * **sampled regime** — otherwise, ``sample_size`` ordered pairs
       ``(i, j), i != j`` are drawn uniformly with a seeded RNG and only those
       distances are computed (in chunks, memory-bounded).  Deterministic
       given the seed.
 
     Returns 1.0 when there are fewer than two points or every considered
-    distance is zero, matching the dense rules' degenerate fallback.
+    distance is zero.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
@@ -762,14 +734,12 @@ def sample_percentile_radius(
     n = features.shape[0]
     if n < 2:
         return 1.0
-    if n * (n - 1) <= sample_size:
-        # Exact regime: the full off-diagonal population fits in the sample
-        # budget, so the percentile is taken over all of it — computed with
-        # the same dense kernel as the historical rules, because BLAS results
-        # are shape-dependent in the last ulp and the radii must be
-        # bit-identical for the dense and sparse plans to coincide.  Memory
-        # stays bounded: n^2 <= sample_size + n, i.e. a few megabytes at the
-        # default budget.
+    if _radius_is_exact(n, sample_size):
+        # Exact regime: the percentile is taken over every off-diagonal
+        # distance, computed with the pairwise_distances kernel — BLAS
+        # results are shape-dependent in the last ulp, and this kernel fixes
+        # the radius bits.  Memory stays bounded by the larger of
+        # EXACT_RADIUS_MAX_POINTS^2 floats and the sample budget.
         return dense_percentile_radius(
             pairwise_distances(features, metric=metric), percentile
         )
@@ -792,19 +762,13 @@ def sample_percentile_radius(
     return float(np.percentile(sampled, percentile))
 
 
-#: Type of the dense-matrix provider a planner delegates small inputs to.
-DenseDistanceProvider = Callable[[np.ndarray, str], np.ndarray]
-
-
 @dataclass
 class PlannerStats:
     """Counters of a :class:`NeighborPlanner`'s routing decisions."""
 
-    dense_graphs: int = 0
     sparse_graphs: int = 0
     lsh_graphs: int = 0
     cross_joins: int = 0
-    dense_radii: int = 0
     sampled_radii: int = 0
     edges_built: int = 0
     lsh_candidates: int = 0
@@ -819,12 +783,10 @@ class PlannerStats:
         the service dashboards use alongside ``repro_planner_route_total``.
         """
         return {
-            "dense_graphs": self.dense_graphs,
             "sparse_graphs": self.sparse_graphs,
             "lsh_graphs": self.lsh_graphs,
             "lsh_routes": self.lsh_graphs,
             "cross_joins": self.cross_joins,
-            "dense_radii": self.dense_radii,
             "sampled_radii": self.sampled_radii,
             "edges_built": self.edges_built,
             "lsh_candidates": self.lsh_candidates,
@@ -835,35 +797,27 @@ class PlannerStats:
 
 
 class NeighborPlanner:
-    """Routing policy between dense, exact sparse and LSH batch planning.
+    """Routing policy between exact sparse and approximate LSH batch planning.
 
-    Small inputs (``n <= dense_threshold``) keep the historical dense path:
-    the full distance matrix (typically already cached by the feature engine)
-    is thresholded into a graph, and percentile radii are exact — this is the
-    regime every pre-existing test and fixed-seed run lives in.  Larger
-    inputs switch to blocked radius joins and sampled radii, so the dense
-    O(n^2) matrix is never materialised above the threshold.  Above
+    Self-joins build their epsilon-graph with blocked radius joins, so the
+    ``(n, n)`` distance matrix is never materialised.  Above
     ``approx_threshold`` even the exact blocked join's full slab scans are
     too slow, and self-joins route to the approximate MinHash-LSH regime
     (:func:`build_lsh_neighbor_graph`) — candidate generation is hash-based,
     exact distances are computed only on candidates, so the graph is a
     subgraph of the exact one with probabilistic recall.  Cross joins stay
     exact in every regime (their cost is ``n * pool``, not ``n^2``).
+    Percentile radii are exact up to :data:`EXACT_RADIUS_MAX_POINTS` points
+    and sampled above (:func:`sample_percentile_radius`).
 
     Args:
-        dense_threshold: maximum point count for the dense regime; ``0``
-            forces the sparse path everywhere (used by the equivalence tests).
         block_size: rows per slab in blocked joins.
         sample_size: pairwise distances sampled by the percentile estimator.
         seed: base seed of the sampling RNG (per-call seeds are derived from
             it and the call-site inputs; see :meth:`resolve_radius`).
-        dense_distances: provider of dense matrices for the small regime;
-            defaults to :func:`~repro.clustering.distance.pairwise_distances`.
-            The feature engine injects its per-run matrix cache here.
         approx_threshold: self-joins strictly larger than this route to the
-            LSH regime; ``0`` forces LSH everywhere dense does not apply
-            (used by the forced-LSH golden tests), ``None`` disables the
-            regime entirely.
+            LSH regime; ``0`` forces LSH everywhere (used by the forced-LSH
+            golden tests), ``None`` disables the regime entirely.
         lsh: LSH knobs for the approximate regime.
         recall_oracle_max: when an LSH graph is built over at most this many
             points, the exact graph is also built and the edge recall
@@ -873,17 +827,13 @@ class NeighborPlanner:
 
     def __init__(
         self,
-        dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
         block_size: int = DEFAULT_BLOCK_SIZE,
         sample_size: int = DEFAULT_SAMPLE_SIZE,
         seed: int = DEFAULT_SAMPLE_SEED,
-        dense_distances: DenseDistanceProvider | None = None,
         approx_threshold: int | None = DEFAULT_APPROX_THRESHOLD,
         lsh: LSHConfig = DEFAULT_LSH_CONFIG,
         recall_oracle_max: int = 0,
     ) -> None:
-        if dense_threshold < 0:
-            raise ValueError(f"dense_threshold must be >= 0, got {dense_threshold}")
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         if sample_size < 1:
@@ -896,7 +846,6 @@ class NeighborPlanner:
             raise ValueError(
                 f"recall_oracle_max must be >= 0, got {recall_oracle_max}"
             )
-        self.dense_threshold = dense_threshold
         self.block_size = block_size
         self.sample_size = sample_size
         self.seed = seed
@@ -908,43 +857,20 @@ class NeighborPlanner:
         #: the clustering layer never imports the observability package; the
         #: resolver and pipeline stages bind it from their context.
         self.tracer = None
-        self._dense_distances = dense_distances or (
-            lambda features, metric: pairwise_distances(features, metric=metric)
-        )
         self._stats = PlannerStats()
         self._lock = threading.Lock()
 
     # -- routing -------------------------------------------------------------
 
-    def use_dense(self, num_points: int) -> bool:
-        """Whether a self-join over ``num_points`` points stays dense."""
-        return num_points <= self.dense_threshold
-
     def use_lsh(self, num_points: int) -> bool:
         """Whether a self-join over ``num_points`` points routes to LSH."""
-        return (
-            self.approx_threshold is not None
-            and num_points > self.approx_threshold
-            and not self.use_dense(num_points)
-        )
+        return self.approx_threshold is not None and num_points > self.approx_threshold
 
     def _span(self, name: str, **attributes: object) -> ContextManager:
         tracer = self.tracer
         if tracer is None or not getattr(tracer, "enabled", False):
             return nullcontext()
         return tracer.span(name, **attributes)
-
-    def use_dense_cross(self, num_rows: int, num_cols: int) -> bool:
-        """Whether a ``(num_rows, num_cols)`` cross join stays dense.
-
-        The dense cross matrix is allowed as long as its cell count does not
-        exceed that of the largest allowed square matrix.
-        """
-        return num_rows * num_cols <= self.dense_threshold * self.dense_threshold
-
-    def dense_distances(self, features: np.ndarray, metric: str) -> np.ndarray:
-        """The dense pairwise matrix for the small regime (provider-backed)."""
-        return self._dense_distances(features, metric)
 
     # -- percentile radii ----------------------------------------------------
 
@@ -967,31 +893,28 @@ class NeighborPlanner:
     ) -> float:
         """Percentile radius over the pairwise distances of ``features``.
 
-        Dense regime: exact percentile of all positive off-diagonal entries
-        (bit-identical to the historical rules).  Sparse regime: seeded
-        sample via :func:`sample_percentile_radius`, with the sample seed
-        derived per call site (:meth:`_sample_seed`) so the resolved radius
-        is a pure function of the inputs and the planner's base seed.
+        Exact (every positive off-diagonal distance) up to
+        :data:`EXACT_RADIUS_MAX_POINTS` points; above, a seeded sample via
+        :func:`sample_percentile_radius`, with the sample seed derived per
+        call site (:meth:`_sample_seed`) so the resolved radius is a pure
+        function of the inputs and the planner's base seed.
         """
         features = np.asarray(features, dtype=float)
         n = features.shape[0]
         if n < 2:
             return 1.0
-        if self.use_dense(n):
+        seed = self.seed
+        if not _radius_is_exact(n, self.sample_size):
+            seed = self._sample_seed(features, percentile, metric)
             with self._lock:
-                self._stats.dense_radii += 1
-            return dense_percentile_radius(
-                self.dense_distances(features, metric), percentile
-            )
-        with self._lock:
-            self._stats.sampled_radii += 1
+                self._stats.sampled_radii += 1
         with self._span("planner:radius", points=n, percentile=percentile):
             return sample_percentile_radius(
                 features,
                 percentile,
                 metric=metric,
                 sample_size=self.sample_size,
-                seed=self._sample_seed(features, percentile, metric),
+                seed=seed,
             )
 
     # -- graphs --------------------------------------------------------------
@@ -1003,23 +926,9 @@ class NeighborPlanner:
         metric: str = "euclidean",
         inclusive: bool = True,
     ) -> NeighborGraph:
-        """Epsilon self-join graph: dense, exact sparse or approximate LSH."""
+        """Epsilon self-join graph: exact sparse or approximate LSH."""
         features = np.asarray(features, dtype=float)
         n = features.shape[0]
-        if self.use_dense(n):
-            with self._span("planner:graph", regime="dense", points=n) as scope:
-                graph = NeighborGraph.from_dense(
-                    self.dense_distances(features, metric),
-                    radius,
-                    metric=metric,
-                    inclusive=inclusive,
-                )
-                if scope is not None:
-                    scope.set_attribute("edges", graph.num_edges)
-            with self._lock:
-                self._stats.dense_graphs += 1
-                self._stats.edges_built += graph.num_edges
-            return graph
         if self.use_lsh(n):
             with self._span("planner:graph", regime="lsh", points=n) as scope:
                 graph, candidates = build_lsh_neighbor_graph(
@@ -1107,8 +1016,7 @@ class NeighborPlanner:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"NeighborPlanner(dense_threshold={self.dense_threshold}, "
-            f"approx_threshold={self.approx_threshold}, "
+            f"NeighborPlanner(approx_threshold={self.approx_threshold}, "
             f"block_size={self.block_size}, sample_size={self.sample_size})"
         )
 

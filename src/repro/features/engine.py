@@ -15,18 +15,12 @@ subsystem:
   :meth:`~repro.features.base.FeatureExtractor.extract_matrix` call, hitting
   the extractors' vectorized paths (per-attribute similarity columns, batched
   sentence encoding) instead of per-pair Python loops;
-* **one distance matrix per run** — the pairwise distance matrix over a
-  feature matrix is cached by content digest, so clustering-based batchers and
-  the covering selector share a single computation instead of each calling
-  :func:`~repro.clustering.distance.pairwise_distances`;
-* **one planning policy per store** — the store owns a
-  :class:`~repro.clustering.neighbors.NeighborPlanner` wired to its distance
-  cache: question sets up to the planner's dense threshold keep the cached
-  dense matrix (the historical, byte-identical path), larger ones plan over
-  sparse epsilon-neighbor graphs built in fixed-size blocks, and sets above
-  the planner's ``approx_threshold`` route to the MinHash-LSH approximate
-  graph — the dense ``(n, n)`` matrix is never materialised past the dense
-  regime;
+* **one planning policy per store** — the store owns the
+  :class:`~repro.clustering.neighbors.NeighborPlanner` that clustering-based
+  batchers and the covering selector plan through: sparse epsilon-neighbor
+  graphs built in fixed-size blocks, and above the planner's
+  ``approx_threshold`` the MinHash-LSH approximate graph, so its routing
+  counters describe the whole run;
 * **chunked featurization** — :meth:`FeatureStore.extract_matrix` walks its
   input in fixed-size blocks (each block is one columnar extractor call), so
   peak *working* memory is bounded by the block size; with a
@@ -42,7 +36,6 @@ memo caches), while lookups, stats and gets stay concurrent.
 
 from __future__ import annotations
 
-import hashlib
 import tempfile
 import threading
 from collections import OrderedDict
@@ -51,7 +44,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.clustering.distance import pairwise_distances
 from repro.clustering.neighbors import NeighborPlanner
 from repro.data.fingerprint import pair_fingerprint
 from repro.data.schema import EntityPair
@@ -59,9 +51,6 @@ from repro.features.base import FeatureExtractor
 
 #: Default bound on the number of cached feature vectors.
 DEFAULT_CAPACITY = 65536
-
-#: Default bound on the number of cached pairwise-distance matrices.
-DEFAULT_DISTANCE_CACHE_SIZE = 4
 
 #: Pairs featurized per columnar extractor call in chunked extraction.
 DEFAULT_EXTRACT_BLOCK_SIZE = 8192
@@ -77,16 +66,14 @@ class FeatureStoreStats:
         hits / misses: vector lookup outcomes across all ``extract_matrix``
             calls (one lookup per input pair).
         evictions: vectors dropped by the LRU bound so far.
-        distance_hits / distance_misses: pairwise-distance matrix cache
-            outcomes.
         chunked_extracts: ``extract_matrix`` calls that spanned more than one
             extraction block.
         memmap_matrices: output matrices spilled to ``np.memmap`` because
             they exceeded the store's byte budget.
         planning: routing counters of the store's
-            :class:`~repro.clustering.neighbors.NeighborPlanner` (dense /
-            sparse / LSH graphs built, radii sampled, edges kept, LSH
-            candidate counts and oracle recall).
+            :class:`~repro.clustering.neighbors.NeighborPlanner` (sparse /
+            LSH graphs built, radii sampled, edges kept, LSH candidate counts
+            and oracle recall).
     """
 
     size: int
@@ -94,8 +81,6 @@ class FeatureStoreStats:
     hits: int
     misses: int
     evictions: int
-    distance_hits: int
-    distance_misses: int
     chunked_extracts: int = 0
     memmap_matrices: int = 0
     planning: dict[str, object] = field(default_factory=dict)
@@ -115,8 +100,6 @@ class FeatureStoreStats:
             "misses": self.misses,
             "hit_rate": self.hit_rate,
             "evictions": self.evictions,
-            "distance_hits": self.distance_hits,
-            "distance_misses": self.distance_misses,
             "chunked_extracts": self.chunked_extracts,
             "memmap_matrices": self.memmap_matrices,
             "planning": dict(self.planning),
@@ -131,21 +114,12 @@ class FeatureStore:
             vectorized ``extract_matrix`` is the only computation path used.
         capacity: maximum number of cached vectors; the least-recently-used
             vector is evicted on overflow.
-        distance_cache_size: number of pairwise-distance matrices kept (a run
-            needs one; a handful covers interleaved sessions).
-        planner: dense/sparse batch-planning policy; by default a
-            :class:`~repro.clustering.neighbors.NeighborPlanner` wired to this
-            store's distance cache, so dense-regime planning reuses the
-            per-run cached matrix.
-        dense_planning_threshold: convenience override of the default
-            planner's dense threshold (``0`` forces sparse planning
-            everywhere — used by the equivalence tests); ignored when an
-            explicit ``planner`` is supplied.
+        planner: batch-planning policy; a default
+            :class:`~repro.clustering.neighbors.NeighborPlanner` when omitted.
         approx_planning_threshold: convenience override of the default
-            planner's ``approx_threshold`` (``0`` plus a zero dense
-            threshold forces LSH planning everywhere — used by the
-            forced-LSH golden tests); ignored when an explicit ``planner``
-            is supplied.
+            planner's ``approx_threshold`` (``0`` forces LSH planning
+            everywhere — used by the forced-LSH golden tests); ignored when
+            an explicit ``planner`` is supplied.
         extract_block_size: pairs featurized per columnar extractor call;
             larger inputs are walked block by block (output rows are
             bit-identical to one-shot extraction — extractor rows are
@@ -159,38 +133,29 @@ class FeatureStore:
         self,
         extractor: FeatureExtractor,
         capacity: int = DEFAULT_CAPACITY,
-        distance_cache_size: int = DEFAULT_DISTANCE_CACHE_SIZE,
         planner: NeighborPlanner | None = None,
-        dense_planning_threshold: int | None = None,
         approx_planning_threshold: int | None = None,
         extract_block_size: int = DEFAULT_EXTRACT_BLOCK_SIZE,
         matrix_byte_budget: int | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if distance_cache_size < 1:
-            raise ValueError(
-                f"distance_cache_size must be >= 1, got {distance_cache_size}"
-            )
         if extract_block_size < 1:
             raise ValueError(
                 f"extract_block_size must be >= 1, got {extract_block_size}"
             )
         self.extractor = extractor
         self.capacity = capacity
-        self.distance_cache_size = distance_cache_size
         self.extract_block_size = extract_block_size
         self.matrix_byte_budget = matrix_byte_budget
         if planner is None:
-            planner_kwargs = {"dense_distances": self.pairwise_distances}
-            if dense_planning_threshold is not None:
-                planner_kwargs["dense_threshold"] = dense_planning_threshold
-            if approx_planning_threshold is not None:
-                planner_kwargs["approx_threshold"] = approx_planning_threshold
-            planner = NeighborPlanner(**planner_kwargs)
+            planner = (
+                NeighborPlanner()
+                if approx_planning_threshold is None
+                else NeighborPlanner(approx_threshold=approx_planning_threshold)
+            )
         self.planner = planner
         self._vectors: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._distances: OrderedDict[tuple[str, str], np.ndarray] = OrderedDict()
         self._lock = threading.RLock()
         # Serializes extractor computation: the extractors' internal memo
         # caches (value-pair similarities, text vectors, feature hashes) are
@@ -199,8 +164,6 @@ class FeatureStore:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._distance_hits = 0
-        self._distance_misses = 0
         self._chunked_extracts = 0
         self._memmap_matrices = 0
 
@@ -343,39 +306,6 @@ class FeatureStore:
             self._extract_block(pairs[start:stop], matrix[start:stop])
         return matrix
 
-    # -- pairwise distances --------------------------------------------------
-
-    def pairwise_distances(
-        self, features: np.ndarray, metric: str = "euclidean"
-    ) -> np.ndarray:
-        """Pairwise distance matrix of ``features``, cached by content digest.
-
-        The cache key is a digest of the matrix bytes plus the metric, so the
-        clustering-based batchers and the covering selector — which all look
-        at the same question feature matrix within one run — share a single
-        computation.  Returns a read-only view; callers needing to mutate it
-        should copy.
-        """
-        features = np.ascontiguousarray(np.asarray(features, dtype=float))
-        digest = hashlib.blake2b(features.tobytes(), digest_size=16)
-        digest.update(str(features.shape).encode("ascii"))
-        key = (digest.hexdigest(), metric)
-        with self._lock:
-            cached = self._distances.get(key)
-            if cached is not None:
-                self._distances.move_to_end(key)
-                self._distance_hits += 1
-                return cached
-            self._distance_misses += 1
-        distances = pairwise_distances(features, metric=metric)
-        distances.setflags(write=False)
-        with self._lock:
-            self._distances[key] = distances
-            self._distances.move_to_end(key)
-            while len(self._distances) > self.distance_cache_size:
-                self._distances.popitem(last=False)
-        return distances
-
     # -- accounting ----------------------------------------------------------
 
     def stats(self) -> FeatureStoreStats:
@@ -387,18 +317,15 @@ class FeatureStore:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                distance_hits=self._distance_hits,
-                distance_misses=self._distance_misses,
                 chunked_extracts=self._chunked_extracts,
                 memmap_matrices=self._memmap_matrices,
                 planning=self.planner.stats().to_dict(),
             )
 
     def clear(self) -> None:
-        """Drop every cached vector and distance matrix (counters kept)."""
+        """Drop every cached vector (counters kept)."""
         with self._lock:
             self._vectors.clear()
-            self._distances.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.stats()
@@ -412,7 +339,6 @@ def create_feature_store(
     variant: str,
     attributes: tuple[str, ...],
     capacity: int = DEFAULT_CAPACITY,
-    dense_planning_threshold: int | None = None,
     approx_planning_threshold: int | None = None,
     matrix_byte_budget: int | None = None,
 ) -> FeatureStore:
@@ -422,7 +348,6 @@ def create_feature_store(
     return FeatureStore(
         create_feature_extractor(variant, attributes),
         capacity=capacity,
-        dense_planning_threshold=dense_planning_threshold,
         approx_planning_threshold=approx_planning_threshold,
         matrix_byte_budget=matrix_byte_budget,
     )

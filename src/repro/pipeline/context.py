@@ -59,11 +59,11 @@ class PipelineContext:
         prelabeled_pool_indices: pool indices whose labeling cost was already
             paid (a :class:`~repro.pipeline.resolver.Resolver` session pays for
             each demonstration only once across many resolve calls).
-        feature_store: the columnar feature engine used to featurize (and to
-            serve the run's cached pairwise-distance matrix and its
+        feature_store: the columnar feature engine used to featurize (and
+            the owner of the run's
             :class:`~repro.clustering.neighbors.NeighborPlanner`, which routes
-            batch planning between the dense-matrix and sparse-graph
-            regimes).  A long-lived session (``Resolver``, the service)
+            batch planning between the exact sparse-graph and approximate
+            LSH regimes).  A long-lived session (``Resolver``, the service)
             pre-sets a shared store so vectors are memoized across calls;
             ``Featurize`` builds an ephemeral one otherwise.
         question_features / pool_features: feature matrices (``Featurize``).

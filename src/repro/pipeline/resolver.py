@@ -182,11 +182,10 @@ class Resolver:
         exists.
 
         A :class:`~repro.clustering.neighbors.NeighborPlanner` owned by the
-        session's feature store: resolve calls over small chunks plan against
-        the cached dense matrix, while large chunks (or a large persistent
-        pool on the covering path) plan over sparse epsilon-neighbor graphs
-        with bounded memory.  Exposed so serving deployments can inspect the
-        routing counters next to :meth:`cost` and :attr:`usage`.
+        session's feature store: every resolve call plans over sparse
+        epsilon-neighbor graphs with bounded memory.  Exposed so serving
+        deployments can inspect the routing counters next to :meth:`cost`
+        and :attr:`usage`.
         """
         store = self.feature_store
         return store.planner if store is not None else None

@@ -68,7 +68,7 @@ class Featurize(PipelineStage):
                 context.config.feature_extractor, context.attributes
             )
             # Ephemeral stores inherit the run's tracer so planner routing
-            # (dense / sparse / LSH graph builds) appears in the trace.
+            # (sparse / LSH graph builds) appears in the trace.
             store.planner.tracer = context.tracer
             context.feature_store = store
         store = context.feature_store
@@ -82,13 +82,10 @@ class BatchQuestions(PipelineStage):
     """Group the questions into batches with the configured strategy.
 
     The feature store's :class:`~repro.clustering.neighbors.NeighborPlanner`
-    routes the clustering geometry: question sets up to the planner's dense
-    threshold consume the engine's cached pairwise distance matrix (shared
-    with the covering selector), larger ones cluster over a sparse
+    routes the clustering geometry: question sets cluster over a sparse
     epsilon-neighbor graph built in fixed-size blocks, and sets above the
-    planner's ``approx_threshold`` cluster over the approximate MinHash-LSH
-    epsilon-graph — the dense ``(n, n)`` matrix is never materialised above
-    the dense threshold.
+    planner's ``approx_threshold`` over the approximate MinHash-LSH
+    epsilon-graph.
     """
 
     name = "batch-questions"
@@ -99,9 +96,6 @@ class BatchQuestions(PipelineStage):
         batcher = create_batcher(
             config.batching, batch_size=config.batch_size, seed=config.seed
         )
-        # The planner routes dense vs sparse itself; its dense regime reads
-        # the engine's cached matrix (the store wires dense_distances to its
-        # per-run distance cache), so no matrix is prefetched here.
         planner = (
             context.feature_store.planner if context.feature_store is not None else None
         )
@@ -113,11 +107,10 @@ class BatchQuestions(PipelineStage):
 class SelectDemonstrations(PipelineStage):
     """Select (and pay the labeling cost for) per-batch demonstrations.
 
-    The covering strategy consumes the store's cached dense distance matrix
-    only for question sets within the planner's dense threshold; above it the
-    selector plans over blocked sparse radius joins (see
-    :mod:`repro.clustering.neighbors`), never materialising the dense
-    question-pairwise or question-to-pool matrices.
+    The covering strategy plans through the store's planner: it resolves its
+    radius there and radius-joins questions to the pool blockwise (see
+    :mod:`repro.clustering.neighbors`), never materialising the
+    question-to-pool matrix.
     """
 
     name = "select-demonstrations"
@@ -134,9 +127,7 @@ class SelectDemonstrations(PipelineStage):
             seed=config.seed,
             threshold_percentile=config.threshold_percentile,
         )
-        # As in BatchQuestions, the planner is the single routing point: its
-        # dense regime resolves the covering threshold from the engine-cached
-        # matrix, its sparse regime samples radii and radius-joins blockwise.
+        # As in BatchQuestions, the store's planner is the single routing point.
         planner = (
             context.feature_store.planner if context.feature_store is not None else None
         )

@@ -20,11 +20,7 @@ from repro.selection.fixed import FixedDemonstrationSelector
 from repro.selection.topk_batch import TopKBatchSelector
 from repro.selection.topk_question import TopKQuestionSelector
 from repro.selection.covering import CoveringSelector
-from repro.selection.set_cover import (
-    coverage_value,
-    greedy_set_cover,
-    greedy_set_cover_eager,
-)
+from repro.selection.set_cover import coverage_value, greedy_set_cover
 from repro.selection.factory import create_selector
 
 __all__ = [
@@ -38,5 +34,4 @@ __all__ = [
     "coverage_value",
     "create_selector",
     "greedy_set_cover",
-    "greedy_set_cover_eager",
 ]

@@ -18,14 +18,12 @@ cover within ``t`` fall back to their single nearest demonstration so that the
 prompt never leaves a question without any reference.
 
 Scaling: the coverage relation "question q is within ``t`` of demonstration
-d" is all the geometry either phase needs, and a
-:class:`~repro.clustering.neighbors.NeighborPlanner` decides how to obtain
-it.  Small problems keep the historical dense ``(n, m)`` question-to-pool
-matrix; large ones build a sparse question→pool radius graph in fixed-size
-row blocks (peak memory bounded by the block size) and resolve ``t`` from a
-seeded distance sample, so neither the ``(n, n)`` nor the ``(n, m)`` matrix
-is ever materialised.  Both paths produce identical selections on the same
-threshold and are golden-tested against each other.
+d" is all the geometry either phase needs.  A
+:class:`~repro.clustering.neighbors.NeighborPlanner` resolves ``t`` (exactly
+up to 2,048 questions, from a seeded distance sample above) and builds a
+sparse question→pool radius graph in fixed-size row blocks, so peak memory is
+bounded by the block size and the ``(n, m)`` matrix is never materialised.
+The selections are golden-tested against a test-only dense-matrix oracle.
 """
 
 from __future__ import annotations
@@ -37,11 +35,7 @@ import numpy as np
 
 from repro.batching.base import QuestionBatch
 from repro.clustering.distance import cross_distances
-from repro.clustering.neighbors import (
-    NeighborPlanner,
-    default_planner,
-    dense_percentile_radius,
-)
+from repro.clustering.neighbors import NeighborPlanner, default_planner
 from repro.data.schema import EntityPair
 from repro.data.serialization import serialize_pair
 from repro.selection.base import DemonstrationSelector, SelectionResult
@@ -71,13 +65,12 @@ class CoveringSelector(DemonstrationSelector):
         threshold: explicit radius overriding the percentile rule.
         tokenizer: tokenizer used to weight demonstrations by token count in
             the Batch Covering phase.
-        planner: dense/sparse routing policy for the coverage geometry;
+        planner: routing policy for the coverage geometry;
             defaults to the process-wide
             :func:`~repro.clustering.neighbors.default_planner`.
     """
 
     name = "covering"
-    uses_question_distances = True
 
     def __init__(
         self,
@@ -104,20 +97,14 @@ class CoveringSelector(DemonstrationSelector):
     # -- threshold ----------------------------------------------------------
 
     def resolve_threshold(
-        self,
-        question_features: np.ndarray,
-        question_distances: np.ndarray | None = None,
-        planner: NeighborPlanner | None = None,
+        self, question_features: np.ndarray, planner: NeighborPlanner | None = None
     ) -> float:
         """Compute the covering radius ``t`` from the question feature vectors.
 
+        The planner resolves the percentile radius — exactly up to 2,048
+        questions, from a seeded distance sample above.
+
         Args:
-            question_distances: optional precomputed pairwise distance matrix
-                over the question features in ``self.metric`` (the feature
-                engine caches one per run for small question sets).  When
-                omitted, the planner resolves the percentile radius — exactly
-                for small inputs, from a seeded distance sample for large
-                ones — without materialising the ``(n, n)`` matrix.
             planner: per-call override of the routing policy.
         """
         if self.threshold is not None:
@@ -125,8 +112,6 @@ class CoveringSelector(DemonstrationSelector):
         features = np.asarray(question_features, dtype=float)
         if features.shape[0] < 2:
             return 1.0
-        if question_distances is not None:
-            return dense_percentile_radius(question_distances, self.threshold_percentile)
         active = planner or self.planner or default_planner()
         return active.resolve_radius(features, self.threshold_percentile, self.metric)
 
@@ -138,112 +123,20 @@ class CoveringSelector(DemonstrationSelector):
         question_features: np.ndarray,
         pool: Sequence[EntityPair],
         pool_features: np.ndarray,
-        question_distances: np.ndarray | None = None,
         planner: NeighborPlanner | None = None,
     ) -> SelectionResult:
         if not pool:
             raise ValueError("the demonstration pool is empty")
         question_features = np.asarray(question_features, dtype=float)
         pool_features = np.asarray(pool_features, dtype=float)
-        threshold = self.resolve_threshold(
-            question_features, question_distances, planner=planner
-        )
         active = planner or self.planner or default_planner()
-        num_questions = question_features.shape[0]
-        num_pool = len(pool)
-        if active.use_dense_cross(num_questions, num_pool):
-            return self._select_dense(batches, question_features, pool, pool_features, threshold)
-        return self._select_sparse(
-            batches, question_features, pool, pool_features, threshold, active
-        )
-
-    # -- dense path (small n * m: the historical implementation) -------------
-
-    def _select_dense(
-        self,
-        batches: Sequence[QuestionBatch],
-        question_features: np.ndarray,
-        pool: Sequence[EntityPair],
-        pool_features: np.ndarray,
-        threshold: float,
-    ) -> SelectionResult:
-        distances = self._question_to_pool_distances(question_features, pool_features)
-        num_questions = distances.shape[0]
-        num_pool = distances.shape[1]
-
-        # Phase 1: Demonstration Set Generation over all questions, unit weights.
-        coverage = [
-            frozenset(np.flatnonzero(distances[:, demo] < threshold).tolist())
-            for demo in range(num_pool)
-        ]
-        generation = greedy_set_cover(num_questions, coverage, weights=None)
-        demonstration_set = list(generation.selected)
-
-        # Fallback: questions not coverable within t get their nearest pool demo,
-        # so every question still has at least one relevant reference.
-        fallback_questions = sorted(generation.uncovered_items)
-        for question_index in fallback_questions:
-            nearest = int(np.argmin(distances[question_index]))
-            if nearest not in demonstration_set:
-                demonstration_set.append(nearest)
-
-        token_weights = self._token_weights(pool, demonstration_set)
-
-        # Phase 2: Batch Covering — per batch, cover its questions with the
-        # minimum token weight subset of the demonstration set.
-        per_batch: list[list[int]] = []
-        for batch in batches:
-            batch_questions = list(batch.indices)
-            local_coverage = []
-            for demo in demonstration_set:
-                covered_locally = frozenset(
-                    position
-                    for position, question_index in enumerate(batch_questions)
-                    if distances[question_index, demo] < threshold
-                )
-                local_coverage.append(covered_locally)
-            solution = greedy_set_cover(
-                len(batch_questions),
-                local_coverage,
-                weights=[token_weights[demo] for demo in demonstration_set],
-            )
-            chosen = [demonstration_set[position] for position in solution.selected]
-            # Uncovered questions within the batch fall back to their nearest
-            # demonstration from the generated set (cheapest feasible repair).
-            for position in sorted(solution.uncovered_items):
-                question_index = batch_questions[position]
-                nearest_demo = min(
-                    demonstration_set, key=lambda demo: distances[question_index, demo]
-                )
-                if nearest_demo not in chosen:
-                    chosen.append(nearest_demo)
-            per_batch.append(chosen)
-
-        self.last_diagnostics = CoveringDiagnostics(
-            threshold=threshold,
-            demonstration_set_size=len(demonstration_set),
-            uncovered_questions=len(generation.uncovered_items),
-            fallback_questions=len(fallback_questions),
-        )
-        return self._build_result(batches, per_batch, pool)
-
-    # -- sparse path (blocked radius joins, no dense matrices) ---------------
-
-    def _select_sparse(
-        self,
-        batches: Sequence[QuestionBatch],
-        question_features: np.ndarray,
-        pool: Sequence[EntityPair],
-        pool_features: np.ndarray,
-        threshold: float,
-        planner: NeighborPlanner,
-    ) -> SelectionResult:
+        threshold = self.resolve_threshold(question_features, planner=active)
         num_questions = question_features.shape[0]
         num_pool = len(pool)
         # One blocked pass over the question-to-pool geometry yields both the
         # strict-radius coverage graph and each question's nearest pool
         # demonstration (the phase-1 fallback rule).
-        graph, nearest = planner.cross_graph(
+        graph, nearest = active.cross_graph(
             question_features,
             pool_features,
             threshold,
@@ -301,8 +194,8 @@ class CoveringSelector(DemonstrationSelector):
                 question_index = batch_questions[position]
                 # One (1, |Ds|) distance row on demand — cheaper than keeping
                 # the full matrix for the rare fallback questions.  Ordering
-                # by demonstration_set keeps the first-minimum tie-break of
-                # the dense path's ``min``.
+                # by demonstration_set breaks ties towards the earliest
+                # generated demonstration.
                 row = cross_distances(
                     question_features[question_index : question_index + 1],
                     pool_features[demonstration_set],

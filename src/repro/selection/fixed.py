@@ -30,7 +30,6 @@ class FixedDemonstrationSelector(DemonstrationSelector):
         question_features: np.ndarray,
         pool: Sequence[EntityPair],
         pool_features: np.ndarray,
-        question_distances: np.ndarray | None = None,
         planner: NeighborPlanner | None = None,
     ) -> SelectionResult:
         if not pool:

@@ -14,17 +14,13 @@ The greedy rule picks, at each step, the candidate maximising
 approximation guarantee cited by the paper.  Ties on ``(efficiency, gain)``
 resolve deterministically to the lowest candidate index.
 
-Two implementations of the same rule are provided:
-
-* :func:`greedy_set_cover` — the default **lazy-greedy (CELF-style)**
-  implementation.  Gains are kept in a max-heap and only re-evaluated when a
-  candidate reaches the top with a stale value; because gains are
-  non-increasing as the uncovered set shrinks (submodularity), a fresh
-  heap-top is provably the global greedy choice — including its tie-break —
-  so the selection sequence is identical to the eager scan while skipping
-  the re-scan of candidates whose gain cannot have changed.
-* :func:`greedy_set_cover_eager` — the straightforward every-round re-scan,
-  kept as the equivalence oracle for tests and benchmarks.
+:func:`greedy_set_cover` is a **lazy-greedy (CELF-style)** implementation.
+Gains are kept in a max-heap and only re-evaluated when a candidate reaches
+the top with a stale value; because gains are non-increasing as the
+uncovered set shrinks (submodularity), a fresh heap-top is provably the
+global greedy choice — including its tie-break — so the selection sequence is
+identical to an every-round re-scan while skipping the re-scan of candidates
+whose gain cannot have changed.
 """
 
 from __future__ import annotations
@@ -59,28 +55,6 @@ def coverage_value(selected_coverage: Sequence[frozenset[int] | set[int]]) -> in
     return len(covered)
 
 
-def _prepare(
-    num_items: int,
-    coverage: Sequence[frozenset[int] | set[int]],
-    weights: Sequence[float] | None,
-) -> tuple[Sequence[float], list[set[int]], set[int], set[int]]:
-    """Shared validation and instance set-up of both implementations."""
-    if weights is None:
-        weights = [1.0] * len(coverage)
-    if len(weights) != len(coverage):
-        raise ValueError(
-            f"coverage has {len(coverage)} candidates but weights has {len(weights)}"
-        )
-    if any(weight <= 0.0 for weight in weights):
-        raise ValueError("all candidate weights must be positive")
-    universe = set(range(num_items))
-    coverable: set[int] = set()
-    candidate_sets = [set(cover) & universe for cover in coverage]
-    for candidate in candidate_sets:
-        coverable |= candidate
-    return weights, candidate_sets, coverable, universe - coverable
-
-
 def greedy_set_cover(
     num_items: int,
     coverage: Sequence[frozenset[int] | set[int]],
@@ -96,9 +70,9 @@ def greedy_set_cover(
         weights: positive weight per candidate; defaults to unit weights.
 
     Returns:
-        The greedy solution — selection-for-selection identical to
-        :func:`greedy_set_cover_eager`, including the deterministic
-        lowest-index tie-break.  Items that appear in no candidate's coverage
+        The greedy solution — selection-for-selection identical to the eager
+        every-round re-scan, including the deterministic lowest-index
+        tie-break.  Items that appear in no candidate's coverage
         are reported as ``uncovered_items`` rather than raising, because in
         the ER pipeline an uncoverable question simply falls back to
         nearest-neighbour demonstrations.
@@ -106,9 +80,18 @@ def greedy_set_cover(
     Raises:
         ValueError: if weights are non-positive or the lengths disagree.
     """
-    weights, candidate_sets, coverable, uncoverable = _prepare(
-        num_items, coverage, weights
-    )
+    if weights is None:
+        weights = [1.0] * len(coverage)
+    if len(weights) != len(coverage):
+        raise ValueError(
+            f"coverage has {len(coverage)} candidates but weights has {len(weights)}"
+        )
+    if any(weight <= 0.0 for weight in weights):
+        raise ValueError("all candidate weights must be positive")
+    universe = set(range(num_items))
+    candidate_sets = [set(cover) & universe for cover in coverage]
+    coverable: set[int] = set().union(*candidate_sets)
+    uncoverable = universe - coverable
     uncovered = set(coverable)
     selected: list[int] = []
     total_weight = 0.0
@@ -142,59 +125,6 @@ def greedy_set_cover(
             stamp[index] = rounds
             if gain:
                 heapq.heappush(heap, (-gain / weights[index], -gain, index))
-
-    covered = coverable - uncovered
-    return SetCoverSolution(
-        selected=tuple(selected),
-        covered_items=frozenset(covered),
-        uncovered_items=frozenset(uncoverable | uncovered),
-        total_weight=total_weight,
-    )
-
-
-def greedy_set_cover_eager(
-    num_items: int,
-    coverage: Sequence[frozenset[int] | set[int]],
-    weights: Sequence[float] | None = None,
-) -> SetCoverSolution:
-    """Eager greedy weighted set cover (the re-scan-every-round oracle).
-
-    Recomputes every remaining candidate's gain each round.  Kept as the
-    reference implementation :func:`greedy_set_cover` is verified against;
-    prefer the lazy version everywhere else — it returns identical solutions.
-    """
-    weights, candidate_sets, coverable, uncoverable = _prepare(
-        num_items, coverage, weights
-    )
-    uncovered = set(coverable)
-    selected: list[int] = []
-    remaining_candidates = list(range(len(candidate_sets)))
-    total_weight = 0.0
-
-    while uncovered and remaining_candidates:
-        best_candidate = -1
-        best_efficiency = 0.0
-        best_gain = 0
-        # Candidates are scanned in ascending index order and only a strict
-        # improvement replaces the incumbent, so ties on (efficiency, gain)
-        # deterministically resolve to the lowest candidate index.
-        for candidate in remaining_candidates:
-            gain = len(candidate_sets[candidate] & uncovered)
-            if gain == 0:
-                continue
-            efficiency = gain / weights[candidate]
-            if efficiency > best_efficiency or (
-                efficiency == best_efficiency and gain > best_gain
-            ):
-                best_candidate = candidate
-                best_efficiency = efficiency
-                best_gain = gain
-        if best_candidate < 0:
-            break
-        selected.append(best_candidate)
-        remaining_candidates.remove(best_candidate)
-        uncovered -= candidate_sets[best_candidate]
-        total_weight += float(weights[best_candidate])
 
     covered = coverable - uncovered
     return SetCoverSolution(

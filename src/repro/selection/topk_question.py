@@ -54,7 +54,6 @@ class TopKQuestionSelector(DemonstrationSelector):
         question_features: np.ndarray,
         pool: Sequence[EntityPair],
         pool_features: np.ndarray,
-        question_distances: np.ndarray | None = None,
         planner: NeighborPlanner | None = None,
     ) -> SelectionResult:
         if not pool:

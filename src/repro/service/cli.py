@@ -359,7 +359,7 @@ def run_self_test(
         # The planner's routing counters must reach both surfaces: the
         # /stats planning dict (lsh_routes / candidate counts / oracle
         # recall) and the per-regime route metric.  At self-test scale every
-        # self-join is dense, so the dense counter carries the routes while
+        # self-join is exact, so the sparse counter carries the routes while
         # the lsh family renders at zero — proving the schema is stable
         # before any large input arrives.
         "planner_routing_counters_in_stats": (

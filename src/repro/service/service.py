@@ -439,9 +439,6 @@ class ResolutionService:
             labels=("regime",),
         )
         planner_routes.set_function(
-            lambda: self._planner_stat("dense_graphs"), regime="dense"
-        )
-        planner_routes.set_function(
             lambda: self._planner_stat("sparse_graphs"), regime="sparse"
         )
         planner_routes.set_function(

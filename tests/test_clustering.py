@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_oracle import DensePlanner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -142,12 +143,12 @@ class TestDBSCAN:
         with pytest.raises(ValueError):
             DBSCAN(eps_percentile=0.0)
 
-    def test_precomputed_distance_matrix(self):
+    @pytest.mark.parametrize("eps", [1.0, None])
+    def test_labels_match_dense_matrix_oracle(self, eps):
         data = two_blobs(8)
-        distances = pairwise_distances(data)
-        direct = DBSCAN(eps=1.0, min_samples=3).fit(data)
-        precomputed = DBSCAN(eps=1.0, min_samples=3).fit(data, distances=distances)
-        assert np.array_equal(direct.labels, precomputed.labels)
+        planned = DBSCAN(eps=eps, min_samples=3).fit(data)
+        dense = DBSCAN(eps=eps, min_samples=3, planner=DensePlanner()).fit(data)
+        assert np.array_equal(planned.labels, dense.labels)
 
 
 class TestKMeans:

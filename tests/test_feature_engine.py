@@ -193,8 +193,6 @@ class TestFeatureStore:
         extractor = create_feature_extractor("lr", ("name",))
         with pytest.raises(ValueError):
             FeatureStore(extractor, capacity=0)
-        with pytest.raises(ValueError):
-            FeatureStore(extractor, distance_cache_size=0)
 
     def test_empty_matrix(self):
         store = create_feature_store("lr", ("name",))
@@ -255,11 +253,9 @@ class TestChunkedExtraction:
         store = create_feature_store(
             "lr",
             ("name",),
-            dense_planning_threshold=0,
             approx_planning_threshold=0,
             matrix_byte_budget=64,
         )
-        assert store.planner.dense_threshold == 0
         assert store.planner.approx_threshold == 0
         assert store.matrix_byte_budget == 64
 
@@ -269,36 +265,27 @@ class TestChunkedExtraction:
             FeatureStore(extractor, extract_block_size=0)
 
 
-class TestSharedDistanceMatrix:
-    def test_distance_matrix_cached_by_content(self, beer_question_features):
-        store = create_feature_store("lr", ("name",))
-        first = store.pairwise_distances(beer_question_features)
-        second = store.pairwise_distances(np.array(beer_question_features))
-        assert first is second  # same content digest -> same cached matrix
-        stats = store.stats()
-        assert stats.distance_hits == 1 and stats.distance_misses == 1
+class TestStorePlanner:
+    """The store's planner resolves radii exactly on real question features."""
 
-    def test_metric_is_part_of_the_key(self, beer_question_features):
-        store = create_feature_store("lr", ("name",))
-        euclidean = store.pairwise_distances(beer_question_features, metric="euclidean")
-        cosine = store.pairwise_distances(beer_question_features, metric="cosine")
-        assert not np.array_equal(euclidean, cosine)
-        assert store.stats().distance_misses == 2
-
-    def test_matches_direct_computation(self, beer_question_features):
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_radius_matches_dense_rule(self, beer_question_features, metric):
         from repro.clustering.distance import pairwise_distances
+        from repro.clustering.neighbors import dense_percentile_radius
 
         store = create_feature_store("lr", ("name",))
-        assert np.array_equal(
-            store.pairwise_distances(beer_question_features, metric="euclidean"),
-            pairwise_distances(beer_question_features, metric="euclidean"),
+        expected = dense_percentile_radius(
+            pairwise_distances(beer_question_features, metric=metric), 15.0
         )
+        assert store.planner.resolve_radius(
+            beer_question_features, 15.0, metric
+        ) == expected
+        assert store.stats().planning["sampled_radii"] == 0
 
-    def test_cached_matrix_is_read_only(self, beer_question_features):
-        store = create_feature_store("lr", ("name",))
-        matrix = store.pairwise_distances(beer_question_features)
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
+    def test_stats_carry_no_distance_cache_or_dense_counters(self):
+        payload = create_feature_store("lr", ("name",)).stats().to_dict()
+        assert not {"distance_hits", "distance_misses"} & set(payload)
+        assert not {"dense_graphs", "dense_radii"} & set(payload["planning"])
 
 
 class TestGoldenRunEquivalence:

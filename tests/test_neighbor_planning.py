@@ -1,10 +1,9 @@
 """Tests for the sparse neighbor-graph planning subsystem.
 
 The contract under test is *equivalence*: for any input, planning over the
-sparse blocked path (forced via ``NeighborPlanner(dense_threshold=0)``) must
-produce exactly the plans of the historical dense-matrix path — DBSCAN
-labels, covering selections, set-cover solutions and end-to-end pipeline
-results alike.
+sparse blocked path must produce exactly the plans of the test-only
+dense-matrix oracle (``dense_oracle``) — DBSCAN labels, covering
+selections, set-cover solutions and end-to-end pipeline results alike.
 """
 
 import subprocess
@@ -12,24 +11,26 @@ import sys
 
 import numpy as np
 import pytest
+from dense_oracle import DensePlanner, dense_covering_select, dense_graph
 
 from repro.batching.diversity_batching import DiversityQuestionBatcher
 from repro.clustering.dbscan import DBSCAN
 from repro.clustering.distance import cross_distances, pairwise_distances
 from repro.clustering.neighbors import (
+    EXACT_RADIUS_MAX_POINTS,
     LSHConfig,
-    NeighborGraph,
     NeighborPlanner,
     build_cross_neighbor_graph,
     build_lsh_neighbor_graph,
     build_neighbor_graph,
     default_planner,
+    dense_percentile_radius,
     sample_percentile_radius,
 )
 from repro.data.schema import EntityPair, MatchLabel, Record
 from repro.selection.covering import CoveringSelector
 
-SPARSE = dict(dense_threshold=0, block_size=13)
+SPARSE = dict(block_size=13)
 
 
 def random_features(seed, n=None, d=None, degenerate=True):
@@ -69,9 +70,7 @@ class TestNeighborGraph:
             graph = build_neighbor_graph(
                 features, radius, metric=metric, inclusive=inclusive, block_size=7
             )
-            dense = NeighborGraph.from_dense(
-                distances, radius, metric=metric, inclusive=inclusive
-            )
+            dense = dense_graph(distances, radius, metric=metric, inclusive=inclusive)
             assert np.array_equal(graph.indptr, dense.indptr)
             assert np.array_equal(graph.indices, dense.indices)
 
@@ -136,7 +135,7 @@ class TestSamplePercentileRadius:
             assert sample_percentile_radius(features, 15.0, metric=metric) == expected
 
     def test_sampled_regime_deterministic_and_positive(self):
-        features = np.random.default_rng(0).normal(size=(300, 4))
+        features = np.random.default_rng(0).normal(size=(2100, 4))
         first = sample_percentile_radius(features, 10.0, sample_size=2000, seed=3)
         second = sample_percentile_radius(features, 10.0, sample_size=2000, seed=3)
         other_seed = sample_percentile_radius(features, 10.0, sample_size=2000, seed=4)
@@ -148,7 +147,7 @@ class TestSamplePercentileRadius:
         assert sample_percentile_radius(np.zeros((1, 3)), 15.0) == 1.0
         assert sample_percentile_radius(np.zeros((40, 3)), 15.0) == 1.0
         # identical points in the sampled regime: every distance is zero
-        identical = np.ones((200, 2))
+        identical = np.ones((2100, 2))
         assert sample_percentile_radius(identical, 15.0, sample_size=100) == 1.0
 
     def test_validation(self):
@@ -162,25 +161,15 @@ class TestSamplePercentileRadius:
 
 
 class TestNeighborPlanner:
-    def test_routing_thresholds(self):
-        planner = NeighborPlanner(dense_threshold=10)
-        assert planner.use_dense(10) and not planner.use_dense(11)
-        assert planner.use_dense_cross(10, 10) and not planner.use_dense_cross(101, 1)
-        forced = NeighborPlanner(dense_threshold=0)
-        assert not forced.use_dense(1)
-        assert not forced.use_dense_cross(1, 1)
-
     def test_resolve_radius_matches_dense_rule(self):
         features = random_features(2)
         n = features.shape[0]
         distances = pairwise_distances(features)
         off = distances[~np.eye(n, dtype=bool)]
         expected = float(np.percentile(off[off > 0.0], 15.0))
-        dense = NeighborPlanner(dense_threshold=4096)
-        sparse = NeighborPlanner(**SPARSE)
-        assert dense.resolve_radius(features, 15.0) == expected
-        # the sparse planner's exact regime reproduces the same value
-        assert sparse.resolve_radius(features, 15.0) == expected
+        assert DensePlanner().resolve_radius(features, 15.0) == expected
+        # the planner's exact regime reproduces the same value
+        assert NeighborPlanner(**SPARSE).resolve_radius(features, 15.0) == expected
 
     def test_stats_counters(self):
         features = random_features(1, n=20)
@@ -190,16 +179,11 @@ class TestNeighborPlanner:
         planner.cross_graph(features, features, 1.0)
         stats = planner.stats().to_dict()
         assert stats["sparse_graphs"] == 1
-        assert stats["dense_graphs"] == 0
+        assert stats["sampled_radii"] == 0  # 20 points: the exact regime
         assert stats["cross_joins"] == 1
         assert stats["edges_built"] > 0
-        dense = NeighborPlanner(dense_threshold=4096)
-        dense.graph(features, 1.0)
-        assert dense.stats().dense_graphs == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NeighborPlanner(dense_threshold=-1)
         with pytest.raises(ValueError):
             NeighborPlanner(block_size=0)
         with pytest.raises(ValueError):
@@ -209,13 +193,87 @@ class TestNeighborPlanner:
         assert default_planner() is default_planner()
 
 
+class TestExactRadiusBound:
+    """Percentile radii are exact up to EXACT_RADIUS_MAX_POINTS points.
+
+    Below the bound the full off-diagonal population can exceed the sample
+    budget (600 * 599 > 262,144), so an exactness rule keyed on the budget
+    alone would sample there and move the radius away from the dense rule.
+    """
+
+    @pytest.mark.parametrize("n", [600, EXACT_RADIUS_MAX_POINTS])
+    def test_radius_bit_identical_to_dense_rule(self, n):
+        features = blob_features(31, n)
+        planner = NeighborPlanner()
+        expected = dense_percentile_radius(pairwise_distances(features), 15.0)
+        assert planner.resolve_radius(features, 15.0) == expected
+        assert planner.stats().sampled_radii == 0
+
+    def test_sampled_above_the_bound(self):
+        features = blob_features(31, EXACT_RADIUS_MAX_POINTS + 1)
+        planner = NeighborPlanner()
+        planner.resolve_radius(features, 15.0)
+        assert planner.stats().sampled_radii == 1
+
+    def test_bound_holds_for_any_sample_size(self):
+        features = blob_features(32, EXACT_RADIUS_MAX_POINTS)
+        planner = NeighborPlanner(sample_size=16)
+        expected = dense_percentile_radius(pairwise_distances(features), 15.0)
+        assert planner.resolve_radius(features, 15.0) == expected
+        assert planner.stats().sampled_radii == 0
+        # one point past the bound, the tiny budget is sampled
+        planner.resolve_radius(blob_features(32, EXACT_RADIUS_MAX_POINTS + 1), 15.0)
+        assert planner.stats().sampled_radii == 1
+
+    def test_full_population_budget_stays_exact_above_the_bound(self):
+        n = EXACT_RADIUS_MAX_POINTS + 1
+        features = blob_features(33, n)
+        planner = NeighborPlanner(sample_size=n * (n - 1))
+        expected = dense_percentile_radius(pairwise_distances(features), 15.0)
+        assert planner.resolve_radius(features, 15.0) == expected
+        assert planner.stats().sampled_radii == 0
+
+    def test_covering_threshold_exact_past_the_sample_budget(self):
+        features = blob_features(34, 600)
+        dense = CoveringSelector(planner=DensePlanner()).resolve_threshold(features)
+        planned = CoveringSelector(planner=NeighborPlanner()).resolve_threshold(
+            features
+        )
+        assert planned == dense
+
+    def test_dbscan_labels_exact_past_the_sample_budget(self):
+        features = blob_features(35, 600)
+        # min_samples near the typical degree makes the core mask eps-sensitive
+        dense = DBSCAN(min_samples=60, planner=DensePlanner()).fit(features)
+        planned = DBSCAN(min_samples=60, planner=NeighborPlanner()).fit(features)
+        assert np.array_equal(dense.labels, planned.labels)
+        assert np.array_equal(dense.core_point_mask, planned.core_point_mask)
+
+    def test_radius_span_in_both_regimes(self):
+        from repro.observability.tracing import Tracer
+
+        tracer = Tracer()
+        planner = NeighborPlanner()
+        planner.tracer = tracer
+        planner.resolve_radius(blob_features(36, 20), 15.0)
+        planner.resolve_radius(blob_features(36, EXACT_RADIUS_MAX_POINTS + 1), 15.0)
+        points = [
+            span.attributes["points"]
+            for span in tracer.finished_spans()
+            if span.name == "planner:radius"
+        ]
+        assert points == [20, EXACT_RADIUS_MAX_POINTS + 1]
+
+
 class TestSparseDBSCANEquivalence:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("min_samples", [1, 2, 3])
     def test_labels_match_dense_across_seeds(self, metric, min_samples):
         for seed in range(12):
             features = random_features(seed)
-            dense = DBSCAN(min_samples=min_samples, metric=metric).fit(features)
+            dense = DBSCAN(
+                min_samples=min_samples, metric=metric, planner=DensePlanner()
+            ).fit(features)
             sparse = DBSCAN(
                 min_samples=min_samples,
                 metric=metric,
@@ -232,21 +290,9 @@ class TestSparseDBSCANEquivalence:
         single = DBSCAN(planner=planner).fit(np.zeros((1, 2)))
         assert single.labels.size == 1
         blob = np.zeros((10, 2))
-        dense = DBSCAN(eps=0.5, min_samples=2).fit(blob)
+        dense = DBSCAN(eps=0.5, min_samples=2, planner=DensePlanner()).fit(blob)
         sparse = DBSCAN(eps=0.5, min_samples=2, planner=planner).fit(blob)
         assert np.array_equal(dense.labels, sparse.labels)
-
-    def test_precomputed_distances_stay_dense(self):
-        features = random_features(6, n=30)
-        distances = pairwise_distances(features)
-        planner = NeighborPlanner(**SPARSE)
-        with_matrix = DBSCAN(min_samples=2, planner=planner).fit(
-            features, distances=distances
-        )
-        reference = DBSCAN(min_samples=2).fit(features)
-        assert np.array_equal(with_matrix.labels, reference.labels)
-        # supplying the matrix must not build sparse graphs
-        assert planner.stats().sparse_graphs == 0
 
 
 class TestSparseCoveringEquivalence:
@@ -271,8 +317,8 @@ class TestSparseCoveringEquivalence:
             sparse_selector = CoveringSelector(
                 metric=metric, planner=NeighborPlanner(**SPARSE)
             )
-            dense = dense_selector.select(
-                batches, question_features, pool, pool_features
+            dense = dense_covering_select(
+                dense_selector, batches, question_features, pool, pool_features
             )
             sparse = sparse_selector.select(
                 batches, question_features, pool, pool_features
@@ -300,7 +346,7 @@ class TestSparseCoveringEquivalence:
 
     def test_resolve_threshold_sparse_matches_dense(self):
         features = random_features(11)
-        dense = CoveringSelector().resolve_threshold(features)
+        dense = CoveringSelector(planner=DensePlanner()).resolve_threshold(features)
         sparse = CoveringSelector(
             planner=NeighborPlanner(**SPARSE)
         ).resolve_threshold(features)
@@ -308,10 +354,12 @@ class TestSparseCoveringEquivalence:
 
 
 class TestEndToEndGoldenEquivalence:
-    """Fixed-seed BatchER runs are byte-identical with sparse planning forced."""
+    """Fixed-seed BatchER runs are byte-identical to the dense-matrix oracle."""
 
     @pytest.mark.parametrize("extractor", ["lr", "semantic"])
-    def test_batcher_run_identical_with_sparse_planning(self, beer_dataset, extractor):
+    def test_batcher_run_identical_with_sparse_planning(
+        self, beer_dataset, extractor, monkeypatch
+    ):
         from repro.core.batcher import BatchER
         from repro.core.config import BatcherConfig
         from repro.features.engine import FeatureStore
@@ -322,24 +370,30 @@ class TestEndToEndGoldenEquivalence:
         config = BatcherConfig(feature_extractor=extractor, seed=0, max_questions=60)
         reference = BatchER(config).run(beer_dataset)
 
+        # The oracle run: clustering and covering over full distance matrices.
+        def select_dense(
+            self, batches, question_features, pool, pool_features, planner=None
+        ):
+            return dense_covering_select(
+                self, batches, question_features, pool, pool_features
+            )
+
+        monkeypatch.setattr(CoveringSelector, "select", select_dense)
         context = PipelineContext.from_dataset(beer_dataset, config)
         context.feature_store = FeatureStore(
             create_feature_extractor(extractor, beer_dataset.attributes),
-            dense_planning_threshold=0,  # force sparse planning everywhere
+            planner=DensePlanner(),
         )
         Pipeline.default().run(context)
-        sparse = context.result
+        dense = context.result
 
-        assert sparse is not None
-        assert sparse.predictions == reference.predictions
-        assert sparse.metrics == reference.metrics
-        assert sparse.cost == reference.cost
-        assert sparse.num_batches == reference.num_batches
-        assert sparse.num_unanswered == reference.num_unanswered
-        assert sparse.summary() == reference.summary()
-        planning = context.feature_store.stats().planning
-        assert planning["sparse_graphs"] >= 1
-        assert planning["dense_graphs"] == 0
+        assert dense is not None
+        assert reference.predictions == dense.predictions
+        assert reference.metrics == dense.metrics
+        assert reference.cost == dense.cost
+        assert reference.num_batches == dense.num_batches
+        assert reference.num_unanswered == dense.num_unanswered
+        assert reference.summary() == dense.summary()
 
     def test_resolver_uses_store_planner(self, beer_dataset):
         from repro.core.config import BatcherConfig
@@ -352,13 +406,10 @@ class TestEndToEndGoldenEquivalence:
         resolver.resolve(list(beer_dataset.splits.test)[:10])
         stats = resolver.feature_store.stats()
         assert "planning" in stats.to_dict()
-        # Small chunks stay in the dense regime by default — the planner
-        # routes (and counts) dense planning, never building a sparse graph,
-        # and its dense provider populates the engine's distance cache.
-        assert stats.planning["sparse_graphs"] == 0
-        assert stats.planning["dense_graphs"] >= 1
-        assert stats.planning["dense_radii"] >= 1
-        assert stats.distance_misses >= 1
+        # Small chunks plan over exact sparse graphs with exact radii.
+        assert stats.planning["sparse_graphs"] >= 1
+        assert stats.planning["lsh_graphs"] == 0
+        assert stats.planning["sampled_radii"] == 0
 
 
 def blob_features(seed, n, d=6, blob_size=20):
@@ -476,13 +527,13 @@ class TestLSHNeighborGraph:
 
 class TestLSHRouting:
     def test_use_lsh_thresholds(self):
-        planner = NeighborPlanner(dense_threshold=10, approx_threshold=100)
-        assert not planner.use_lsh(10)  # dense wins below the dense threshold
+        planner = NeighborPlanner(approx_threshold=100)
+        assert not planner.use_lsh(10)
         assert not planner.use_lsh(100)  # at the threshold: still exact sparse
         assert planner.use_lsh(101)
-        disabled = NeighborPlanner(dense_threshold=10, approx_threshold=None)
+        disabled = NeighborPlanner(approx_threshold=None)
         assert not disabled.use_lsh(10**9)
-        forced = NeighborPlanner(dense_threshold=0, approx_threshold=0)
+        forced = NeighborPlanner(approx_threshold=0)
         assert forced.use_lsh(2)
 
     def test_validation(self):
@@ -493,7 +544,7 @@ class TestLSHRouting:
 
     def test_lsh_stats_and_alias(self):
         features = blob_features(9, 300)
-        planner = NeighborPlanner(dense_threshold=0, approx_threshold=0)
+        planner = NeighborPlanner(approx_threshold=0)
         radius = planner.resolve_radius(features, 1.0)
         planner.graph(features, radius)
         stats = planner.stats()
@@ -506,9 +557,7 @@ class TestLSHRouting:
 
     def test_recall_oracle_records_minimum(self):
         features = blob_features(21, 400)
-        planner = NeighborPlanner(
-            dense_threshold=0, approx_threshold=0, recall_oracle_max=1024
-        )
+        planner = NeighborPlanner(approx_threshold=0, recall_oracle_max=1024)
         radius = planner.resolve_radius(features, 1.0)
         planner.graph(features, radius)
         stats = planner.stats()
@@ -525,9 +574,7 @@ class TestLSHRouting:
         # full-recall premise asserted via the planner's oracle is stable.
         features = blob_features(13, 900)
         exact = DBSCAN(min_samples=2, eps_percentile=2.0).fit(features)
-        planner = NeighborPlanner(
-            dense_threshold=0, approx_threshold=0, recall_oracle_max=1024
-        )
+        planner = NeighborPlanner(approx_threshold=0, recall_oracle_max=1024)
         approx = DBSCAN(min_samples=2, eps_percentile=2.0, planner=planner).fit(features)
         assert planner.stats().lsh_recall_min == 1.0
         assert np.array_equal(exact.labels, approx.labels)
@@ -535,7 +582,7 @@ class TestLSHRouting:
     def test_cross_joins_stay_exact_under_forced_lsh(self):
         features = blob_features(7, 300)
         pool = blob_features(8, 40, d=features.shape[1])
-        planner = NeighborPlanner(dense_threshold=0, approx_threshold=0)
+        planner = NeighborPlanner(approx_threshold=0)
         graph, nearest = planner.cross_graph(
             features, pool, 1.0, return_nearest=True
         )
@@ -551,9 +598,9 @@ class TestLSHRouting:
         from repro.observability.tracing import Tracer
 
         tracer = Tracer()
-        planner = NeighborPlanner(dense_threshold=4, approx_threshold=16)
+        planner = NeighborPlanner(approx_threshold=16)
         planner.tracer = tracer
-        planner.graph(np.zeros((3, 2)), 1.0)  # dense
+        planner.graph(np.zeros((3, 2)), 1.0)  # exact sparse
         planner.graph(np.ones((10, 2)), 1.0)  # exact sparse
         planner.graph(blob_features(2, 40, d=2), 1.0)  # lsh
         regimes = [
@@ -561,17 +608,20 @@ class TestLSHRouting:
             for span in tracer.finished_spans()
             if span.name == "planner:graph"
         ]
-        assert regimes == ["dense", "sparse", "lsh"]
+        assert regimes == ["sparse", "sparse", "lsh"]
 
 
 class TestRadiusSeedStability:
-    """Sampled radii are a pure function of (features, percentile, metric, seed)."""
+    """Sampled radii are a pure function of (features, percentile, metric, seed).
+
+    The inputs sit just above EXACT_RADIUS_MAX_POINTS so the planner samples.
+    """
 
     def test_call_order_independent(self):
-        features_a = np.random.default_rng(0).normal(size=(300, 4))
-        features_b = np.random.default_rng(1).normal(size=(280, 4))
-        planner_one = NeighborPlanner(dense_threshold=0, sample_size=2000)
-        planner_two = NeighborPlanner(dense_threshold=0, sample_size=2000)
+        features_a = np.random.default_rng(0).normal(size=(2100, 4))
+        features_b = np.random.default_rng(1).normal(size=(2080, 4))
+        planner_one = NeighborPlanner(sample_size=2000)
+        planner_two = NeighborPlanner(sample_size=2000)
         first = planner_one.resolve_radius(features_a, 10.0)
         # A different call history must not perturb later resolutions.
         planner_two.resolve_radius(features_b, 10.0)
@@ -579,11 +629,11 @@ class TestRadiusSeedStability:
         assert planner_two.resolve_radius(features_a, 10.0) == first
 
     def test_content_and_seed_sensitivity(self):
-        features = np.random.default_rng(2).normal(size=(300, 4))
-        base = NeighborPlanner(dense_threshold=0, sample_size=2000)
-        reseeded = NeighborPlanner(dense_threshold=0, sample_size=2000, seed=99)
+        features = np.random.default_rng(2).normal(size=(2100, 4))
+        base = NeighborPlanner(sample_size=2000)
+        reseeded = NeighborPlanner(sample_size=2000, seed=99)
         assert base.resolve_radius(features, 10.0) == NeighborPlanner(
-            dense_threshold=0, sample_size=2000
+            sample_size=2000
         ).resolve_radius(features, 10.0)
         # A different planner seed draws a different sample (with overwhelming
         # probability on continuous data).
@@ -598,8 +648,8 @@ class TestRadiusSeedStability:
         script = (
             "import numpy as np\n"
             "from repro.clustering.neighbors import NeighborPlanner\n"
-            "features = np.random.default_rng(7).normal(size=(300, 4))\n"
-            "planner = NeighborPlanner(dense_threshold=0, sample_size=2000)\n"
+            "features = np.random.default_rng(7).normal(size=(2100, 4))\n"
+            "planner = NeighborPlanner(sample_size=2000)\n"
             "print(repr(planner.resolve_radius(features, 10.0)))\n"
         )
         completed = subprocess.run(
@@ -608,8 +658,8 @@ class TestRadiusSeedStability:
             text=True,
             check=True,
         )
-        features = np.random.default_rng(7).normal(size=(300, 4))
-        planner = NeighborPlanner(dense_threshold=0, sample_size=2000)
+        features = np.random.default_rng(7).normal(size=(2100, 4))
+        planner = NeighborPlanner(sample_size=2000)
         assert completed.stdout.strip() == repr(planner.resolve_radius(features, 10.0))
 
 
@@ -637,8 +687,7 @@ class TestEndToEndForcedLSH:
         context = PipelineContext.from_dataset(dataset, config)
         context.feature_store = FeatureStore(
             create_feature_extractor(config.feature_extractor, dataset.attributes),
-            dense_planning_threshold=0,  # bypass the dense regime...
-            approx_planning_threshold=0,  # ...and force LSH for every self-join
+            approx_planning_threshold=0,  # force LSH for every self-join
         )
         Pipeline.default().run(context)
         forced = context.result
@@ -651,4 +700,4 @@ class TestEndToEndForcedLSH:
         assert forced.summary() == reference.summary()
         planning = context.feature_store.stats().planning
         assert planning["lsh_routes"] >= 1
-        assert planning["dense_graphs"] == 0
+        assert planning["sparse_graphs"] == 0

@@ -460,6 +460,22 @@ class TestServiceLifecycle:
         finally:
             service.stop()
 
+    def test_planner_routes_report_the_exact_and_lsh_regimes(
+        self, beer_dataset, service_config, questions
+    ):
+        service = _started_service(beer_dataset, service_config)
+        try:
+            service.resolve_many(questions[:8])
+            planning = service.stats().to_dict()["feature_store"]["planning"]
+            assert planning["sparse_graphs"] > 0
+            assert not {"dense_graphs", "dense_radii"} & set(planning)
+            routes = service.metrics.get("repro_planner_route_total")
+            assert routes.value(regime="sparse") == planning["sparse_graphs"]
+            assert routes.value(regime="lsh") == planning["lsh_graphs"]
+            assert 'regime="dense"' not in service.metrics.render()
+        finally:
+            service.stop()
+
     def test_shared_resolver_session_is_exposed(self, beer_dataset, service_config, questions):
         resolver = Resolver.from_dataset(beer_dataset, service_config.batcher)
         service = ResolutionService(config=service_config, resolver=resolver).start()

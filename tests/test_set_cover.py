@@ -1,14 +1,11 @@
 """Tests for the greedy (weighted) set cover of Algorithm 1."""
 
 import pytest
+from dense_oracle import greedy_set_cover_eager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.selection.set_cover import (
-    coverage_value,
-    greedy_set_cover,
-    greedy_set_cover_eager,
-)
+from repro.selection.set_cover import coverage_value, greedy_set_cover
 
 
 class TestCoverageValue:
