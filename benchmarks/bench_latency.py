@@ -9,12 +9,12 @@ Three arms:
    LLM, so the numbers isolate the serving stack (socket handling, routing,
    micro-batching, cache) from model latency.  Emits p50/p95/p99 and
    throughput per concurrency level.
-2. **Identity oracle** — two fresh, identically-seeded services, one behind
-   the threaded front end and one behind the asyncio front end, are driven
-   through the same sequential workload (a live pass and a cached pass).
-   Every response body must be byte-identical across the two transports —
-   both delegate to the shared ``ServiceRouter``, and this arm proves it at
-   the wire level.  Asserted, and timing-independent.
+2. **Identity oracle** — two fresh, identically-seeded services are driven
+   through the same sequential workload (a live pass and a cached pass):
+   one over HTTP behind the asyncio front end, the other in-process through
+   :meth:`~repro.service.http.ServiceRouter.handle`.  Every body that comes
+   off the wire must be byte-identical to the routed one — the front end
+   adds framing, never content.  Asserted, and timing-independent.
 3. **Fairness oracle** — two tenants with equal quotas on a virtual clock:
    a greedy tenant hammers admission far past its rate while a respectful
    tenant submits exactly at its quota.  The respectful tenant must never be
@@ -48,7 +48,7 @@ from repro.data.registry import load_dataset
 from repro.engines.faults import FakeClock
 from repro.service.aio import AsyncServiceHTTPServer
 from repro.service.config import ServiceConfig
-from repro.service.http import ServiceHTTPServer
+from repro.service.http import ServiceRouter
 from repro.service.service import ResolutionService
 from repro.service.tenants import (
     TenantConfig,
@@ -65,7 +65,7 @@ SMALL_LEVELS = (1, 4)
 DEFAULT_REQUESTS_PER_USER = 25
 SMALL_REQUESTS_PER_USER = 5
 
-#: Pairs driven through each front end by the identity arm.
+#: Pairs driven over the wire and through the router by the identity arm.
 DEFAULT_IDENTITY_PAIRS = 24
 SMALL_IDENTITY_PAIRS = 8
 
@@ -185,53 +185,54 @@ def load_arm(
 
 
 def identity_arm(num_pairs: int) -> dict[str, object]:
-    """Arm 2: the two front ends must answer with byte-identical bodies."""
+    """Arm 2: wire bodies must be byte-identical to routed bodies."""
     dataset = load_dataset("beer", seed=7)
     pairs = [pair.without_label() for pair in dataset.splits.test][:num_pairs]
+    # Live pass then cached pass: both code paths must agree too.
+    payloads = [
+        json.dumps(
+            {
+                "pairs": [
+                    {
+                        "pair_id": f"id-{index}",
+                        "left": dict(pair.left.values),
+                        "right": dict(pair.right.values),
+                    }
+                ]
+            }
+        ).encode("utf-8")
+        for _ in range(2)
+        for index, pair in enumerate(pairs)
+    ]
 
-    def drive(frontend: str) -> list[bytes]:
-        service = _build_service().start()
-        if frontend == "async":
-            server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
-        else:
-            server = ServiceHTTPServer(service, port=0).serve_in_background()
-        try:
-            bodies = []
-            # Live pass then cached pass: both code paths must agree too.
-            for _ in range(2):
-                for index, pair in enumerate(pairs):
-                    payload = json.dumps(
-                        {
-                            "pairs": [
-                                {
-                                    "pair_id": f"id-{index}",
-                                    "left": dict(pair.left.values),
-                                    "right": dict(pair.right.values),
-                                }
-                            ]
-                        }
-                    ).encode("utf-8")
-                    bodies.append(_post(server.address, payload))
-            return bodies
-        finally:
-            server.shutdown()
-            if frontend == "threaded":
-                server.server_close()
-            service.stop()
+    service = _build_service().start()
+    server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+    try:
+        wire_bodies = [_post(server.address, payload) for payload in payloads]
+    finally:
+        server.shutdown()
+        service.stop()
 
-    threaded_bodies = drive("threaded")
-    async_bodies = drive("async")
-    identical = threaded_bodies == async_bodies
+    service = _build_service().start()
+    try:
+        router = ServiceRouter(service)
+        headers = {"content-type": "application/json"}
+        routed_bodies = [
+            router.handle("POST", "/resolve", headers, payload).body
+            for payload in payloads
+        ]
+    finally:
+        service.stop()
+
+    identical = wire_bodies == routed_bodies
     if not identical:
-        mismatches = sum(
-            1 for a, b in zip(threaded_bodies, async_bodies) if a != b
-        )
+        mismatches = sum(1 for a, b in zip(wire_bodies, routed_bodies) if a != b)
         raise AssertionError(
-            f"front ends disagree on {mismatches}/{len(threaded_bodies)} bodies"
+            f"wire and router disagree on {mismatches}/{len(wire_bodies)} bodies"
         )
     return {
         "pairs": num_pairs,
-        "responses_compared": len(threaded_bodies),
+        "responses_compared": len(wire_bodies),
         "byte_identical": identical,
     }
 
@@ -330,7 +331,7 @@ def run_bench(
         headline[f"p99_ms_c{level['concurrency']}"] = level["p99_ms"]
     return {
         "benchmark": "serving-latency",
-        "frontend": "asyncio (threaded as identity oracle)",
+        "frontend": "asyncio (ServiceRouter in-process as identity oracle)",
         "engine": "simulated LLM (virtual cost)",
         "arms": arms,
         "headline": headline,

@@ -19,10 +19,11 @@ echo "== service smoke test (repro-serve --self-test) =="
 # never alters results), asserts span nesting, and scrapes its own
 # GET /metrics over HTTP to check the Prometheus exposition is well-formed
 # with populated latency histograms, retry counters and cache hit-rate gauges.
-# It additionally serves itself on BOTH HTTP front ends (asyncio + threaded)
-# to assert byte-identical bodies and HEAD support, and checks the tenant
-# admission layer (quota reject/recover, budget blocking, API-key auth) on a
-# fake clock.
+# It additionally serves itself over HTTP to assert that a cached
+# POST /resolve body comes off the wire byte-identical to the one
+# ServiceRouter.handle returns in-process, and that HEAD /healthz answers 200
+# without a body; and it checks the tenant admission layer (quota
+# reject/recover, budget blocking, API-key auth) on a fake clock.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.service.cli --self-test
 
 echo "== observability smoke (traced run + repro-trace render) =="
@@ -117,9 +118,10 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_resilience.py 
   --small --report "$(mktemp)" > /dev/null
 
 echo "== serving latency smoke benchmark (BENCH_latency.json) =="
-# --small --oracles-only: timing-independent — it *asserts* that the asyncio
-# front end answers byte-identically to the threaded one (both delegate to
-# the shared ServiceRouter) and that a greedy tenant hammering admission at
+# --small --oracles-only: timing-independent — it *asserts* that every body
+# the asyncio front end puts on the wire is byte-identical to the one
+# ServiceRouter.handle returns in-process for an identically seeded service
+# (live and cached passes), and that a greedy tenant hammering admission at
 # 10x quota cannot starve a quota-respecting tenant (virtual-clock token
 # buckets).  The p50/p95/p99 load arm runs only on manual/release
 # invocations; the smoke report goes to a scratch file so it never clobbers

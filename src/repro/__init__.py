@@ -32,8 +32,8 @@ It provides:
 * the online serving subsystem (:mod:`repro.service`): a micro-batching
   :class:`ResolutionService` aggregating concurrent requests into shared
   batch prompts, with a pair-level result cache, cost-aware admission,
-  multi-tenant API-key quotas and budgets, and two byte-identical stdlib
-  HTTP front ends — asyncio and threaded (``repro-serve``), and
+  multi-tenant API-key quotas and budgets, and a stdlib asyncio HTTP front
+  end (``repro-serve``), and
 * experiment runners reproducing every table and figure of the paper
   (:mod:`repro.experiments`).
 

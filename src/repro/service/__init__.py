@@ -28,12 +28,14 @@ Layers:
   (``X-API-Key``) resolving to per-tenant requests-per-second quotas
   (non-debiting token-bucket rejection → 429 + ``Retry-After``) and cost
   budgets (attributed flush costs; exhausted tenants degrade to cache hits).
-* :mod:`repro.service.http` / :mod:`repro.service.aio` — two stdlib HTTP
-  JSON front ends (``POST /resolve``, ``POST /bulk``, ``GET /stats``,
-  ``GET /healthz``; every GET route answers HEAD) sharing one
-  transport-agnostic ``ServiceRouter``, so the threaded and asyncio servers
-  answer byte-identically; exposed via the ``repro-serve`` console script
-  (:mod:`repro.service.cli`, ``--frontend async|threaded``).
+* :mod:`repro.service.http` — the transport-agnostic ``ServiceRouter``:
+  routes, tenant authentication, error mapping and JSON codecs
+  (``POST /resolve``, ``POST /bulk``, ``GET /stats``, ``GET /healthz``;
+  every GET route answers HEAD).
+* :mod:`repro.service.aio` — the stdlib asyncio HTTP/1.1 front end that
+  owns the wire (keep-alive, strict ``Content-Length`` framing, read
+  deadlines, graceful drain) and hands each request to the router; exposed
+  via the ``repro-serve`` console script (:mod:`repro.service.cli`).
 """
 
 from repro.service.cache import CachedResult, ResultCache, pair_fingerprint

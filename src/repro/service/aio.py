@@ -1,11 +1,10 @@
-"""Asyncio HTTP front end for a :class:`ResolutionService`.
+"""Asyncio HTTP/1.1 front end for a :class:`ResolutionService`.
 
-:class:`AsyncServiceHTTPServer` serves the same routes as the threaded
-:class:`~repro.service.http.ServiceHTTPServer` — both delegate every parsed
-request to the shared, transport-agnostic
-:class:`~repro.service.http.ServiceRouter`, so the two front ends return
-byte-identical response bodies for the same request.  What differs is the
-transport discipline:
+:class:`AsyncServiceHTTPServer` is the service's only HTTP transport.  It
+owns the wire — connections, framing, deadlines — and hands every parsed
+request to the transport-agnostic :class:`~repro.service.http.ServiceRouter`,
+which owns routing, tenant authentication, error mapping and the response
+bodies.  The transport discipline:
 
 * **one event loop, no thread per connection** — connections are coroutine
   tasks on an :func:`asyncio.start_server` loop, so thousands of idle
@@ -13,6 +12,12 @@ transport discipline:
 * **bounded concurrency** — an :class:`asyncio.Semaphore` caps the number of
   connections that may be serviced at once (excess connections queue at the
   accept backlog instead of exhausting memory);
+* **strict request framing** (RFC 9112 §6.3) — a request body is framed by
+  ``Content-Length`` alone, so a keep-alive connection can never read part
+  of one request as the next: any ``Transfer-Encoding`` is answered 501,
+  conflicting, non-numeric or negative ``Content-Length`` values 400, a
+  ``GET``/``HEAD`` announcing a body 400, and a request cut off mid-head
+  400.  Each of these is answered exactly once and the connection closed;
 * **per-request read deadlines** — the request line, each header line and the
   body are all read under :func:`asyncio.wait_for` timeouts; a slowloris
   client that stalls mid-body is answered 408 and disconnected;
@@ -21,15 +26,15 @@ transport discipline:
   ``drain_timeout`` seconds to finish before cancelling them.
 
 The service core itself (micro-batcher, cache, breaker, tenant admission) is
-synchronous and stays untouched: routed requests are dispatched to it through
-``loop.run_in_executor`` on a private thread pool, keeping the event loop
-free to multiplex sockets while the resolution work runs on threads exactly
-as it does behind the threaded front end.
+synchronous: routed requests are dispatched to it through
+``loop.run_in_executor`` on a private thread pool, keeping the event loop free
+to multiplex sockets while the resolution work runs on threads.
 """
 
 from __future__ import annotations
 
 import asyncio
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
@@ -55,6 +60,28 @@ DEFAULT_IDLE_TIMEOUT_SECONDS = 65.0
 #: Default grace period for in-flight requests during shutdown.
 DEFAULT_DRAIN_TIMEOUT_SECONDS = 5.0
 
+#: An RFC 9110 ``token``: the only valid header field name.
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+
+def _merge_content_length(value: str, seen: str | None) -> str | None:
+    """Fold one ``Content-Length`` field into the length seen so far.
+
+    RFC 9112 §6.3: repeated or comma-listed values frame the body only when
+    they all name the same non-negative decimal length.  Returns that length
+    in canonical form, or ``None`` when the framing is invalid or ambiguous.
+    """
+    items = [item.strip() for item in value.split(",")]
+    if seen is not None:
+        items.append(seen)
+    if not all(item.isascii() and item.isdigit() for item in items):
+        return None
+    try:
+        lengths = {int(item) for item in items}
+    except ValueError:  # more digits than int() will convert
+        return None
+    return str(lengths.pop()) if len(lengths) == 1 else None
+
 
 def _status_phrase(status: int) -> str:
     try:
@@ -68,7 +95,7 @@ class AsyncServiceHTTPServer:
 
     The event loop runs on a dedicated daemon thread
     (:meth:`serve_in_background`), so the server embeds in synchronous
-    programs and tests exactly like the threaded front end.
+    programs and tests.
 
     Args:
         service: the (started) service answering the requests.
@@ -269,29 +296,26 @@ class AsyncServiceHTTPServer:
             except (asyncio.TimeoutError, TimeoutError):
                 return  # idle keep-alive connection expired
             except ValueError:
-                await self._write_result(
-                    writer, _error_result(400, "request line too long"), False, True
-                )
-                return
+                return await self._reject(writer, 400, "request line too long")
             if not request_line:
                 return  # client closed the connection
+            if not request_line.endswith(b"\n"):
+                return await self._reject(writer, 400, "request line truncated")
             line = request_line.decode("latin-1").strip()
             if not line:
                 continue  # tolerate stray CRLF between pipelined requests
             parts = line.split()
             if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-                await self._write_result(
-                    writer,
-                    _error_result(400, f"malformed request line {line!r}"),
-                    False,
-                    True,
+                return await self._reject(
+                    writer, 400, f"malformed request line {line!r}"
                 )
-                return
             method, path, version = parts
 
-            headers = await self._read_headers(reader, writer)
-            if headers is None:
-                return  # error already answered (connection closes)
+            headers = await self._read_headers(reader)
+            if isinstance(headers, RouteResult):
+                return await self._write_result(
+                    writer, headers, method == "HEAD", True
+                )
 
             self._busy.add(task)
             try:
@@ -304,45 +328,49 @@ class AsyncServiceHTTPServer:
                 return
 
     async def _read_headers(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> dict[str, str] | None:
+        self, reader: asyncio.StreamReader
+    ) -> dict[str, str] | RouteResult:
+        """Read one header block, or the error result that must answer it.
+
+        The framing headers are checked line by line, before the dict would
+        let a later duplicate overwrite an earlier one: a request whose body
+        length is ambiguous is never routed.
+        """
         headers: dict[str, str] = {}
         try:
             while True:
                 raw = await asyncio.wait_for(reader.readline(), self.read_timeout)
-                if raw in (b"\r\n", b"\n", b""):
+                if raw in (b"\r\n", b"\n"):
                     return headers
+                if not raw.endswith(b"\n"):
+                    return _error_result(400, "request headers truncated")
                 text = raw.decode("latin-1").rstrip("\r\n")
                 name, sep, value = text.partition(":")
-                if not sep or not name.strip():
-                    await self._write_result(
-                        writer,
-                        _error_result(400, f"malformed header line {text!r}"),
-                        False,
-                        True,
+                # RFC 9112 §5.1: a field name is a token, with no whitespace
+                # before the colon.
+                if not sep or not _FIELD_NAME.fullmatch(name):
+                    return _error_result(400, f"malformed header line {text!r}")
+                name, value = name.lower(), value.strip()
+                if name == "transfer-encoding":
+                    return _error_result(
+                        501,
+                        f"Transfer-Encoding {value!r} is not supported; "
+                        "frame the body with Content-Length",
                     )
-                    return None
-                headers[name.strip().lower()] = value.strip()
+                if name == "content-length":
+                    length = _merge_content_length(value, headers.get(name))
+                    if length is None:
+                        return _error_result(400, f"invalid Content-Length {value!r}")
+                    value = length
+                headers[name] = value
                 if len(headers) > 128:
-                    await self._write_result(
-                        writer, _error_result(400, "too many headers"), False, True
-                    )
-                    return None
+                    return _error_result(400, "too many headers")
         except (asyncio.TimeoutError, TimeoutError):
-            await self._write_result(
-                writer,
-                _error_result(
-                    408, f"request headers stalled for {self.read_timeout:g}s"
-                ),
-                False,
-                True,
+            return _error_result(
+                408, f"request headers stalled for {self.read_timeout:g}s"
             )
-            return None
         except ValueError:
-            await self._write_result(
-                writer, _error_result(400, "header line too long"), False, True
-            )
-            return None
+            return _error_result(400, "header line too long")
 
     async def _serve_request(
         self,
@@ -356,8 +384,12 @@ class AsyncServiceHTTPServer:
         """Answer one parsed request; returns whether to keep the connection."""
         loop = asyncio.get_running_loop()
         head_only = method == "HEAD"
+        length = int(headers.get("content-length", "0"))
         if method == "POST":
-            result = await self._route_post(path, headers, reader, loop)
+            result = await self._route_post(path, headers, length, reader, loop)
+        elif method in ("GET", "HEAD") and length:
+            # An ignored body would be parsed as the next request.
+            result = _error_result(400, f"{method} request must not carry a body")
         elif method in ("GET", "HEAD"):
             result = await loop.run_in_executor(
                 self._executor, self.router.handle, method, path, headers, None
@@ -387,13 +419,10 @@ class AsyncServiceHTTPServer:
         self,
         path: str,
         headers: Mapping[str, str],
+        length: int,
         reader: asyncio.StreamReader,
         loop: asyncio.AbstractEventLoop,
     ) -> RouteResult:
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            return _error_result(400, "invalid Content-Length")
         if length <= 0 or length > MAX_BODY_BYTES:
             return _error_result(400, f"body must be 1..{MAX_BODY_BYTES} bytes")
         try:
@@ -410,6 +439,12 @@ class AsyncServiceHTTPServer:
         return await loop.run_in_executor(
             self._executor, self.router.handle, "POST", path, headers, raw
         )
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, status: int, message: str
+    ) -> None:
+        """Answer a request that cannot be routed, then let the caller close."""
+        await self._write_result(writer, _error_result(status, message), False, True)
 
     async def _write_result(
         self,

@@ -63,30 +63,30 @@ def _fetch_metrics(service: ResolutionService) -> tuple[str, str]:
     """Serve the service over HTTP on a free port and GET ``/metrics``."""
     from urllib.request import urlopen
 
-    from repro.service.http import ServiceHTTPServer
+    from repro.service.aio import AsyncServiceHTTPServer
 
-    server = ServiceHTTPServer(service, port=0).serve_in_background()
+    server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
     try:
         with urlopen(f"{server.address}/metrics", timeout=10.0) as response:
             content_type = response.headers.get("Content-Type", "")
             text = response.read().decode("utf-8")
     finally:
         server.shutdown()
-        server.server_close()
     return text, content_type
 
 
 def _frontend_checks(service: ResolutionService) -> dict[str, bool]:
-    """Serve ``service`` on both front ends and compare their behavior.
+    """Serve ``service`` over HTTP and compare the wire with the router.
 
-    Returns check outcomes: the async front end must answer a warmed (cached)
-    ``POST /resolve`` with a byte-identical body to the threaded one, and both
-    must answer ``HEAD /healthz`` with 200 and no body.
+    Returns check outcomes: a warmed (cached) ``POST /resolve`` must come off
+    the wire with a body byte-identical to the one
+    :meth:`~repro.service.http.ServiceRouter.handle` returns in-process for
+    the same request, and ``HEAD /healthz`` must answer 200 with no body.
     """
     from urllib.request import Request, urlopen
 
     from repro.service.aio import AsyncServiceHTTPServer
-    from repro.service.http import ServiceHTTPServer
+    from repro.service.http import ServiceRouter
 
     payload = json.dumps(
         {
@@ -107,30 +107,23 @@ def _frontend_checks(service: ResolutionService) -> dict[str, bool]:
         with urlopen(request, timeout=30.0) as response:
             return response.read()
 
-    def head(base: str) -> tuple[int, bytes]:
-        request = Request(f"{base}/healthz", method="HEAD")
-        with urlopen(request, timeout=10.0) as response:
-            return response.status, response.read()
-
-    threaded = ServiceHTTPServer(service, port=0).serve_in_background()
-    aio = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+    server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
     try:
-        post(threaded.address)  # warm the cache: comparisons below are hits
-        threaded_body = post(threaded.address)
-        async_body = post(aio.address)
-        threaded_head = head(threaded.address)
-        async_head = head(aio.address)
+        post(server.address)  # warm the cache: the comparison below is a hit
+        wire_body = post(server.address)
+        request = Request(f"{server.address}/healthz", method="HEAD")
+        with urlopen(request, timeout=10.0) as response:
+            head = (response.status, response.read())
     finally:
-        aio.shutdown()
-        threaded.shutdown()
-        threaded.server_close()
+        server.shutdown()
+    routed = ServiceRouter(service).handle(
+        "POST", "/resolve", {"content-type": "application/json"}, payload
+    )
     return {
-        "async_frontend_byte_identical_to_threaded": (
-            bool(threaded_body) and threaded_body == async_body
+        "wire_body_byte_identical_to_router": (
+            routed.status == 200 and bool(wire_body) and wire_body == routed.body
         ),
-        "head_answered_on_both_frontends": (
-            threaded_head == (200, b"") and async_head == (200, b"")
-        ),
+        "head_healthz_answered_without_body": head == (200, b""),
     }
 
 
@@ -393,9 +386,9 @@ def run_self_test(
             "repro_service_requests_total" in metrics_text
         ),
     }
-    # The asyncio front end must be indistinguishable from the threaded one
-    # (byte-identical bodies) and the tenant layer must enforce quota/budget/
-    # auth deterministically — both checked on the pass-1 service above.
+    # The HTTP front end must put exactly the router's bytes on the wire and
+    # the tenant layer must enforce quota/budget/auth deterministically —
+    # both checked on the pass-1 service above.
     checks.update(report.pop("frontend_checks"))
     checks.update(_tenant_checks())
     report.update(
@@ -449,15 +442,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--cost-budget", type=float, default=None, help="session budget in dollars"
     )
     parser.add_argument(
-        "--frontend",
-        choices=("async", "threaded"),
-        default="async",
-        help=(
-            "HTTP front end: the asyncio server (default) or the threaded "
-            "stdlib server kept as a behavioral oracle"
-        ),
-    )
-    parser.add_argument(
         "--tenant",
         action="append",
         type=parse_tenant,
@@ -493,22 +477,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(json.dumps(report, indent=2))
         return 0 if report["ok"] else 1
 
+    from repro.service.aio import AsyncServiceHTTPServer
+
     service = build_service(args).start()
-    if args.frontend == "threaded":
-        from repro.service.http import ServiceHTTPServer
-
-        server = ServiceHTTPServer(
-            service, host=args.host, port=args.port, verbose=True
-        )
-    else:
-        from repro.service.aio import AsyncServiceHTTPServer
-
-        server = AsyncServiceHTTPServer(
-            service, host=args.host, port=args.port, verbose=True
-        ).serve_in_background()
-    print(
-        f"repro-serve ({args.frontend}) listening on {server.address}", flush=True
-    )
+    server = AsyncServiceHTTPServer(
+        service, host=args.host, port=args.port, verbose=True
+    ).serve_in_background()
+    print(f"repro-serve listening on {server.address}", flush=True)
     print(
         "try:  curl -s -X POST "
         f"{server.address}/resolve -d '"
@@ -520,10 +495,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     finally:
-        if args.frontend == "threaded":
-            server.server_close()
-        else:
-            server.shutdown()
+        server.shutdown()
         service.stop()
     return 0
 

@@ -1,4 +1,11 @@
-"""Stdlib HTTP JSON front end for a :class:`ResolutionService`.
+"""Transport-agnostic HTTP routing and JSON codecs for the resolution service.
+
+:class:`ServiceRouter` maps one parsed request — method, path, lower-cased
+headers, body bytes — to a :class:`RouteResult` (status, body, headers,
+whether to close).  It never touches a socket: the asyncio front end
+(:mod:`repro.service.aio`) owns the wire, and in-process callers can invoke
+:meth:`ServiceRouter.handle` directly and get the exact bytes the server
+would send.
 
 Endpoints:
 
@@ -21,25 +28,19 @@ Endpoints:
   balancer drains the replica without restarting it.
 
 Every ``GET`` route also answers ``HEAD`` (same status and headers, no
-body) — load balancers commonly probe with HEAD and the stdlib default would
-have answered 501.
+body) — load balancers commonly probe with HEAD.
 
 Multi-tenant requests authenticate with an ``X-API-Key`` header (see
 :mod:`repro.service.tenants`); an unknown key maps to 401, an over-quota or
 budget-exhausted tenant to 429 (quota rejections carry a ``Retry-After``).
 
-Error mapping: malformed requests → 400, stalled/short request bodies → 408,
-cost-budget and tenant-quota rejection → 429, queue backpressure and degraded
-mode (breaker open) → 503 (with ``Retry-After``; the backpressure value is
-derived from the queue backlog, see
-:meth:`ResolutionService.overload_retry_after`), tripped deadline budgets
-→ 504.
-
-The routing and error-mapping logic lives in the transport-agnostic
-:class:`ServiceRouter` so this threaded front end and the asyncio one
-(:mod:`repro.service.aio`) return byte-identical bodies for the same request
-— the identity oracle of ``benchmarks/bench_latency.py`` holds by
-construction.
+Error mapping: malformed requests → 400, cost-budget and tenant-quota
+rejection → 429, queue backpressure and degraded mode (breaker open) → 503
+(with ``Retry-After``; the backpressure value is derived from the queue
+backlog, see :meth:`ResolutionService.overload_retry_after`), tripped
+deadline budgets → 504.  Framing errors (stalled bodies → 408,
+``Transfer-Encoding`` → 501, ambiguous ``Content-Length`` → 400) are the
+front end's to answer.
 """
 
 from __future__ import annotations
@@ -47,11 +48,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import socket
-import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 from repro.data.schema import EntityPair, Record
@@ -74,11 +72,6 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Deadline for one HTTP resolve call (generous; micro-batches are fast).
 RESOLVE_TIMEOUT_SECONDS = 60.0
-
-#: Default deadline for reading one request body off the socket.  A client
-#: that promises ``Content-Length`` bytes and stalls mid-body is answered 408
-#: once this expires instead of parking a handler forever (slowloris).
-DEFAULT_BODY_READ_TIMEOUT_SECONDS = 10.0
 
 _request_ids = itertools.count(1)
 
@@ -154,14 +147,13 @@ def _shards_from_json(body: Mapping[str, Any]) -> int | None:
 class RouteResult:
     """One routed response, transport-agnostic.
 
-    The front ends (threaded and asyncio) turn this into wire bytes; the
-    body, status and extra headers are identical whichever transport carried
-    the request.
+    The front end turns this into wire bytes; an in-process caller of
+    :meth:`ServiceRouter.handle` gets the same body, status and headers.
 
     Attributes:
         status: HTTP status code.
-        body: response body bytes (front ends omit it for ``HEAD`` but still
-            send its length, per RFC 9110).
+        body: response body bytes (the front end omits it for ``HEAD`` but
+            still sends its length, per RFC 9110).
         content_type: ``Content-Type`` header value.
         headers: extra response headers (``Retry-After`` etc.).
         close: whether the connection must be closed after this response
@@ -199,9 +191,9 @@ def _error_result(
 class ServiceRouter:
     """Transport-agnostic request routing for one :class:`ResolutionService`.
 
-    Both HTTP front ends delegate every parsed request here, so routing,
-    tenant authentication, error mapping and response bodies are identical by
-    construction.  Per-tenant request metrics
+    The HTTP front end delegates every parsed request here, so routing,
+    tenant authentication, error mapping and response bodies do not depend
+    on the transport.  Per-tenant request metrics
     (``repro_service_requests_total{tenant,status}`` and the latency
     histogram) are recorded for the POST routes on the way out.
     """
@@ -346,167 +338,3 @@ class ServiceRouter:
         return _json_result(
             200, {"resolutions": [resolution.to_dict() for resolution in resolutions]}
         )
-
-
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to the server's attached service."""
-
-    server: "ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    # -- helpers -------------------------------------------------------------
-
-    def _send_result(self, result: RouteResult, head_only: bool = False) -> None:
-        if result.close:
-            self.close_connection = True
-        self.send_response(result.status)
-        self.send_header("Content-Type", result.content_type)
-        self.send_header("Content-Length", str(len(result.body)))
-        for name, value in result.headers:
-            self.send_header(name, value)
-        if result.close:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if not head_only:
-            self.wfile.write(result.body)
-
-    def _request_headers(self) -> dict[str, str]:
-        return {name.lower(): value for name, value in self.headers.items()}
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        if self.server.verbose:  # pragma: no cover - log plumbing
-            super().log_message(format, *args)
-
-    def _read_body(self, length: int) -> bytes | None:
-        """Read exactly ``length`` body bytes under a socket deadline.
-
-        Returns ``None`` when the client stalls mid-body or closes early —
-        a slowloris client that promises ``Content-Length`` bytes and sends
-        fewer must not park this handler thread forever.  The deadline covers
-        the *whole* body, so trickling one byte per timeout window cannot
-        extend it indefinitely either.
-        """
-        deadline_clock = self.server.service.metrics.clock
-        deadline = deadline_clock.monotonic() + self.server.body_read_timeout
-        chunks: list[bytes] = []
-        remaining = length
-        while remaining > 0:
-            budget = deadline - deadline_clock.monotonic()
-            if budget <= 0:
-                return None
-            try:
-                self.connection.settimeout(budget)
-                chunk = self.rfile.read1(remaining) if hasattr(
-                    self.rfile, "read1"
-                ) else self.rfile.read(remaining)
-            except (socket.timeout, TimeoutError):
-                return None
-            except OSError:
-                return None
-            finally:
-                self.connection.settimeout(self.server.socket_timeout)
-            if not chunk:
-                return None  # client closed before sending the promised bytes
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    # -- routes --------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._send_result(self.server.router.handle("GET", self.path, {}))
-
-    def do_HEAD(self) -> None:  # noqa: N802 - http.server API
-        # Load balancers commonly probe with HEAD; answer with the GET
-        # route's status and headers (Content-Length included) minus the body
-        # instead of the stdlib's default 501.
-        self._send_result(
-            self.server.router.handle("HEAD", self.path, {}), head_only=True
-        )
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_result(_error_result(400, "invalid Content-Length"))
-            return
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_result(
-                _error_result(400, f"body must be 1..{MAX_BODY_BYTES} bytes")
-            )
-            return
-        raw = self._read_body(length)
-        if raw is None:
-            self._send_result(
-                _error_result(
-                    408,
-                    f"request body stalled: {length} bytes promised, fewer "
-                    f"received within {self.server.body_read_timeout:g}s",
-                )
-            )
-            return
-        result = self.server.router.handle(
-            "POST", self.path, self._request_headers(), raw
-        )
-        self._send_result(result)
-
-
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`ResolutionService`.
-
-    Args:
-        service: the (started) service answering the requests.
-        host / port: bind address; port ``0`` picks a free port (see
-            :attr:`server_port` for the actual one).
-        verbose: log one line per request to stderr.
-        body_read_timeout: seconds a client gets to deliver a promised
-            request body before the handler answers 408 (slowloris guard).
-    """
-
-    daemon_threads = True
-
-    #: Per-connection socket timeout restored after each body read; also
-    #: bounds how long an idle keep-alive connection may sit between
-    #: requests before the handler closes it.
-    socket_timeout = 65.0
-
-    def __init__(
-        self,
-        service: ResolutionService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        verbose: bool = False,
-        body_read_timeout: float = DEFAULT_BODY_READ_TIMEOUT_SECONDS,
-    ) -> None:
-        if body_read_timeout <= 0:
-            raise ValueError(
-                f"body_read_timeout must be > 0, got {body_read_timeout}"
-            )
-        self.service = service
-        self.router = ServiceRouter(service)
-        self.verbose = verbose
-        self.body_read_timeout = body_read_timeout
-        super().__init__((host, port), _ServiceRequestHandler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> str:
-        """The server's ``http://host:port`` base URL."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def serve_in_background(self) -> "ServiceHTTPServer":
-        """Serve on a daemon thread (for tests and embedded use)."""
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self.serve_forever, name="repro-service-http", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop serving and join the background thread (if any)."""
-        super().shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

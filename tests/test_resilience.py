@@ -48,7 +48,7 @@ from repro.resilience import (
     deadline_scope,
 )
 from repro.service import ResolutionService, ServiceConfig, ServiceDegraded
-from repro.service.http import ServiceHTTPServer
+from repro.service.aio import AsyncServiceHTTPServer
 
 REQUEST = TransportRequest(url="https://api.test/v1/x", payload={"k": "v"})
 
@@ -414,10 +414,9 @@ class TestResilienceHTTP:
     def degraded_server(self, degraded_service):
         service, breaker, clock = degraded_service
         service.start()
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         yield server, breaker, clock
         server.shutdown()
-        server.server_close()
 
     @staticmethod
     def _get(server, path):

@@ -1,8 +1,12 @@
-"""Tests for the stdlib HTTP front end and the repro-serve CLI plumbing."""
+"""Tests for the service's HTTP routes and the repro-serve CLI plumbing.
 
-import http.client
+The routes, error mapping and tenant layer live in ``ServiceRouter``; these
+tests drive them over real HTTP through the asyncio front end.  Transport
+behaviour (keep-alive, framing, read deadlines, drain) is covered in
+``test_service_aio.py``.
+"""
+
 import json
-import socket
 import urllib.error
 import urllib.request
 
@@ -10,13 +14,9 @@ import pytest
 
 from repro.core.config import BatcherConfig
 from repro.service import ResolutionService, ServiceConfig, TenantConfig
+from repro.service.aio import AsyncServiceHTTPServer
 from repro.service.cli import main as serve_main
-from repro.service.http import (
-    MAX_BODY_BYTES,
-    BadRequest,
-    ServiceHTTPServer,
-    pairs_from_json,
-)
+from repro.service.http import MAX_BODY_BYTES, BadRequest, pairs_from_json
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +25,9 @@ def http_server(beer_dataset):
         batcher=BatcherConfig(seed=1), max_batch_size=8, max_wait_seconds=0.02
     )
     service = ResolutionService.from_dataset(beer_dataset, config).start()
-    server = ServiceHTTPServer(service, port=0).serve_in_background()
+    server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
     yield server
     server.shutdown()
-    server.server_close()
     service.stop()
 
 
@@ -53,35 +52,6 @@ def _post_raw(server, path, body, headers=None):
 
 
 class TestEndpoints:
-    def test_healthz(self, http_server):
-        status, payload = _get(http_server, "/healthz")
-        assert status == 200
-        assert payload["status"] == "ok"
-        assert payload["running"] is True
-        assert payload["pool_size"] > 0
-
-    def test_resolve_roundtrip(self, http_server, beer_dataset):
-        pair = beer_dataset.splits.test[0]
-        status, payload = _post(
-            http_server,
-            "/resolve",
-            {
-                "pairs": [
-                    {
-                        "pair_id": "q1",
-                        "left": dict(pair.left.values),
-                        "right": dict(pair.right.values),
-                    }
-                ]
-            },
-        )
-        assert status == 200
-        [resolution] = payload["resolutions"]
-        assert resolution["pair_id"] == "q1"
-        assert resolution["label"] in (0, 1)
-        assert resolution["label_name"] in ("MATCH", "NON_MATCH")
-        assert isinstance(resolution["answered"], bool)
-
     def test_resolve_without_pair_id_gets_generated_one(self, http_server):
         status, payload = _post(
             http_server,
@@ -97,11 +67,6 @@ class TestEndpoints:
         assert payload["resolved"] >= 1
         assert payload["cost"]["total_cost"] >= 0.0
         assert "cache_hit_rate" in payload
-
-    def test_unknown_path_404(self, http_server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(http_server, "/nope")
-        assert excinfo.value.code == 404
 
     def test_malformed_body_400(self, http_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -177,7 +142,7 @@ class TestErrorPaths:
             admission_timeout_seconds=0.01,
         )
         service = ResolutionService.from_dataset(beer_dataset, config)
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         try:
             blocker = beer_dataset.splits.test[0].without_label()
             service.submit(blocker)
@@ -191,7 +156,6 @@ class TestErrorPaths:
             assert excinfo.value.headers["Retry-After"] == "1"
         finally:
             server.shutdown()
-            server.server_close()
             service.stop()
 
     def test_cost_budget_rejection_429(self, beer_dataset):
@@ -202,7 +166,7 @@ class TestErrorPaths:
             cost_budget=1e-9,
         )
         service = ResolutionService.from_dataset(beer_dataset, config).start()
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         try:
             first = beer_dataset.splits.test[0]
             payload = {
@@ -228,13 +192,12 @@ class TestErrorPaths:
             assert status == 200
         finally:
             server.shutdown()
-            server.server_close()
             service.stop()
 
     def test_stopped_service_503(self, beer_dataset):
         config = ServiceConfig(batcher=BatcherConfig(seed=1))
         service = ResolutionService.from_dataset(beer_dataset, config).start()
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         try:
             service.stop()
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -246,23 +209,24 @@ class TestErrorPaths:
             assert excinfo.value.code == 503
         finally:
             server.shutdown()
-            server.server_close()
 
 
 class TestHardening:
-    """Front-end hardening: HEAD probes, slowloris guard, keep-alive,
-    connection-close contract and the derived backpressure Retry-After."""
+    """HEAD probes and the derived backpressure Retry-After."""
 
     @pytest.mark.parametrize("path", ["/healthz", "/readyz", "/stats", "/metrics"])
     def test_head_mirrors_get_without_body(self, http_server, path):
-        get = urllib.request.urlopen(http_server.address + path, timeout=10)
         request = urllib.request.Request(http_server.address + path, method="HEAD")
-        head = urllib.request.urlopen(request, timeout=10)
-        assert head.status == get.status == 200
-        assert head.read() == b""
-        # HEAD advertises the length of the body a GET would have carried.
-        assert int(head.headers["Content-Length"]) > 0
-        assert head.headers["Content-Type"] == get.headers["Content-Type"]
+        with urllib.request.urlopen(
+            http_server.address + path, timeout=10
+        ) as get, urllib.request.urlopen(request, timeout=10) as head:
+            assert head.status == get.status == 200
+            assert head.read() == b""
+            # HEAD advertises the length of the body a GET would have carried.
+            assert int(head.headers["Content-Length"]) > 0
+            assert head.headers["Content-Type"] == get.headers["Content-Type"]
+            if path in ("/healthz", "/readyz"):  # bodies stable between calls
+                assert int(head.headers["Content-Length"]) == len(get.read())
 
     def test_head_unknown_path_404(self, http_server):
         request = urllib.request.Request(http_server.address + "/nope", method="HEAD")
@@ -270,81 +234,6 @@ class TestHardening:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 404
         assert excinfo.value.read() == b""
-
-    def test_half_sent_body_answered_408(self, http_server):
-        # Slowloris regression: promise 1000 bytes, deliver 20, stall.  The
-        # pre-fix handler blocked in rfile.read() forever; the fixed one
-        # answers 408 once the body read deadline expires.
-        server = ServiceHTTPServer(
-            http_server.service, port=0, body_read_timeout=0.3
-        ).serve_in_background()
-        try:
-            host, port = server.server_address[:2]
-            with socket.create_connection((host, port), timeout=10) as sock:
-                sock.sendall(
-                    b"POST /resolve HTTP/1.1\r\n"
-                    b"Host: test\r\n"
-                    b"Content-Type: application/json\r\n"
-                    b"Content-Length: 1000\r\n"
-                    b"\r\n"
-                    b'{"pairs": [{"left"'  # 20 of the promised 1000 bytes
-                )
-                sock.settimeout(10)
-                response = sock.recv(65536).decode("latin-1")
-            assert response.startswith("HTTP/1.1 408")
-            assert "stalled" in response
-            assert "Connection: close" in response
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_rejects_nonpositive_body_read_timeout(self, http_server):
-        with pytest.raises(ValueError, match="body_read_timeout"):
-            ServiceHTTPServer(http_server.service, port=0, body_read_timeout=0.0)
-
-    def test_keepalive_serves_sequential_requests_on_one_connection(
-        self, http_server
-    ):
-        host, port = http_server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=10)
-        try:
-            connection.request("GET", "/healthz")
-            first = connection.getresponse()
-            assert first.status == 200 and json.loads(first.read())["live"] is True
-            sock = connection.sock
-            assert sock is not None
-            body = json.dumps(
-                {"pairs": [{"left": {"name": "ka"}, "right": {"name": "KA"}}]}
-            )
-            connection.request(
-                "POST", "/resolve", body, {"Content-Type": "application/json"}
-            )
-            second = connection.getresponse()
-            assert second.status == 200
-            assert len(json.loads(second.read())["resolutions"]) == 1
-            # Same socket object: the second request rode the first's
-            # keep-alive connection instead of reconnecting.
-            assert connection.sock is sock
-        finally:
-            connection.close()
-
-    def test_error_response_closes_connection(self, http_server):
-        host, port = http_server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=10)
-        try:
-            connection.request(
-                "POST",
-                "/resolve",
-                '{"pairs": [broken',
-                {"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            assert response.status == 400
-            assert response.headers["Connection"] == "close"
-            response.read()
-            assert response.will_close
-        finally:
-            connection.close()
 
     def test_backpressure_retry_after_derived_from_backlog(self, beer_dataset):
         # Eight queued pairs at one pair per 2s flush -> the client is told to
@@ -357,7 +246,7 @@ class TestHardening:
             admission_timeout_seconds=0.01,
         )
         service = ResolutionService.from_dataset(beer_dataset, config)
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         try:
             for pair in list(beer_dataset.splits.test)[:8]:
                 service.submit(pair.without_label())
@@ -371,7 +260,6 @@ class TestHardening:
             assert excinfo.value.headers["Retry-After"] == "16"
         finally:
             server.shutdown()
-            server.server_close()
             service.stop()
 
 
@@ -397,10 +285,9 @@ class TestTenantsOverHTTP:
             require_api_key=True,
         )
         service = ResolutionService.from_dataset(beer_dataset, config).start()
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         yield server
         server.shutdown()
-        server.server_close()
         service.stop()
 
     PAYLOAD = {"pairs": [{"left": {"name": "lager"}, "right": {"name": "Lager"}}]}
