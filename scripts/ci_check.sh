@@ -18,7 +18,10 @@ echo "== service smoke test (repro-serve --self-test) =="
 # one traced pass and one untraced pass (equal labels prove instrumentation
 # never alters results), asserts span nesting, and scrapes its own
 # GET /metrics over HTTP to check the Prometheus exposition is well-formed
-# with populated latency histograms, retry counters and cache hit-rate gauges.
+# with populated latency histograms, retry counters and cache hit-rate gauges,
+# and GETs /stats to check that every counter it reports (submissions,
+# resolutions, joins, rejections, flushes, cache, bulk) equals its /metrics
+# sample — the metrics registry is the only store behind both endpoints.
 # It additionally serves itself over HTTP to assert that a cached
 # POST /resolve body comes off the wire byte-identical to the one
 # ServiceRouter.handle returns in-process, and that HEAD /healthz answers 200

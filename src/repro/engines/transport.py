@@ -461,10 +461,10 @@ class RetryingTransport(Transport):
     Observability: when a tracer is attached, every :meth:`send` opens a
     ``transport:send`` span with one ``transport:attempt`` child per attempt,
     tagged with the attempt ordinal, the rate-limiter wait it paid and — on
-    failure — the retry reason.  When a metrics registry is attached, the
-    wrapper keeps live ``repro_transport_*`` counters (requests, attempts,
-    retries by reason, failures, throttle waits) next to the in-object
-    :meth:`stats` counters.
+    failure — the retry reason.  The ``repro_transport_*`` counters
+    (requests, attempts, retries by reason, failures, throttle waits) live
+    only in a metrics registry — the one passed in, or a private one on the
+    transport's own clock — and :meth:`stats` reads its totals from there.
 
     Args:
         inner: the transport that actually moves bytes.
@@ -474,7 +474,7 @@ class RetryingTransport(Transport):
         seed: seed of the jitter RNG (deterministic backoff under test).
         tracer: span producer (default: tracing disabled).
         metrics: metrics registry to record transport counters into
-            (``None`` = no metrics).
+            (``None`` = a private registry on ``clock``).
         breaker: optional circuit breaker gating every attempt
             (``None`` = no availability gating).
     """
@@ -496,18 +496,17 @@ class RetryingTransport(Transport):
         self.breaker = breaker
         self._clock = clock or Clock()
         self._rng = random.Random(seed)
+        # Guards the jitter RNG: concurrent senders draw backoff delays.
         self._lock = threading.Lock()
-        self._requests = 0
-        self._attempts = 0
-        self._retries = 0
-        self._failures = 0
+        from repro.observability.metrics import MetricsRegistry
         from repro.observability.tracing import NOOP_TRACER
 
         self.tracer = NOOP_TRACER
-        self._metric_requests = self._metric_attempts = None
-        self._metric_retries = self._metric_failures = None
-        self._metric_throttled = self._metric_wait = None
-        self.bind_observability(tracer=tracer, metrics=metrics)
+        self._metrics: MetricsRegistry | None = None
+        self.bind_observability(
+            tracer=tracer,
+            metrics=metrics if metrics is not None else MetricsRegistry(self._clock),
+        )
 
     def bind_observability(
         self,
@@ -519,11 +518,15 @@ class RetryingTransport(Transport):
         Engines build their transport internally, so owners that assemble
         observability later (e.g. the serving layer) bind it here instead of
         reconstructing the transport.  Either argument may be ``None`` to
-        leave that side unchanged.
+        leave that side unchanged.  Rebinding the registry carries the
+        running ``repro_transport_*`` totals over into the new one, so
+        :meth:`stats` never goes backwards.
         """
         if tracer is not None:
             self.tracer = tracer
-        if metrics is not None:
+        if metrics is not None and metrics is not self._metrics:
+            previous = self._families() if self._metrics is not None else ()
+            self._metrics = metrics
             self._metric_requests = metrics.counter(
                 "repro_transport_requests_total", "Logical sends through the transport."
             )
@@ -549,6 +552,20 @@ class RetryingTransport(Transport):
             # 429s are the operationally interesting retry reason; make the
             # family's sample exist (at zero) before the first rate-limit hit.
             self._metric_retries.inc(0, reason="429")
+            for old, new in zip(previous, self._families()):
+                for labels, value in old.samples():
+                    new.inc(value, **labels)
+
+    def _families(self) -> tuple:
+        """The transport's counter families, in a fixed order."""
+        return (
+            self._metric_requests,
+            self._metric_attempts,
+            self._metric_retries,
+            self._metric_failures,
+            self._metric_throttled,
+            self._metric_wait,
+        )
 
     def send(self, request: TransportRequest) -> TransportResponse:
         with self.tracer.span("transport:send") as send_scope:
@@ -570,17 +587,12 @@ class RetryingTransport(Transport):
             waited = 0.0
             if self.limiter is not None:
                 waited = self.limiter.throttle(request.estimated_tokens)
-                if waited > 0 and self._metric_throttled is not None:
+                if waited > 0:
                     self._metric_throttled.inc()
                     self._metric_wait.inc(waited)
-            with self._lock:
-                self._attempts += 1
-                if attempt == 0:
-                    self._requests += 1
-            if self._metric_attempts is not None:
-                self._metric_attempts.inc()
-                if attempt == 0:
-                    self._metric_requests.inc()
+            self._metric_attempts.inc()
+            if attempt == 0:
+                self._metric_requests.inc()
             with self.tracer.span("transport:attempt") as scope:
                 if self.tracer.enabled:
                     scope.set_attribute("attempt", attempt)
@@ -606,16 +618,11 @@ class RetryingTransport(Transport):
                         # would otherwise close "ok"; mark it failed up front.
                         scope.span.status = "error"
                     if not error.retryable or attempt == self.policy.max_attempts - 1:
-                        with self._lock:
-                            self._failures += 1
-                        if self._metric_failures is not None:
-                            self._metric_failures.inc()
+                        self._metric_failures.inc()
                         raise
                     with self._lock:
-                        self._retries += 1
                         delay = self.policy.delay(attempt, self._rng)
-                    if self._metric_retries is not None:
-                        self._metric_retries.inc(reason=reason)
+                    self._metric_retries.inc(reason=reason)
                 else:
                     if self.breaker is not None:
                         self.breaker.record_success()
@@ -623,10 +630,7 @@ class RetryingTransport(Transport):
             if deadline is not None and not deadline.allows(delay):
                 # Sleeping the backoff would overshoot the budget: fail now,
                 # typed, with the transport error as the cause chain.
-                with self._lock:
-                    self._failures += 1
-                if self._metric_failures is not None:
-                    self._metric_failures.inc()
+                self._metric_failures.inc()
                 raise DeadlineExceeded(
                     f"backoff of {delay:.3f}s would overshoot the deadline "
                     f"({deadline.remaining():.3f}s remaining) after "
@@ -638,14 +642,14 @@ class RetryingTransport(Transport):
         raise last_error if last_error is not None else AssertionError("unreachable")
 
     def stats(self) -> dict[str, object]:
-        """Operational counters (JSON-serializable, folded into ``/stats``)."""
-        with self._lock:
-            stats: dict[str, object] = {
-                "requests": self._requests,
-                "attempts": self._attempts,
-                "retries": self._retries,
-                "failures": self._failures,
-            }
+        """Operational counters (JSON-serializable, folded into ``/stats``),
+        read from the bound registry's ``repro_transport_*`` families."""
+        stats: dict[str, object] = {
+            "requests": int(self._metric_requests.value()),
+            "attempts": int(self._metric_attempts.value()),
+            "retries": int(sum(value for _, value in self._metric_retries.samples())),
+            "failures": int(self._metric_failures.value()),
+        }
         if self.limiter is not None:
             stats["throttled_requests"] = self.limiter.throttled_requests
             stats["rate_limit_wait_seconds"] = round(self.limiter.waited_seconds, 6)

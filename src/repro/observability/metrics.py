@@ -5,11 +5,16 @@ holds one sample per label combination.  Three instrument kinds cover the
 stack's needs:
 
 * :class:`Counter` — monotonically increasing totals (retries, flushes);
-* :class:`Gauge` — point-in-time values (queue depth, hit rates), either set
-  directly or read from a callback at scrape time, so existing ad-hoc
-  counters (cache stats, transport stats) surface without double-keeping;
+* :class:`Gauge` — point-in-time values (queue depth, hit rates);
 * :class:`Histogram` — fixed-bucket latency/size distributions with the
   classic cumulative ``_bucket`` / ``_sum`` / ``_count`` exposition.
+
+The registry is the *store* for event counters: the serving stack increments
+them where events happen, and ``GET /stats`` reads them back, so it and
+``GET /metrics`` cannot disagree.  A counter or gauge may instead read a
+scrape-time callback (:meth:`Counter.set_function`) when another component
+is the single owner of that state — the result cache's hit counts, the
+breaker's trips, the queue's depth.
 
 Everything is thread-safe (one lock per family), and durations are measured
 through the injectable :class:`~repro.engines.transport.Clock` protocol, so
@@ -86,15 +91,16 @@ class _Metric:
         self.label_names = tuple(label_names)
         for label in self.label_names:
             _validate_name(label)
+        self._label_set = frozenset(self.label_names)
         self._lock = threading.Lock()
 
     def _key(self, labels: Mapping[str, str]) -> tuple[str, ...]:
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
+        if labels.keys() != self._label_set:
             raise ValueError(
                 f"metric {self.name!r} expects labels {self.label_names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        return tuple(str(labels[name]) for name in self.label_names)
+        return tuple([str(labels[name]) for name in self.label_names])
 
     def _labels_of(self, key: tuple[str, ...]) -> dict[str, str]:
         return dict(zip(self.label_names, key))
@@ -107,20 +113,15 @@ class _Metric:
         return lines
 
 
-class Counter(_Metric):
-    """A monotonically increasing total, one sample per label combination."""
-
-    kind = "counter"
+class _ScalarMetric(_Metric):
+    """One value per label combination, stored or read from a scrape callback."""
 
     def __init__(self, name: str, help: str, label_names: Sequence[str]) -> None:
         super().__init__(name, help, label_names)
         self._values: dict[tuple[str, ...], float] = {}
         self._callbacks: dict[tuple[str, ...], Callable[[], float]] = {}
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """Add ``amount`` (>= 0) to the labeled sample."""
-        if amount < 0:
-            raise ValueError(f"counters only go up; got increment {amount}")
+    def _add(self, amount: float, labels: Mapping[str, str]) -> None:
         key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
@@ -128,8 +129,8 @@ class Counter(_Metric):
     def set_function(self, fn: Callable[[], float], **labels: str) -> None:
         """Source the labeled sample from ``fn`` at scrape time.
 
-        Bridges pre-existing monotonic counters (transport retry totals,
-        cache hit counts) into the registry without double-keeping them.
+        For state another component owns (cache hit counts, breaker trips,
+        queue depth): the registry reads it instead of keeping a copy.
         """
         key = self._key(labels)
         with self._lock:
@@ -162,15 +163,22 @@ class Counter(_Metric):
         return lines
 
 
-class Gauge(_Metric):
+class Counter(_ScalarMetric):
+    """A monotonically increasing total, one sample per label combination."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        """Add ``amount`` (>= 0) to the labeled sample."""
+        if amount < 0:
+            raise ValueError(f"counters only go up; got increment {amount}")
+        self._add(amount, labels)
+
+
+class Gauge(_ScalarMetric):
     """A point-in-time value, settable directly or from a scrape callback."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str, label_names: Sequence[str]) -> None:
-        super().__init__(name, help, label_names)
-        self._values: dict[tuple[str, ...], float] = {}
-        self._callbacks: dict[tuple[str, ...], Callable[[], float]] = {}
 
     def set(self, value: float, **labels: str) -> None:
         """Set the labeled sample to ``value``."""
@@ -180,45 +188,11 @@ class Gauge(_Metric):
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` (may be negative) to the labeled sample."""
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        self._add(amount, labels)
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         """Subtract ``amount`` from the labeled sample."""
-        self.inc(-amount, **labels)
-
-    def set_function(self, fn: Callable[[], float], **labels: str) -> None:
-        """Source the labeled sample from ``fn`` at scrape time."""
-        key = self._key(labels)
-        with self._lock:
-            self._callbacks[key] = fn
-
-    def value(self, **labels: str) -> float:
-        """Current value of the labeled sample (0.0 if never touched)."""
-        key = self._key(labels)
-        with self._lock:
-            callback = self._callbacks.get(key)
-        if callback is not None:
-            return float(callback())
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def samples(self) -> list[tuple[dict[str, str], float]]:
-        """All (labels, value) samples, callback-sourced ones included."""
-        with self._lock:
-            values = dict(self._values)
-            callbacks = dict(self._callbacks)
-        for key, callback in callbacks.items():
-            values[key] = float(callback())
-        return [(self._labels_of(key), value) for key, value in sorted(values.items())]
-
-    def render(self) -> list[str]:
-        lines = self.header_lines()
-        samples = self.samples() or ([({}, 0.0)] if not self.label_names else [])
-        for labels, value in samples:
-            lines.append(f"{self.name}{_format_labels(labels)} {_format_value(value)}")
-        return lines
+        self._add(-amount, labels)
 
 
 class Histogram(_Metric):

@@ -59,8 +59,42 @@ def _family_total(text: str, name: str) -> float:
     return total
 
 
-def _fetch_metrics(service: ResolutionService) -> tuple[str, str]:
-    """Serve the service over HTTP on a free port and GET ``/metrics``."""
+#: Each integer counter of ``GET /stats`` (``engine.*`` nested) and the
+#: ``GET /metrics`` sample — or, for a bare family name, family total — it
+#: must equal.
+_STATS_SAMPLES = {
+    "submitted": "repro_service_submitted_total",
+    "resolved": "repro_service_resolved_total",
+    "inflight_joined": "repro_service_inflight_joined_total",
+    "rejected_overload": 'repro_service_rejected_total{reason="overload"}',
+    "rejected_budget": 'repro_service_rejected_total{reason="budget"}',
+    "rejected_degraded": 'repro_service_rejected_total{reason="degraded"}',
+    "flushes": "repro_service_flushes_total",
+    "cache_hits": "repro_cache_hits_total",
+    "cache_misses": "repro_cache_misses_total",
+    "cache_size": "repro_cache_size",
+    "queue_depth": "repro_queue_depth",
+    "llm_calls": "repro_llm_calls_total",
+    "engine.bulk_requests": "repro_service_bulk_requests_total",
+    "engine.bulk_pairs": "repro_service_bulk_pairs_total",
+    "engine.shards_resolved": "repro_service_bulk_shards_total",
+    "engine.pairs_from_cache": 'repro_service_bulk_pairs_served_total{source="cache"}',
+    "engine.pairs_resolved": 'repro_service_bulk_pairs_served_total{source="live"}',
+}
+
+
+def _stats_match_metrics(stats: dict, metrics_text: str) -> bool:
+    """Whether every ``/stats`` counter equals its ``/metrics`` sample."""
+    flat = {**stats, **{f"engine.{key}": value for key, value in stats["engine"].items()}}
+    return all(
+        sample in metrics_text and flat[key] == _family_total(metrics_text, sample)
+        for key, sample in _STATS_SAMPLES.items()
+    )
+
+
+def _fetch_metrics(service: ResolutionService) -> tuple[str, str, dict]:
+    """Serve the service over HTTP on a free port; GET ``/metrics`` and
+    ``/stats``."""
     from urllib.request import urlopen
 
     from repro.service.aio import AsyncServiceHTTPServer
@@ -70,9 +104,11 @@ def _fetch_metrics(service: ResolutionService) -> tuple[str, str]:
         with urlopen(f"{server.address}/metrics", timeout=10.0) as response:
             content_type = response.headers.get("Content-Type", "")
             text = response.read().decode("utf-8")
+        with urlopen(f"{server.address}/stats", timeout=10.0) as response:
+            stats = json.loads(response.read())
     finally:
         server.shutdown()
-    return text, content_type
+    return text, content_type, stats
 
 
 def _frontend_checks(service: ResolutionService) -> dict[str, bool]:
@@ -264,7 +300,8 @@ def run_self_test(
     observes the run without altering it.  Before stopping, the first pass
     serves itself over HTTP on a free port and validates the ``GET /metrics``
     Prometheus exposition (populated latency histogram, retry counters,
-    cache hit-rate gauge).
+    cache hit-rate gauge), including that every ``GET /stats`` counter
+    equals its ``/metrics`` sample.
     """
     dataset = load_dataset(dataset_name, seed=data_seed, scale=scale)
     unique = [pair.without_label() for pair in dataset.splits.test][:80]
@@ -292,7 +329,8 @@ def run_self_test(
         # Phase 2: the same unique set again — must be pure cache hits.
         service.resolve_many(unique)
         repeat = service.stats().to_dict()
-        metrics_text, metrics_content_type = _fetch_metrics(service)
+        service.resolve_bulk(unique[:8])  # cached: exercises the bulk counters
+        metrics_text, metrics_content_type, http_stats = _fetch_metrics(service)
         frontend_checks = _frontend_checks(service) if tracer is not None else {}
         service.stop()
         return labels, {
@@ -300,6 +338,7 @@ def run_self_test(
             "repeat": repeat,
             "metrics_text": metrics_text,
             "metrics_content_type": metrics_content_type,
+            "http_stats": http_stats,
             "frontend_checks": frontend_checks,
         }
 
@@ -312,6 +351,7 @@ def run_self_test(
     feature_store = repeat.get("feature_store") or {}
     metrics_text = str(report.pop("metrics_text"))
     metrics_content_type = str(report.pop("metrics_content_type"))
+    http_stats = report.pop("http_stats")
     spans = tracer.finished_spans()
     span_names = {span.name for span in spans}
     stage_spans = [span for span in spans if span.name.startswith("stage:")]
@@ -349,6 +389,9 @@ def run_self_test(
         "flushes_counted_by_reason": (
             _family_total(metrics_text, "repro_service_flushes_total") >= 1
         ),
+        # The registry is the only store of the service's event counters:
+        # GET /stats over HTTP must report exactly what GET /metrics does.
+        "stats_counters_match_metrics": _stats_match_metrics(http_stats, metrics_text),
         # The planner's routing counters must reach both surfaces: the
         # /stats planning dict (lsh_routes / candidate counts / oracle
         # recall) and the per-regime route metric.  At self-test scale every

@@ -176,29 +176,26 @@ class MicroBatcher:
 
     Args:
         queue: the bounded request queue to drain.
-        flush: callback invoked with each non-empty micro-batch; the
-            service's flush handler fails the batch's futures rather than
-            raising, but if the callback does raise, the batcher fails any
-            still-pending futures of the batch with that exception and keeps
-            the consumer thread alive (:attr:`num_flush_failures` counts
-            such flushes).
+        flush: callback invoked as ``flush(batch, reason)`` with each
+            non-empty micro-batch, where ``reason`` is ``"size"`` (the batch
+            filled), ``"deadline"`` (the oldest request's wait expired) or
+            ``"close"`` (shutdown drain) — computed once, when the batch
+            leaves the queue.  The service's flush handler fails the batch's
+            futures rather than raising, but if the callback does raise, the
+            batcher fails any still-pending futures of the batch with that
+            exception and keeps the consumer thread alive
+            (:attr:`num_flush_failures` counts such flushes).
         max_batch_size: requests per flush.
         max_wait: seconds the oldest admitted request may wait before a
             partial batch is flushed.
-        on_flush: optional observer called as ``on_flush(batch, reason)``
-            before each flush, where ``reason`` is ``"size"`` (the batch
-            filled), ``"deadline"`` (the oldest request's wait expired) or
-            ``"close"`` (shutdown drain).  Exceptions it raises are swallowed
-            like flush exceptions — observation must not kill the consumer.
     """
 
     def __init__(
         self,
         queue: RequestQueue,
-        flush: Callable[[list[PendingRequest]], None],
+        flush: Callable[[list[PendingRequest], str], None],
         max_batch_size: int,
         max_wait: float,
-        on_flush: Callable[[list[PendingRequest], str], None] | None = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -208,9 +205,7 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait
         self._flush = flush
-        self._on_flush = on_flush
         self._thread: threading.Thread | None = None
-        self.num_flushes = 0
         #: Flushes whose callback raised (the batch's futures were failed
         #: with that exception and the consumer thread kept running).
         self.num_flush_failures = 0
@@ -256,14 +251,8 @@ class MicroBatcher:
             if not batch:
                 # Only returned once the queue is closed and fully drained.
                 return
-            self.num_flushes += 1
-            if self._on_flush is not None:
-                try:
-                    self._on_flush(batch, self.flush_reason(batch))
-                except Exception:  # noqa: BLE001 - observers must not kill
-                    pass  # the consumer thread
             try:
-                self._flush(batch)
+                self._flush(batch, self.flush_reason(batch))
             except Exception as error:  # noqa: BLE001 - the consumer must
                 # outlive any single bad flush (an open circuit breaker, a
                 # poison batch).  The flush callback normally owns delivery,

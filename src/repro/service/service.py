@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ContextManager, Iterable, Sequence
 
 from repro.cost.tracker import CostBreakdown
@@ -95,13 +95,7 @@ class EngineStats:
 
     def to_dict(self) -> dict[str, int]:
         """Return a plain-dict snapshot (JSON-serializable, for ``/stats``)."""
-        return {
-            "bulk_requests": self.bulk_requests,
-            "bulk_pairs": self.bulk_pairs,
-            "shards_resolved": self.shards_resolved,
-            "pairs_from_cache": self.pairs_from_cache,
-            "pairs_resolved": self.pairs_resolved,
-        }
+        return asdict(self)
 
 
 class CostBudgetExceeded(AdmissionError):
@@ -126,12 +120,17 @@ class ServiceDegraded(AdmissionError):
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """A point-in-time snapshot of the service's counters.
+    """A typed point-in-time snapshot of the service's counters.
+
+    Event counters are read from their families in
+    :attr:`ResolutionService.metrics`, the store behind ``GET /metrics``.
 
     Attributes:
         submitted: requests accepted by :meth:`ResolutionService.submit`
             (cache hits and in-flight joins included, rejections excluded).
-        resolved: futures completed with a resolution so far.
+        resolved: futures returned by :meth:`ResolutionService.submit` that
+            completed with a resolution so far (bulk pairs are counted in
+            :attr:`engine` instead).
         cache_hits / cache_misses: result-cache lookup outcomes.
         cache_size: current number of cached entries.
         inflight_joined: requests that attached to an already-pending
@@ -292,11 +291,12 @@ class ResolutionService:
             self._flush,
             max_batch_size=self.config.max_batch_size,
             max_wait=self.config.max_wait_seconds,
-            on_flush=self._observe_flush,
         )
-        # fingerprint -> list of (pair-as-submitted, future) awaiting one
-        # in-flight resolution.  The first entry's pair is the one resolved.
-        self._inflight: dict[str, list[tuple[EntityPair, Future]]] = {}
+        # fingerprint -> list of (pair-as-submitted, future, from_submit)
+        # awaiting one in-flight resolution.  The first entry's pair is the
+        # one resolved; ``from_submit`` is False for futures a bulk request
+        # attached, which the ``resolved`` counter does not count.
+        self._inflight: dict[str, list[tuple[EntityPair, Future, bool]]] = {}
         # Spilled feature vectors that arrived before the session's feature
         # store existed (schema not yet known); seeded once it does.
         self._pending_vectors: dict[str, tuple[list[float], str | None]] = {}
@@ -304,17 +304,6 @@ class ResolutionService:
         # Serializes session access between the micro-batch consumer thread
         # and bulk callers — the Resolver is a shared, stateful session.
         self._resolver_lock = threading.Lock()
-        self._submitted = 0
-        self._resolved = 0
-        self._inflight_joined = 0
-        self._rejected_overload = 0
-        self._rejected_budget = 0
-        self._rejected_degraded = 0
-        self._bulk_requests = 0
-        self._bulk_pairs = 0
-        self._bulk_shards = 0
-        self._bulk_cached = 0
-        self._bulk_resolved = 0
         self._started_at: float | None = None
         self._stopped = False
         # Multi-tenant admission: API keys → quota buckets + cost budgets.
@@ -343,12 +332,14 @@ class ResolutionService:
         self._register_metrics()
 
     def _register_metrics(self) -> None:
-        """Wire the metric families to the service's live state.
+        """Register the metric families behind ``/metrics`` and ``/stats``.
 
-        Live event streams (flush reasons, LLM call latency) are recorded as
-        they happen; everything that already has an authoritative counter
-        (cache stats, queue depth, transport totals, feature-store hit rate)
-        is bridged with scrape-time callbacks instead of double-keeping.
+        The registry is the only store of the service's own event counters
+        (submissions, resolutions, joins, rejections, flushes, bulk work):
+        each is incremented where the event happens and :meth:`stats` reads
+        it back.  State owned by another component (cache, breaker, tenants,
+        usage tracker, queue, feature store) is read through scrape-time
+        callbacks, so that component stays its single owner.
         """
         metrics = self.metrics
         self._metric_flushes = metrics.counter(
@@ -451,24 +442,40 @@ class ResolutionService:
         metrics.gauge(
             "repro_queue_depth", "Requests waiting in the micro-batch queue."
         ).set_function(lambda: len(self._queue))
-        metrics.counter(
+        self._metric_submitted = metrics.counter(
             "repro_service_submitted_total", "Requests accepted by submit()."
-        ).set_function(lambda: self._submitted)
-        metrics.counter(
-            "repro_service_resolved_total", "Futures completed with a resolution."
-        ).set_function(lambda: self._resolved)
-        metrics.counter(
+        )
+        self._metric_resolved = metrics.counter(
+            "repro_service_resolved_total",
+            "Futures returned by submit() completed with a resolution.",
+        )
+        self._metric_joined = metrics.counter(
             "repro_service_inflight_joined_total",
             "Requests that joined an identical in-flight pair.",
-        ).set_function(lambda: self._inflight_joined)
-        rejected = metrics.counter(
+        )
+        self._metric_rejected = metrics.counter(
             "repro_service_rejected_total",
             "Submissions rejected at admission, by reason.",
             labels=("reason",),
         )
-        rejected.set_function(lambda: self._rejected_overload, reason="overload")
-        rejected.set_function(lambda: self._rejected_budget, reason="budget")
-        rejected.set_function(lambda: self._rejected_degraded, reason="degraded")
+        for reason in ("overload", "budget", "degraded"):
+            self._metric_rejected.inc(0, reason=reason)
+        self._metric_bulk_requests = metrics.counter(
+            "repro_service_bulk_requests_total", "Calls to resolve_bulk()."
+        )
+        self._metric_bulk_pairs = metrics.counter(
+            "repro_service_bulk_pairs_total", "Pairs submitted to resolve_bulk()."
+        )
+        self._metric_bulk_shards = metrics.counter(
+            "repro_service_bulk_shards_total", "Bulk shards that completed resolution."
+        )
+        self._metric_bulk_served = metrics.counter(
+            "repro_service_bulk_pairs_served_total",
+            "Bulk pairs served by the cache (zero LLM cost) or resolved live.",
+            labels=("source",),
+        )
+        for source in ("cache", "live"):
+            self._metric_bulk_served.inc(0, source=source)
 
         # Breaker families render even without a breaker (at zero / closed):
         # scrapers must see a stable schema whether or not gating is on, the
@@ -492,10 +499,11 @@ class ResolutionService:
         ).set_function(
             lambda: breaker.open_seconds_total() if breaker is not None else 0.0
         )
+        # Kept for existing scrapers; an alias of one rejected_total sample.
         metrics.counter(
             "repro_service_degraded_total",
             "Submissions refused in degraded mode (breaker open).",
-        ).set_function(lambda: self._rejected_degraded)
+        ).set_function(lambda: self._metric_rejected.value(reason="degraded"))
 
         # HTTP-backed engines route through a RetryingTransport; bind the
         # service's tracer and registry so retry/429/rate-limit-wait counters
@@ -524,10 +532,6 @@ class ResolutionService:
         if store is None:
             return 0
         return int(getattr(store.planner.stats(), name))
-
-    def _observe_flush(self, batch: list[PendingRequest], reason: str) -> None:
-        """Per-flush metrics hook (runs on the consumer thread, pre-flush)."""
-        self._metric_flushes.inc(reason=reason)
 
     def observe_request(
         self, tenant: str | None, status: int, seconds: float
@@ -741,36 +745,15 @@ class ResolutionService:
             future.set_result(
                 Resolution(pair=pair, label=cached.label, answered=cached.answered)
             )
-            with self._lock:
-                self._submitted += 1
-                self._resolved += 1
+            self._metric_submitted.inc()
+            self._metric_resolved.inc()
             return future
 
         future: Future = Future()
         if self._attach(fingerprint, pair, future, register_if_absent=False):
             return future
 
-        # Degraded mode: with the breaker open, new LLM-bound work is refused
-        # up front (cache hits and joins were already served above) instead
-        # of queueing doomed requests behind a gated backend.  Half-open is
-        # *not* degraded — probe traffic is how the service recovers.
-        self._check_degraded()
-
-        # Cost-aware admission applies to *new* LLM work only: cache hits and
-        # in-flight joins are free and therefore always served.  The tenant
-        # budget extends the same discipline per tenant.
-        if tenant is not None:
-            tenant.check_budget()
-        budget = self.config.cost_budget
-        if budget is not None:
-            spent = self._resolver.cost().total_cost
-            if spent >= budget:
-                with self._lock:
-                    self._rejected_budget += 1
-                raise CostBudgetExceeded(
-                    f"session cost ${spent:.4f} has reached the budget "
-                    f"${budget:.4f}; only cached pairs are served"
-                )
+        self._admit_new_work(tenant)
 
         if self._attach(fingerprint, pair, future, register_if_absent=True):
             return future  # lost a race with a concurrent submitter: joined
@@ -784,28 +767,42 @@ class ResolutionService:
         try:
             self._queue.put(request, timeout=self.config.admission_timeout_seconds)
         except ServiceOverloaded as error:
-            with self._lock:
-                self._rejected_overload += 1
+            self._metric_rejected.inc(reason="overload")
             self._fail(fingerprint, error)  # joined duplicates must not hang
             raise
         except ServiceClosed as error:
             self._fail(fingerprint, error)
             raise
-        with self._lock:
-            self._submitted += 1
+        self._metric_submitted.inc()
         return future
 
-    def _check_degraded(self) -> None:
-        """Refuse new LLM-bound work while the backend breaker is open."""
+    def _admit_new_work(self, tenant: Tenant | None) -> None:
+        """Gate new LLM-bound work: degraded mode, tenant budget, cost budget.
+
+        Cache hits and in-flight joins are free and never reach this gate.
+        An open breaker refuses new work up front rather than queueing it
+        behind a gated backend; half-open is *not* degraded — probe traffic
+        is how the service recovers.
+        """
         breaker = self.breaker
         if breaker is not None and breaker.state == STATE_OPEN:
-            with self._lock:
-                self._rejected_degraded += 1
+            self._metric_rejected.inc(reason="degraded")
             raise ServiceDegraded(
                 "backend circuit breaker is open; only cached and in-flight "
                 "pairs are served",
                 retry_after=breaker.retry_after,
             )
+        if tenant is not None:
+            tenant.check_budget()
+        budget = self.config.cost_budget
+        if budget is not None:
+            spent = self._resolver.cost().total_cost
+            if spent >= budget:
+                self._metric_rejected.inc(reason="budget")
+                raise CostBudgetExceeded(
+                    f"session cost ${spent:.4f} has reached the budget "
+                    f"${budget:.4f}; only cached pairs are served"
+                )
 
     def _deadline(self) -> ContextManager[DeadlineBudget | None]:
         """Ambient deadline scope for one logical unit of LLM-bound work."""
@@ -826,12 +823,12 @@ class ResolutionService:
         with self._lock:
             waiters = self._inflight.get(fingerprint)
             if waiters is not None:
-                waiters.append((pair, future))
-                self._submitted += 1
-                self._inflight_joined += 1
+                waiters.append((pair, future, True))
+                self._metric_submitted.inc()
+                self._metric_joined.inc()
                 return True
             if register_if_absent:
-                self._inflight[fingerprint] = [(pair, future)]
+                self._inflight[fingerprint] = [(pair, future, True)]
             return False
 
     def resolve_many(
@@ -851,13 +848,16 @@ class ResolutionService:
             AdmissionError: if any submission is rejected.
             TimeoutError: if the deadline passes before all pairs resolve.
         """
-        futures = [self.submit(pair, tenant=tenant) for pair in pairs]
+        return self._await_all([self.submit(pair, tenant=tenant) for pair in pairs], timeout)
+
+    def _await_all(self, futures: list[Future], timeout: float | None) -> list:
+        """Results of ``futures`` in order, under one overall ``timeout``."""
         deadline = None if timeout is None else self._clock.monotonic() + timeout
-        resolutions = []
+        results = []
         for future in futures:
             remaining = None if deadline is None else max(0.0, deadline - self._clock.monotonic())
-            resolutions.append(future.result(timeout=remaining))
-        return resolutions
+            results.append(future.result(timeout=remaining))
+        return results
 
     def resolve_bulk(
         self,
@@ -911,9 +911,8 @@ class ResolutionService:
         pairs = list(pairs)
         if tenant is not None and pairs:
             tenant.admit(len(pairs))
-        with self._lock:
-            self._bulk_requests += 1
-            self._bulk_pairs += len(pairs)
+        self._metric_bulk_requests.inc()
+        self._metric_bulk_pairs.inc(len(pairs))
         if not pairs:
             return []
 
@@ -932,8 +931,8 @@ class ResolutionService:
                 waiters = self._inflight.get(fingerprint)
                 if waiters is not None:
                     future: Future = Future()
-                    waiters.append((pair, future))
-                    self._inflight_joined += 1
+                    waiters.append((pair, future, False))
+                    self._metric_joined.inc()
                     joined[fingerprint] = future
                     continue
             cached = self._cache.get(fingerprint)
@@ -943,8 +942,7 @@ class ResolutionService:
                 )
             else:
                 pending.setdefault(fingerprint, pair)
-        with self._lock:
-            self._bulk_cached += len(pairs) - len(pending)
+        self._metric_bulk_served.inc(len(pairs) - len(pending), source="cache")
 
         if pending:
             unique = list(pending.values())
@@ -962,28 +960,15 @@ class ResolutionService:
                 # per-shard granularity applies to degraded mode: a breaker
                 # that opens mid-bulk stops the run at the next shard
                 # boundary with everything before it cached.
-                self._check_degraded()
-                if tenant is not None:
-                    tenant.check_budget()
-                budget = self.config.cost_budget
-                if budget is not None:
-                    spent = self._resolver.cost().total_cost
-                    if spent >= budget:
-                        with self._lock:
-                            self._rejected_budget += 1
-                        raise CostBudgetExceeded(
-                            f"session cost ${spent:.4f} has reached the budget "
-                            f"${budget:.4f}; only cached pairs are served"
-                        )
+                self._admit_new_work(tenant)
                 shard_pairs = [unique[index] for index in indices]
                 cost_before = self._resolver.cost().total_cost
                 with self._resolver_lock, self._deadline():
                     shard_resolutions = self._resolver.resolve(shard_pairs)
                 if tenant is not None:
                     tenant.charge(self._resolver.cost().total_cost - cost_before)
-                with self._lock:
-                    self._bulk_shards += 1
-                    self._bulk_resolved += len(shard_pairs)
+                self._metric_bulk_shards.inc()
+                self._metric_bulk_served.inc(len(shard_pairs), source="live")
                 for pair, resolution in zip(shard_pairs, shard_resolutions):
                     fingerprint = pair_fingerprint(pair)
                     resolved[fingerprint] = resolution
@@ -997,13 +982,7 @@ class ResolutionService:
                             ),
                         )
 
-        if joined:
-            deadline = None if timeout is None else self._clock.monotonic() + timeout
-            for fingerprint, future in joined.items():
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - self._clock.monotonic())
-                )
-                resolved[fingerprint] = future.result(timeout=remaining)
+        resolved.update(zip(joined, self._await_all(list(joined.values()), timeout)))
 
         resolutions = []
         for pair, fingerprint in zip(pairs, fingerprints):
@@ -1015,15 +994,20 @@ class ResolutionService:
 
     # -- flushing ------------------------------------------------------------
 
-    def _flush(self, batch: list[PendingRequest]) -> None:
-        """Resolve one micro-batch and fan results out to every waiter."""
+    def _flush(self, batch: list[PendingRequest], reason: str) -> None:
+        """Resolve one micro-batch and fan results out to every waiter.
+
+        ``reason`` is the micro-batcher's flush trigger; the flush counter
+        and the span attribute both record this one value.
+        """
         if not batch:
             return
+        self._metric_flushes.inc(reason=reason)
         with self.metrics.time(self._metric_flush_seconds):
             with self.tracer.span("service:flush") as scope:
                 if self.tracer.enabled:
                     scope.set_attribute("requests", len(batch))
-                    scope.set_attribute("reason", self._batcher.flush_reason(batch))
+                    scope.set_attribute("reason", reason)
                 self._flush_batch(batch)
 
     def _flush_batch(self, batch: list[PendingRequest]) -> None:
@@ -1073,26 +1057,23 @@ class ResolutionService:
                 )
             with self._lock:
                 waiters = self._inflight.pop(fingerprint, [])
-            completed = 0
-            for pair, future in waiters:
-                # A waiter may have cancelled its future; setting a result on
-                # it would raise and kill the consumer thread.
-                if not future.done():
-                    future.set_result(
-                        Resolution(
-                            pair=pair,
-                            label=resolution.label,
-                            answered=resolution.answered,
-                        )
+            # A waiter may have cancelled its future; setting a result on it
+            # would raise and kill the consumer thread.
+            waiters = [waiter for waiter in waiters if not waiter[1].done()]
+            # Counted before the futures complete, so a caller woken by its
+            # result already sees it in stats().
+            self._metric_resolved.inc(sum(from_submit for *_, from_submit in waiters))
+            for pair, future, _ in waiters:
+                future.set_result(
+                    Resolution(
+                        pair=pair, label=resolution.label, answered=resolution.answered
                     )
-                    completed += 1
-            with self._lock:
-                self._resolved += completed
+                )
 
     def _fail(self, fingerprint: str, error: Exception) -> None:
         with self._lock:
             waiters = self._inflight.pop(fingerprint, [])
-        for _, future in waiters:
+        for _, future, _ in waiters:
             if not future.done():
                 future.set_exception(error)
 
@@ -1136,20 +1117,16 @@ class ResolutionService:
         """Return a point-in-time snapshot of the service's counters."""
         if self._pending_vectors:
             self._drain_pending_vectors()
-        with self._lock:
-            submitted = self._submitted
-            resolved = self._resolved
-            inflight_joined = self._inflight_joined
-            rejected_overload = self._rejected_overload
-            rejected_budget = self._rejected_budget
-            rejected_degraded = self._rejected_degraded
-            engine = EngineStats(
-                bulk_requests=self._bulk_requests,
-                bulk_pairs=self._bulk_pairs,
-                shards_resolved=self._bulk_shards,
-                pairs_from_cache=self._bulk_cached,
-                pairs_resolved=self._bulk_resolved,
-            )
+        resolved = int(self._metric_resolved.value())
+        rejected = self._metric_rejected
+        served = self._metric_bulk_served
+        engine = EngineStats(
+            bulk_requests=int(self._metric_bulk_requests.value()),
+            bulk_pairs=int(self._metric_bulk_pairs.value()),
+            shards_resolved=int(self._metric_bulk_shards.value()),
+            pairs_from_cache=int(served.value(source="cache")),
+            pairs_resolved=int(served.value(source="live")),
+        )
         uptime = (
             self._clock.monotonic() - self._started_at if self._started_at is not None else 0.0
         )
@@ -1157,17 +1134,17 @@ class ResolutionService:
         llm = self._resolver.llm
         llm_engine = llm.describe() if isinstance(llm, EngineBackend) else None
         return ServiceStats(
-            submitted=submitted,
+            submitted=int(self._metric_submitted.value()),
             resolved=resolved,
             cache_hits=self._cache.hits,
             cache_misses=self._cache.misses,
             cache_size=len(self._cache),
-            inflight_joined=inflight_joined,
-            rejected_overload=rejected_overload,
-            rejected_budget=rejected_budget,
-            rejected_degraded=rejected_degraded,
+            inflight_joined=int(self._metric_joined.value()),
+            rejected_overload=int(rejected.value(reason="overload")),
+            rejected_budget=int(rejected.value(reason="budget")),
+            rejected_degraded=int(rejected.value(reason="degraded")),
             queue_depth=self.queue_depth,
-            flushes=self._batcher.num_flushes,
+            flushes=int(sum(value for _, value in self._metric_flushes.samples())),
             llm_calls=self._resolver.usage.num_calls,
             pool_size=self._resolver.pool_size,
             num_labeled=self._resolver.num_labeled,

@@ -128,10 +128,12 @@ class TestMicroBatcher:
     def test_flushes_in_size_bounded_batches(self):
         queue = RequestQueue(capacity=64)
         flushes: list[list[str]] = []
+        reasons: list[str] = []
         done = threading.Event()
 
-        def flush(batch):
+        def flush(batch, reason):
             flushes.append([request.fingerprint for request in batch])
+            reasons.append(reason)
             if sum(len(flushed) for flushed in flushes) == 10:
                 done.set()
 
@@ -148,14 +150,16 @@ class TestMicroBatcher:
             ["fp4", "fp5", "fp6", "fp7"],
             ["fp8", "fp9"],
         ]
-        assert batcher.num_flushes == 3
+        # Two full batches; the ragged tail leaves on its (already expired)
+        # deadline — stop() is only called once all ten are flushed.
+        assert reasons == ["size", "size", "deadline"]
 
     def test_stop_drains_queued_requests(self):
         queue = RequestQueue(capacity=16)
         flushed: list[str] = []
         batcher = MicroBatcher(
             queue,
-            lambda batch: flushed.extend(request.fingerprint for request in batch),
+            lambda batch, reason: flushed.extend(request.fingerprint for request in batch),
             max_batch_size=8,
             max_wait=0.01,
         )
@@ -175,7 +179,7 @@ class TestMicroBatcher:
         flushed_ok: list[str] = []
         recovered = threading.Event()
 
-        def flush(batch):
+        def flush(batch, reason):
             if any(request.fingerprint == "fp0" for request in batch):
                 raise boom
             flushed_ok.extend(request.fingerprint for request in batch)
@@ -199,7 +203,7 @@ class TestMicroBatcher:
         # the still-pending ones receive the exception.
         queue = RequestQueue(capacity=16)
 
-        def flush(batch):
+        def flush(batch, reason):
             batch[0].future.set_result("delivered")
             raise RuntimeError("failed after partial delivery")
 
@@ -215,7 +219,8 @@ class TestMicroBatcher:
 
     def test_start_is_idempotent(self):
         queue = RequestQueue(capacity=4)
-        batcher = MicroBatcher(queue, lambda batch: None, max_batch_size=2, max_wait=0.01)
+        batcher = MicroBatcher(
+            queue, lambda batch, reason: None, max_batch_size=2, max_wait=0.01)
         batcher.start()
         first_thread = batcher._thread
         batcher.start()

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.observability.cli import (
     self_time,
     slowest_spans,
 )
+from repro.service import ResolutionService, ServiceConfig
 from repro.service.microbatcher import MicroBatcher, PendingRequest, RequestQueue
 
 
@@ -520,14 +522,13 @@ def _pending(index):
 
 
 class TestMicroBatcherFlushReason:
-    def _batcher(self, max_batch_size=4, on_flush=None, queue=None):
-        queue = queue or RequestQueue(capacity=16)
+    def _batcher(self, max_batch_size=4, flush=None):
+        queue = RequestQueue(capacity=16)
         return queue, MicroBatcher(
             queue,
-            flush=lambda batch: None,
+            flush=flush or (lambda batch, reason: None),
             max_batch_size=max_batch_size,
             max_wait=0.01,
-            on_flush=on_flush,
         )
 
     def test_full_batch_is_a_size_flush(self):
@@ -541,40 +542,55 @@ class TestMicroBatcherFlushReason:
         queue.close()
         assert batcher.flush_reason(batch) == "close"
 
-    def test_on_flush_observer_sees_every_flush_with_its_reason(self):
+    def test_flush_callback_receives_every_batch_with_its_reason(self):
         observed = []
         queue, batcher = self._batcher(
-            max_batch_size=2, on_flush=lambda batch, reason: observed.append(
-                (len(batch), reason)
-            )
+            max_batch_size=2,
+            flush=lambda batch, reason: observed.append((len(batch), reason)),
         )
         for index in range(4):
             queue.put(_pending(index))
         batcher.start()
         batcher.stop(timeout=5.0)
         assert not batcher.running
-        assert sum(count for count, _ in observed) == 4
-        assert all(reason in ("size", "deadline", "close") for _, reason in observed)
+        assert observed == [(2, "size"), (2, "size")]
 
-    def test_a_crashing_observer_does_not_kill_the_consumer(self):
-        flushed = []
-
-        def bad_observer(batch, reason):
-            raise RuntimeError("observer bug")
-
-        queue = RequestQueue(capacity=16)
-        batcher = MicroBatcher(
-            queue,
-            flush=lambda batch: flushed.extend(batch),
-            max_batch_size=2,
-            max_wait=0.01,
-            on_flush=bad_observer,
+    def test_close_drain_reason_reaches_the_flush_callback(self):
+        observed = []
+        queue, batcher = self._batcher(
+            max_batch_size=4,
+            flush=lambda batch, reason: observed.append((len(batch), reason)),
         )
-        for index in range(4):
-            queue.put(_pending(index))
+        queue.put(_pending(0))
+        queue.close()  # the partial batch now leaves on the shutdown drain
         batcher.start()
         batcher.stop(timeout=5.0)
-        assert len(flushed) == 4
+        assert observed == [(1, "close")]
+
+    def test_service_flush_span_and_metric_record_one_reason(self, beer_dataset):
+        # The reason is computed once per batch and handed to the flush, so
+        # the counter and the span attribute cannot disagree even when
+        # stop() closes the queue while a partial batch is in hand.
+        tracer = Tracer()
+        service = ResolutionService.from_dataset(
+            beer_dataset,
+            ServiceConfig(batcher=BatcherConfig(seed=1), max_batch_size=16),
+            tracer=tracer,
+        )
+        questions = [pair.without_label() for pair in beer_dataset.splits.test[:3]]
+        futures = [service.submit(pair) for pair in questions]
+        service.start()
+        service.stop()
+        assert all(future.done() for future in futures)
+        flushes = service.metrics.get("repro_service_flushes_total")
+        span_reasons = [
+            span.attributes["reason"]
+            for span in tracer.finished_spans()
+            if span.name == "service:flush"
+        ]
+        counted = {labels["reason"]: value for labels, value in flushes.samples()}
+        assert span_reasons
+        assert {reason: n for reason, n in counted.items() if n} == Counter(span_reasons)
 
 
 class TestTracedRunsAreIdentical:

@@ -1,6 +1,8 @@
 """Tests for the micro-batching ResolutionService facade."""
 
+import json
 import threading
+import time
 
 import pytest
 
@@ -181,7 +183,7 @@ class TestEdgeCases:
         service = _started_service(beer_dataset, service_config)
         try:
             assert service.resolve_many([]) == []
-            service._flush([])  # a degenerate flush must not raise
+            service._flush([], "close")  # a degenerate flush must not raise
             assert service.stats().llm_calls == 0
         finally:
             service.stop()
@@ -673,3 +675,189 @@ class TestBulkResolve:
             assert service.resolve_bulk([]) == []
         finally:
             service.stop()
+
+
+def _exposition_value(text: str, key: str) -> float:
+    """The ``/metrics`` sample ``key`` (``name{labels}``), or the sum of a
+    whole family when ``key`` is a bare family name."""
+    values = [
+        float(value)
+        for series, _, value in (
+            line.rpartition(" ") for line in text.splitlines() if not line.startswith("#")
+        )
+        if series == key or series.partition("{")[0] == key
+    ]
+    assert values, f"no /metrics sample for {key!r}"
+    return sum(values)
+
+
+#: Every integer counter of ``GET /stats`` and the ``/metrics`` sample (or
+#: family total) it must equal.
+STATS_TO_METRICS = {
+    "submitted": "repro_service_submitted_total",
+    "resolved": "repro_service_resolved_total",
+    "cache_hits": "repro_cache_hits_total",
+    "cache_misses": "repro_cache_misses_total",
+    "cache_size": "repro_cache_size",
+    "inflight_joined": "repro_service_inflight_joined_total",
+    "rejected_overload": 'repro_service_rejected_total{reason="overload"}',
+    "rejected_budget": 'repro_service_rejected_total{reason="budget"}',
+    "rejected_degraded": 'repro_service_rejected_total{reason="degraded"}',
+    "queue_depth": "repro_queue_depth",
+    "flushes": "repro_service_flushes_total",
+    "llm_calls": "repro_llm_calls_total",
+    "engine.bulk_requests": "repro_service_bulk_requests_total",
+    "engine.bulk_pairs": "repro_service_bulk_pairs_total",
+    "engine.shards_resolved": "repro_service_bulk_shards_total",
+    "engine.pairs_from_cache": 'repro_service_bulk_pairs_served_total{source="cache"}',
+    "engine.pairs_resolved": 'repro_service_bulk_pairs_served_total{source="live"}',
+}
+#: Session sizes, not event counters: they have no metric family.
+NOT_EXPOSED = {"pool_size", "num_labeled"}
+
+
+def _int_counters(payload: dict) -> dict[str, int]:
+    counters = {
+        key: value
+        for key, value in payload.items()
+        if isinstance(value, int) and not isinstance(value, bool)
+    }
+    counters.update({f"engine.{key}": value for key, value in payload["engine"].items()})
+    return counters
+
+
+class TestOneSourceOfCounters:
+    def test_bulk_join_does_not_inflate_resolved(self, beer_dataset, service_config, questions):
+        """``resolved`` counts futures returned by submit(); a bulk request
+        joining the same in-flight pair is counted on the engine path."""
+        service = ResolutionService.from_dataset(beer_dataset, service_config)
+        pending = service.submit(questions[0])  # queued: consumer not started
+        bulk = []
+        worker = threading.Thread(
+            target=lambda: bulk.append(service.resolve_bulk([questions[0]]))
+        )
+        worker.start()
+        for _ in range(500):
+            if service.stats().inflight_joined == 1:
+                break
+            time.sleep(0.01)
+        assert service.stats().inflight_joined == 1, "bulk never joined"
+        service.start()
+        try:
+            worker.join(timeout=30.0)
+            assert bulk and bulk[0][0].label == pending.result(timeout=10.0).label
+            stats = service.stats()
+            assert (stats.submitted, stats.resolved, stats.inflight_joined) == (1, 1, 1)
+            assert stats.engine.pairs_from_cache == 1
+            assert stats.engine.pairs_resolved == 0
+        finally:
+            service.stop()
+
+    def test_stats_and_metrics_surfaces_agree(self, beer_dataset, questions):
+        from repro.data.schema import MatchLabel
+        from repro.engines.faults import FakeClock
+        from repro.resilience import BreakerConfig, CircuitBreaker
+        from repro.service import CachedResult, ServiceDegraded, pair_fingerprint
+        from repro.service.http import ServiceRouter
+
+        breaker = CircuitBreaker(
+            BreakerConfig(failure_threshold=1, cooldown_seconds=60.0),
+            clock=FakeClock(),
+            name="test-backend",
+        )
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1),
+            max_batch_size=8,
+            max_wait_seconds=0.02,
+            queue_capacity=2,
+            admission_timeout_seconds=0.0,
+            cost_budget=1e-9,  # spent by the first live resolution
+        )
+        service = ResolutionService.from_dataset(beer_dataset, config, breaker=breaker)
+        cached = questions[4]
+        service.cache.put(
+            pair_fingerprint(cached), CachedResult(label=MatchLabel.MATCH, answered=True)
+        )
+        service.submit(cached)  # cache hit
+        service.submit(questions[0])  # queued
+        service.submit(questions[0])  # in-flight join
+        service.submit(questions[1])  # queued: the queue is now full
+        with pytest.raises(ServiceOverloaded):
+            service.submit(questions[2])
+        # One bulk request: a cached pair, a live pair twice, another live one.
+        service.resolve_bulk([cached, questions[5], questions[5], questions[6]])
+        with pytest.raises(CostBudgetExceeded):
+            service.submit(questions[7])
+        breaker.record_failure()  # trips: new work is refused as degraded
+        with pytest.raises(ServiceDegraded):
+            service.submit(questions[8])
+        service.start()
+        service.stop()  # drains the queued flush
+
+        router = ServiceRouter(service)
+        payload = json.loads(router.handle("GET", "/stats", {}).body)
+        exposition = router.handle("GET", "/metrics", {}).body.decode("utf-8")
+        counters = _int_counters(payload)
+        assert set(counters) - NOT_EXPOSED == set(STATS_TO_METRICS)
+        for key, sample in STATS_TO_METRICS.items():
+            assert counters[key] == _exposition_value(exposition, sample), key
+        assert _exposition_value(exposition, "repro_service_degraded_total") == 1
+        # The mix touched every event counter it claims to.
+        assert {
+            key: counters[key]
+            for key in (
+                "submitted",
+                "resolved",
+                "inflight_joined",
+                "rejected_overload",
+                "rejected_budget",
+                "rejected_degraded",
+                "engine.pairs_from_cache",
+                "engine.pairs_resolved",
+            )
+        } == {
+            "submitted": 4,
+            "resolved": 4,
+            "inflight_joined": 1,
+            "rejected_overload": 1,
+            "rejected_budget": 1,
+            "rejected_degraded": 1,
+            "engine.pairs_from_cache": 2,
+            "engine.pairs_resolved": 2,
+        }
+
+    def test_transport_stats_survive_a_registry_rebind(self):
+        from repro.engines.faults import FakeClock, ScriptedTransport
+        from repro.engines.transport import (
+            RetryingTransport,
+            RetryPolicy,
+            TransportRequest,
+        )
+        from repro.observability import MetricsRegistry
+
+        clock = FakeClock()
+        transport = RetryingTransport(
+            ScriptedTransport([503, {"ok": 1}, 429, {"ok": 2}]),
+            policy=RetryPolicy(base_delay=0.1, jitter=0.0),
+            clock=clock,
+        )
+        request = TransportRequest(url="http://backend", payload={})
+        transport.send(request)
+        bound = MetricsRegistry(clock)
+        transport.bind_observability(metrics=bound)
+        transport.send(request)
+
+        def family(name: str, **labels: str) -> int:
+            return int(bound.get(f"repro_transport_{name}_total").value(**labels))
+
+        retries = sum(
+            value for _, value in bound.get("repro_transport_retries_total").samples()
+        )
+        stats = transport.stats()
+        assert {key: stats[key] for key in ("requests", "attempts", "retries", "failures")} == {
+            "requests": family("requests"),
+            "attempts": family("attempts"),
+            "retries": retries,
+            "failures": family("failures"),
+        } == {"requests": 2, "attempts": 4, "retries": 2, "failures": 0}
+        assert family("retries", reason="5xx") == family("retries", reason="429") == 1
