@@ -1,21 +1,21 @@
-"""Benchmark: the sharded, checkpointable run engine vs. the monolithic path.
+"""Benchmark: checkpointed runs of the run engine vs. the stock pipeline.
 
 Three arms over one fixed-seed benchmark run:
 
-1. **unsharded** — the historical single-pass ``BatchER.run`` (the oracle);
-2. **sharded** — the same run split into shards by the
-   :class:`~repro.engine.engine.RunEngine`, executed concurrently with
-   per-batch checkpoints.  The benchmark *asserts* the ``RunResult`` is
-   byte-identical to the oracle;
-3. **crash + resume** — the sharded run killed mid-flight with a
+1. **oracle** — the stock ``Pipeline.default`` (its own ``Inference``
+   stage), no run engine involved;
+2. **checkpointed** — ``BatchER.run`` with a checkpoint directory on a
+   :class:`~repro.llm.executors.ConcurrentExecutor`, every answered batch
+   appended to the run's checkpoint file.  The benchmark *asserts* the
+   ``RunResult`` is byte-identical to the oracle;
+3. **crash + resume** — the checkpointed run killed mid-flight with a
    deterministic :class:`~repro.engine.faults.CrashingLLM`, then resumed from
-   its checkpoints.  The benchmark *asserts* the resumed result is again
+   its checkpoint.  The benchmark *asserts* the resumed result is again
    byte-identical and that the crash + resume together made exactly as many
    LLM calls as the oracle — zero repeated (re-paid) calls.
 
-Like the other benchmarks, the run emits ``BENCH_engine.json`` in the
-repository root with the headline numbers; the file is a machine-local
-artifact (gitignored), not a tracked result.
+The run writes ``BENCH_engine.json`` in the repository root with the
+headline numbers (tracked in git at full size).
 
 Standalone (the CI smoke invocation uses ``--small``)::
 
@@ -34,9 +34,10 @@ from pathlib import Path
 from repro.core.batcher import BatchER
 from repro.core.config import BatcherConfig
 from repro.data.registry import load_dataset
-from repro.engine import CrashingLLM, InjectedFault, RunEngine
+from repro.engine import CrashingLLM, InjectedFault
 from repro.llm.executors import ConcurrentExecutor
 from repro.llm.registry import create_llm
+from repro.pipeline import Pipeline, PipelineContext
 
 #: Where the headline numbers land (repository root).
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -50,13 +51,13 @@ def _timed(fn):
 
 def _assert_identical(result, oracle, arm: str) -> None:
     if result != oracle or repr(result) != repr(oracle):
-        raise AssertionError(f"{arm}: RunResult diverges from the unsharded oracle")
+        raise AssertionError(f"{arm}: RunResult diverges from the stock-pipeline oracle")
 
 
 def run_engine_bench(
     dataset_name: str,
     seed: int,
-    shards: int,
+    workers: int,
     max_questions: int | None,
     data_seed: int,
     scale: float,
@@ -64,39 +65,35 @@ def run_engine_bench(
     dataset = load_dataset(dataset_name, seed=data_seed, scale=scale)
     config = BatcherConfig(seed=seed, max_questions=max_questions)
 
-    oracle, unsharded_seconds = _timed(lambda: BatchER(config).run(dataset))
+    oracle, oracle_seconds = _timed(
+        lambda: Pipeline.default().run(PipelineContext.from_dataset(dataset, config)).result
+    )
     total_calls = oracle.cost.num_llm_calls
     print(
-        f"unsharded  {unsharded_seconds:6.2f}s  {total_calls} LLM calls  "
+        f"oracle        {oracle_seconds:6.2f}s  {total_calls} LLM calls  "
         f"f1={oracle.metrics.f1:.2f}",
         file=sys.stderr,
     )
 
     with tempfile.TemporaryDirectory() as tmp:
-        with ConcurrentExecutor(shards) as executor:
-            engine = RunEngine(
-                config=config,
-                executor=executor,
-                num_shards=shards,
-                checkpoint_dir=tmp,
-            )
-            sharded, sharded_seconds = _timed(lambda: engine.run(dataset))
-        _assert_identical(sharded, oracle, f"sharded x{shards}")
-        sharded_report = engine.last_report.to_dict()
+        with ConcurrentExecutor(workers) as executor:
+            engine = BatchER(config, executor=executor).build_engine(checkpoint_dir=tmp)
+            checkpointed, checkpointed_seconds = _timed(lambda: engine.run(dataset))
+        _assert_identical(checkpointed, oracle, f"checkpointed x{workers}")
+        checkpointed_report = engine.last_report.to_dict()
     print(
-        f"sharded    {sharded_seconds:6.2f}s  shards={shards}  "
-        f"sizes={sharded_report['shard_sizes']}",
+        f"checkpointed  {checkpointed_seconds:6.2f}s  workers={workers}",
         file=sys.stderr,
     )
 
-    # Crash mid-flight, then resume from the checkpoints.
+    # Crash mid-flight, then resume from the checkpoint.
     crash_at = max(1, total_calls // 2)
     with tempfile.TemporaryDirectory() as tmp:
         llm = CrashingLLM(
             create_llm(config.model, seed=config.seed, temperature=config.temperature),
             fail_at_call=crash_at,
         )
-        engine = RunEngine(config=config, llm=llm, num_shards=shards, checkpoint_dir=tmp)
+        engine = BatchER(config, llm=llm).build_engine(checkpoint_dir=tmp)
         crashed = False
         try:
             engine.run(dataset)
@@ -130,15 +127,16 @@ def run_engine_bench(
             "questions": oracle.num_questions,
             "batches": oracle.num_batches,
         },
-        "unsharded": {
-            "seconds": round(unsharded_seconds, 4),
+        "oracle": {
+            "seconds": round(oracle_seconds, 4),
             "llm_calls": total_calls,
             "f1": round(oracle.metrics.f1, 2),
         },
-        "sharded": {
-            "seconds": round(sharded_seconds, 4),
-            "report": sharded_report,
-            "identical_to_unsharded": True,
+        "checkpointed": {
+            "seconds": round(checkpointed_seconds, 4),
+            "workers": workers,
+            "report": checkpointed_report,
+            "identical_to_oracle": True,
         },
         "crash_resume": {
             "crash_at_call": crash_at,
@@ -146,15 +144,15 @@ def run_engine_bench(
             "resume_seconds": round(resume_seconds, 4),
             "repeated_calls_after_resume": repeated_calls,
             "report": resume_report,
-            "identical_to_unsharded": True,
+            "identical_to_oracle": True,
         },
         "headline": {
-            "shards": shards,
+            "workers": workers,
             "llm_calls": total_calls,
             "identical": True,
             "repeated_calls_after_resume": repeated_calls,
-            "unsharded_seconds": round(unsharded_seconds, 4),
-            "sharded_seconds": round(sharded_seconds, 4),
+            "oracle_seconds": round(oracle_seconds, 4),
+            "checkpointed_seconds": round(checkpointed_seconds, 4),
         },
     }
 
@@ -165,7 +163,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--data-seed", type=int, default=7)
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--shards", type=int, default=4)
+    parser.add_argument(
+        "--workers", type=int, default=4, help="in-flight LLM calls of the checkpointed arm"
+    )
     parser.add_argument(
         "--max-questions", type=int, default=None, help="cap on evaluated questions"
     )
@@ -183,7 +183,7 @@ def main() -> None:
     report = run_engine_bench(
         dataset_name=args.dataset,
         seed=args.seed,
-        shards=args.shards,
+        workers=args.workers,
         max_questions=max_questions,
         data_seed=args.data_seed,
         scale=args.scale,

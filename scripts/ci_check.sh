@@ -100,10 +100,11 @@ echo "== engines smoke benchmark (BENCH_async.json) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_async_dispatch.py \
   --small --min-speedup 0 --report "$(mktemp)" > /dev/null
 
-echo "== sharded run engine smoke benchmark (BENCH_engine.json) =="
-# --small: a crash-resume oracle, not a stopwatch — it *asserts* that the
-# sharded run is byte-identical to the unsharded path and that a run killed
-# mid-flight resumes from its checkpoints with zero repeated LLM calls.
+echo "== checkpointed run engine smoke benchmark (BENCH_engine.json) =="
+# --small: a crash-resume oracle, not a stopwatch — it *asserts* that a
+# checkpointed concurrent run is byte-identical to the stock Pipeline.default
+# oracle and that a run killed mid-flight resumes from its checkpoint with
+# zero repeated LLM calls.
 # The smoke report goes to a scratch file so it never clobbers a full-size
 # BENCH_engine.json with small-n numbers.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_sharded_run.py \

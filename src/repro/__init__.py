@@ -22,13 +22,13 @@ It provides:
   the streaming :class:`Resolver` session for serving ad-hoc pair streams,
 * supervised PLM-style baselines and the ManualPrompt baseline
   (:mod:`repro.baselines`),
-* the end-to-end :class:`repro.core.BatchER` facade over the pipeline,
-* the sharded, checkpointable run engine (:mod:`repro.engine`): a
-  :class:`RunEngine` that splits a run into deterministic shards of whole
-  batches, executes them serially or concurrently with per-batch JSONL
-  checkpoints, and merges byte-identical results — a killed run resumes with
-  zero repeated LLM calls (fault-injection tested via
-  :mod:`repro.engine.faults`),
+* the end-to-end :class:`repro.core.BatchER` entry point and the one runner
+  behind it, the checkpointable run engine (:mod:`repro.engine`): a
+  :class:`RunEngine` that runs the seven pipeline stages, dispatches one LLM
+  call per batch on the configured executor and, given a checkpoint
+  directory, appends every answer to the run's JSONL checkpoint file — a
+  killed run resumes with zero repeated LLM calls and a byte-identical result
+  (fault-injection tested via :mod:`repro.engine.faults`),
 * the online serving subsystem (:mod:`repro.service`): a micro-batching
   :class:`ResolutionService` aggregating concurrent requests into shared
   batch prompts, with a pair-level result cache, cost-aware admission,
@@ -64,7 +64,7 @@ from repro.core.batcher import BatchER
 from repro.core.result import RunResult
 from repro.core.standard import StandardPromptingER
 from repro.data.registry import available_datasets, load_dataset
-from repro.engine import CheckpointStore, RunEngine, ShardPlanner
+from repro.engine import CheckpointStore, RunEngine
 from repro.evaluation.metrics import MatchingMetrics, evaluate_predictions
 from repro.llm.executors import (
     ConcurrentExecutor,
@@ -101,7 +101,6 @@ __all__ = [
     "RunEngine",
     "RunResult",
     "SerialExecutor",
-    "ShardPlanner",
     "ServiceConfig",
     "StageHook",
     "StandardPromptingER",

@@ -11,12 +11,12 @@
 5. render one batch prompt per batch, query the LLM, parse the answers;
 6. evaluate F1 against the gold labels and account API + labeling cost.
 
-Since the staged-pipeline redesign this class is a thin facade over
-:mod:`repro.pipeline`: it builds a :class:`~repro.pipeline.PipelineContext`
-from the dataset, runs :meth:`Pipeline.default` over it, and returns the
-evaluated :class:`RunResult`.  Use the pipeline API directly to run, inspect
-or re-compose individual stages, and :class:`repro.pipeline.Resolver` to serve
-ad-hoc pair streams.
+Every run goes through one runner: :class:`~repro.engine.engine.RunEngine`
+runs the seven stages of :mod:`repro.pipeline` (its own ``inference`` stage
+dispatches one LLM call per batch and, given a ``checkpoint_dir``, persists
+each answer so a killed run resumes without re-paying).  Use the pipeline API
+directly to run, inspect or re-compose individual stages, and
+:class:`repro.pipeline.Resolver` to serve ad-hoc pair streams.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from typing import Iterable, Sequence
 from repro.core.config import BatcherConfig
 from repro.core.result import RunResult
 from repro.data.schema import Dataset
+from repro.engine.engine import RunEngine
 from repro.llm.base import LLMClient
 from repro.llm.executors import ExecutionBackend
 from repro.observability.tracing import NOOP_TRACER, Tracer
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.pipeline import Pipeline, StageHook
+from repro.pipeline.pipeline import StageHook
 
 
 class BatchER:
@@ -43,7 +43,8 @@ class BatchER:
             seed or a custom client in tests); by default one is created from
             the config.
         executor: optional execution backend used to dispatch the independent
-            batch prompts (``None`` = serial).  A
+            batch prompts (``None`` = serial); its worker bound is the number
+            of in-flight LLM calls.  A
             :class:`~repro.llm.executors.ConcurrentExecutor` parallelises the
             LLM calls without changing any result.
         hooks: optional pipeline telemetry hooks (per-stage observers).
@@ -66,35 +67,16 @@ class BatchER:
         self._hooks = tuple(hooks)
         self._tracer = tracer or NOOP_TRACER
 
-    def build_pipeline(self) -> Pipeline:
-        """The staged pipeline this facade runs (exposed for inspection)."""
-        return Pipeline.default(executor=self._executor, hooks=self._hooks)
+    def build_engine(self, checkpoint_dir: str | Path | None = None) -> RunEngine:
+        """The run engine ``run(dataset, checkpoint_dir=...)`` uses.
 
-    def build_context(self, dataset: Dataset) -> PipelineContext:
-        """Build the pipeline context ``run`` would execute on ``dataset``."""
-        context = PipelineContext.from_dataset(dataset, self.config, llm=self._llm)
-        context.tracer = self._tracer
-        return context
-
-    def build_engine(
-        self,
-        shards: int = 1,
-        checkpoint_dir: str | Path | None = None,
-        shard_strategy: str = "fingerprint",
-    ):
-        """The sharded run engine ``run(shards=..., checkpoint_dir=...)`` uses.
-
-        Exposed so callers can inspect ``engine.last_report`` (shard sizes,
-        resumed batches, LLM calls saved) after a run.
+        Exposed so callers can inspect ``engine.last_report`` (resumed
+        batches, LLM calls saved) or ``engine.pipeline`` after a run.
         """
-        from repro.engine.engine import RunEngine
-
         return RunEngine(
             config=self.config,
             llm=self._llm,
             executor=self._executor,
-            num_shards=shards,
-            shard_strategy=shard_strategy,
             checkpoint_dir=checkpoint_dir,
             hooks=self._hooks,
             tracer=self._tracer,
@@ -103,43 +85,20 @@ class BatchER:
     # -- main entry point -----------------------------------------------------
 
     def run(
-        self,
-        dataset: Dataset,
-        shards: int | None = None,
-        checkpoint_dir: str | Path | None = None,
+        self, dataset: Dataset, checkpoint_dir: str | Path | None = None
     ) -> RunResult:
         """Run the framework on ``dataset`` and return the evaluated result.
 
         Args:
-            shards: split the run into this many deterministic shards executed
-                by the :class:`~repro.engine.engine.RunEngine` (the configured
-                ``executor`` then bounds *in-flight shards* instead of
-                in-flight prompts).  The result is byte-identical to the
-                unsharded path for a fixed seed.  ``None``/``1`` without a
-                ``checkpoint_dir`` keeps the historical single-pass path.
-            checkpoint_dir: persist per-shard JSONL checkpoints under this
+            checkpoint_dir: persist every answered batch under this
                 directory; a killed run re-invoked with the same arguments
-                resumes with zero repeated LLM calls.  Implies the engine
-                path even when ``shards`` is not given — the shard count then
-                defaults to the configured executor's worker bound, so a
-                checkpointed run keeps the executor's concurrency.
+                resumes with zero repeated LLM calls.  The result is
+                byte-identical to an unpersisted run for a fixed seed.
         """
         with self._tracer.span("batcher:run") as scope:
             if self._tracer.enabled:
                 scope.set_attribute("dataset", dataset.name)
-            if (shards is None or shards == 1) and checkpoint_dir is None:
-                context = self.build_pipeline().run(self.build_context(dataset))
-                assert context.result is not None  # produced by the Evaluate stage
-                return context.result
-            if shards is None:
-                # Engine concurrency is per shard: without an explicit count,
-                # match the executor's parallelism instead of silently
-                # serializing a previously-concurrent run behind checkpointing.
-                shards = (
-                    getattr(self._executor, "max_workers", 1) if self._executor else 1
-                )
-            engine = self.build_engine(shards=shards, checkpoint_dir=checkpoint_dir)
-            return engine.run(dataset)
+            return self.build_engine(checkpoint_dir).run(dataset)
 
     def run_many(self, datasets: Sequence[Dataset]) -> list[RunResult]:
         """Run the framework on several datasets and return all results."""

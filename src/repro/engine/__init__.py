@@ -1,48 +1,35 @@
-"""Sharded, checkpointable run engine.
+"""Checkpointable run engine: the one runner behind ``BatchER.run``.
 
-Splits a benchmark run into deterministic shards of whole batches, executes
-them serially or concurrently with per-batch JSONL checkpoints, and merges
-the shard results into a :class:`~repro.core.result.RunResult` byte-identical
-to the unsharded ``BatchER.run`` path — so a run can be spread across workers
-and killed/resumed at any point without ever re-paying for a checkpointed LLM
-call.  :mod:`repro.engine.faults` provides the deterministic crash wrappers
-the resume guarantees are tested with.
+:class:`RunEngine` runs the seven stock pipeline stage names with its own
+``inference`` stage, which dispatches one LLM call per batch on the
+configured executor and, given a checkpoint directory, appends every answer
+to the run's JSONL checkpoint file — a killed run resumes with zero repeated
+LLM calls and a ``RunResult`` byte-identical to an uninterrupted one.
+:mod:`repro.engine.faults` provides the deterministic crash wrappers the
+resume guarantees are tested with.
 """
 
-from repro.engine.checkpoint import (
-    BatchRecord,
-    CheckpointStore,
-    QuestionRecord,
-    ShardHeader,
-    ShardWriter,
-)
-from repro.engine.engine import EngineReport, RunEngine, config_fingerprint
-from repro.engine.faults import CrashingLLM, CrashingStore, InjectedFault
-from repro.engine.merger import ShardMerger
-from repro.engine.sharding import (
-    SHARD_STRATEGIES,
-    Shard,
-    ShardPlan,
-    ShardPlanner,
+from repro.engine.checkpoint import BatchRecord, CheckpointStore, CheckpointWriter, RunHeader
+from repro.engine.engine import (
+    CheckpointedInference,
+    EngineReport,
+    RunEngine,
     batch_fingerprint,
+    config_fingerprint,
 )
+from repro.engine.faults import CrashingLLM, CrashingStore, InjectedFault
 
 __all__ = [
     "BatchRecord",
     "CheckpointStore",
+    "CheckpointWriter",
+    "CheckpointedInference",
     "CrashingLLM",
     "CrashingStore",
     "EngineReport",
     "InjectedFault",
-    "QuestionRecord",
     "RunEngine",
-    "SHARD_STRATEGIES",
-    "Shard",
-    "ShardHeader",
-    "ShardMerger",
-    "ShardPlan",
-    "ShardPlanner",
-    "ShardWriter",
+    "RunHeader",
     "batch_fingerprint",
     "config_fingerprint",
 ]

@@ -1,59 +1,59 @@
-"""Per-shard JSONL checkpoints: never re-pay for a completed LLM call.
+"""Per-run JSONL checkpoints: never re-pay for a completed LLM call.
 
 Every LLM call costs money, so the run engine's core invariant is that a
 killed run resumes without repeating a single completed call.  The unit of
-persistence is one *batch* (one LLM call): after each batch of a shard is
-answered and parsed, its per-question resolutions and token usage are appended
-to the shard's JSONL file and flushed.  A crash therefore loses at most the
-calls that were in flight — one per shard executing at that moment, exactly
-one under serial execution — and nothing that was already paid for.
+persistence is one *batch* (one LLM call): as soon as a batch prompt is
+answered, its raw response and token usage are appended to the run's
+checkpoint file and flushed.  A crash therefore loses at most the calls that
+were in flight — at most the executor's worker bound, exactly one under
+serial execution — and nothing that was already paid for.
 
-File layout (one file per shard, ``shard-00003.jsonl``)::
+File layout (one file per run, ``<run key>.jsonl``, format version 2)::
 
-    {"type": "header", "version": 1, "dataset": ..., "config": <fp>,
-     "shard": <fp>, "num_batches": N, "model": ...}
-    {"type": "batch", "batch_id": 0, "usage": {...}, "questions": [...]}
-    {"type": "batch", "batch_id": 7, "usage": {...}, "questions": [...]}
+    {"type": "header", "version": 2, "dataset": ..., "config": <fp>,
+     "batches": <fp>, "num_batches": N, "model": ...}
+    {"type": "batch", "batch_id": 0, "fingerprint": <fp>, "text": ...,
+     "model": ..., "prompt_tokens": 812, "completion_tokens": 9}
 
-Each question entry carries the fields of the service's cache-spill format
-(``fingerprint`` — :func:`~repro.data.fingerprint.pair_fingerprint` —,
-``label``, ``answered``) plus the question's global ``index`` in the run
-order.  The header pins the run identity: a file whose header does not match
-the current dataset/config/shard fingerprints is stale and is rewritten, not
-resumed from.  A truncated tail (the classic kill-mid-write artifact) is
-tolerated: complete leading records are kept, the torn tail is discarded.
+Each batch line carries the batch's
+:func:`~repro.engine.engine.batch_fingerprint` and the response exactly as
+the LLM returned it; resume replays the response and the stock
+``ParseAnswers`` stage parses it again.  The header pins the run identity: a
+file whose header does not match the current dataset / config / batch plan /
+model — a version-1 file included — is stale and is rewritten, not resumed
+from.  A truncated tail (the classic kill-mid-write artifact) is tolerated:
+complete leading records are kept, the torn tail is discarded.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO
 
-from repro.data.schema import MatchLabel
+from repro.llm.base import LLMResponse
 
 #: Version tag of the checkpoint file format.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
-class ShardHeader:
-    """The identity a shard checkpoint is valid for.
+class RunHeader:
+    """The identity a run checkpoint is valid for.
 
     Attributes:
         dataset: dataset code of the run.
         config_fingerprint: hash of the run's ``BatcherConfig`` snapshot.
-        shard_fingerprint: content fingerprint of the shard's batches
-            (:class:`~repro.engine.sharding.Shard`).
-        num_batches: number of batches the shard is expected to complete.
+        batches_fingerprint: content fingerprint of the run's batch plan.
+        num_batches: number of batches (= LLM calls) the run completes.
         model: LLM profile the answers were produced by.
     """
 
     dataset: str
     config_fingerprint: str
-    shard_fingerprint: str
+    batches_fingerprint: str
     num_batches: int
     model: str
 
@@ -64,49 +64,14 @@ class ShardHeader:
             "version": CHECKPOINT_VERSION,
             "dataset": self.dataset,
             "config": self.config_fingerprint,
-            "shard": self.shard_fingerprint,
+            "batches": self.batches_fingerprint,
             "num_batches": self.num_batches,
             "model": self.model,
         }
 
     def matches(self, entry: dict[str, object]) -> bool:
-        """Whether a parsed header line identifies the same shard of the same run."""
+        """Whether a parsed header line identifies the same run."""
         return entry == self.to_dict()
-
-
-@dataclass(frozen=True)
-class QuestionRecord:
-    """The checkpointed resolution of one question.
-
-    Attributes:
-        index: the question's global index in the run's question order.
-        fingerprint: canonical content fingerprint of the pair.
-        label: predicted label (the parse fallback already applied when the
-            LLM failed to answer, mirroring ``Resolution``).
-        answered: whether the LLM actually answered the question.
-    """
-
-    index: int
-    fingerprint: str
-    label: MatchLabel
-    answered: bool
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "index": self.index,
-            "fingerprint": self.fingerprint,
-            "label": int(self.label),
-            "answered": self.answered,
-        }
-
-    @classmethod
-    def from_dict(cls, entry: dict[str, object]) -> "QuestionRecord":
-        return cls(
-            index=int(entry["index"]),
-            fingerprint=str(entry["fingerprint"]),
-            label=MatchLabel(int(entry["label"])),
-            answered=bool(entry["answered"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,59 +80,61 @@ class BatchRecord:
 
     Attributes:
         batch_id: the batch's global id in the run's batch order.
-        num_calls / prompt_tokens / completion_tokens: token usage of the
-            call(s) that produced this batch's answers.
-        questions: per-question resolutions, in batch order.
+        fingerprint: content fingerprint of the batch the response answers.
+        text / model / prompt_tokens / completion_tokens: the
+            :class:`~repro.llm.base.LLMResponse`, verbatim.
     """
 
     batch_id: int
-    num_calls: int
+    fingerprint: str
+    text: str
+    model: str
     prompt_tokens: int
     completion_tokens: int
-    questions: tuple[QuestionRecord, ...]
+
+    @classmethod
+    def from_response(
+        cls, batch_id: int, fingerprint: str, response: LLMResponse
+    ) -> "BatchRecord":
+        return cls(batch_id=batch_id, fingerprint=fingerprint, **asdict(response))
+
+    def response(self) -> LLMResponse:
+        """The recorded LLM response."""
+        return LLMResponse(
+            text=self.text,
+            model=self.model,
+            prompt_tokens=self.prompt_tokens,
+            completion_tokens=self.completion_tokens,
+        )
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "type": "batch",
-            "batch_id": self.batch_id,
-            "usage": {
-                "num_calls": self.num_calls,
-                "prompt_tokens": self.prompt_tokens,
-                "completion_tokens": self.completion_tokens,
-            },
-            "questions": [question.to_dict() for question in self.questions],
-        }
+        return {"type": "batch", **asdict(self)}
 
     @classmethod
     def from_dict(cls, entry: dict[str, object]) -> "BatchRecord":
-        usage = entry["usage"]
-        if not isinstance(usage, dict):
-            raise ValueError(f"'usage' must be an object, got {type(usage).__name__}")
-        questions = entry["questions"]
-        if not isinstance(questions, list):
-            raise ValueError(
-                f"'questions' must be a list, got {type(questions).__name__}"
-            )
+        text = entry["text"]
+        if not isinstance(text, str):
+            raise ValueError(f"'text' must be a string, got {type(text).__name__}")
         return cls(
             batch_id=int(entry["batch_id"]),
-            num_calls=int(usage["num_calls"]),
-            prompt_tokens=int(usage["prompt_tokens"]),
-            completion_tokens=int(usage["completion_tokens"]),
-            questions=tuple(QuestionRecord.from_dict(question) for question in questions),
+            fingerprint=str(entry["fingerprint"]),
+            text=text,
+            model=str(entry["model"]),
+            prompt_tokens=int(entry["prompt_tokens"]),
+            completion_tokens=int(entry["completion_tokens"]),
         )
 
 
-class ShardWriter:
-    """Appends batch records to one shard's checkpoint file.
+class CheckpointWriter:
+    """Appends batch records to one run's checkpoint file.
 
     Every append is followed by a flush, so a kill between batches loses
     nothing and a kill mid-write tears at most the final line (which resume
-    discards).  Writers must be closed; the engine uses them in a
-    ``try/finally``.
+    discards).  Appends are serialized by the caller; writers must be closed
+    (the engine uses them in a ``try/finally``).
     """
 
-    def __init__(self, path: Path, handle: IO[str], store: "CheckpointStore") -> None:
-        self._path = path
+    def __init__(self, handle: IO[str], store: "CheckpointStore") -> None:
         self._handle = handle
         self._store = store
 
@@ -182,7 +149,7 @@ class ShardWriter:
         if not self._handle.closed:
             self._handle.close()
 
-    def __enter__(self) -> "ShardWriter":
+    def __enter__(self) -> "CheckpointWriter":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -190,48 +157,39 @@ class ShardWriter:
 
 
 class CheckpointStore:
-    """Filesystem store of per-shard checkpoint files.
+    """Filesystem store of per-run checkpoint files.
 
     Args:
-        directory: directory holding the shard files (created on demand).
-            Callers running multiple configurations against one root should
-            namespace per run — :meth:`for_run` returns a store rooted at a
-            subdirectory keyed by the run identity.
+        directory: directory holding the run files (created on demand).  One
+            directory serves many runs: each run's file is named by its run
+            key (dataset + configuration fingerprint).
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
 
-    def for_run(self, run_key: str) -> "CheckpointStore":
-        """A store namespaced under ``directory/run_key`` (same concrete type).
+    def path(self, run_key: str) -> Path:
+        """Path of the checkpoint file of ``run_key``."""
+        return self.directory / f"{run_key}.jsonl"
 
-        Subclasses (e.g. fault-injection wrappers) keep their behaviour: the
-        namespaced store is constructed through ``type(self)``.
-        """
-        return type(self)(self.directory / run_key)
-
-    def shard_path(self, shard_id: int) -> Path:
-        """Path of the checkpoint file for ``shard_id``."""
-        return self.directory / f"shard-{shard_id:05d}.jsonl"
-
-    def open_shard(
-        self, shard_id: int, header: ShardHeader
-    ) -> tuple[dict[int, BatchRecord], ShardWriter]:
-        """Open a shard for resumable execution.
+    def open(
+        self, run_key: str, header: RunHeader
+    ) -> tuple[dict[int, BatchRecord], CheckpointWriter]:
+        """Open a run for resumable execution.
 
         Returns ``(completed, writer)``: the batch records already persisted
-        for this exact shard of this exact run, and a writer positioned to
-        append further batches.  A missing file, a header mismatch (different
-        dataset / config / shard content / model) or a corrupt prefix starts
-        the shard from scratch; a torn tail keeps the valid prefix.
+        for this exact run, and a writer positioned to append further
+        batches.  A missing file, a header mismatch (other version, dataset,
+        config, batch plan or model) or a corrupt first line starts the run
+        from scratch; a torn tail keeps the valid prefix.
 
         The valid prefix is rewritten before appending — atomically, via a
         temp file and ``os.replace`` — so the on-disk file is always
         ``header + complete batch lines``, and a kill during the rewrite
         itself cannot lose batches that were already paid for.
         """
-        path = self.shard_path(shard_id)
-        completed = self._load_valid_prefix(path, header)
+        path = self.path(run_key)
+        completed = self.completed_batches(run_key, header)
         self.directory.mkdir(parents=True, exist_ok=True)
         scratch = path.with_suffix(".jsonl.tmp")
         with scratch.open("w", encoding="utf-8") as handle:
@@ -240,23 +198,14 @@ class CheckpointStore:
                 handle.write(json.dumps(record.to_dict()) + "\n")
             handle.flush()
         os.replace(scratch, path)
-        return completed, ShardWriter(path, path.open("a", encoding="utf-8"), self)
+        return completed, CheckpointWriter(path.open("a", encoding="utf-8"), self)
 
     def completed_batches(
-        self, shard_id: int, header: ShardHeader
+        self, run_key: str, header: RunHeader
     ) -> dict[int, BatchRecord]:
-        """Read-only view of the valid persisted batches for one shard."""
-        return self._load_valid_prefix(self.shard_path(shard_id), header)
-
-    def _load_valid_prefix(
-        self, path: Path, header: ShardHeader
-    ) -> dict[int, BatchRecord]:
-        if not path.exists():
-            return {}
-        completed: dict[int, BatchRecord] = {}
+        """Read-only view of the valid persisted batches of one run."""
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+            lines = self.path(run_key).read_text(encoding="utf-8").splitlines()
         except OSError:
             return {}
         if not lines:
@@ -267,6 +216,7 @@ class CheckpointStore:
             return {}
         if not isinstance(first, dict) or not header.matches(first):
             return {}
+        completed: dict[int, BatchRecord] = {}
         for line in lines[1:]:
             if not line.strip():
                 continue

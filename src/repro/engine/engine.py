@@ -1,53 +1,48 @@
-"""The sharded, checkpointable run engine.
+"""The checkpointable run engine: the one runner behind ``BatchER.run``.
 
-``BatchER.run`` executes a whole benchmark run as one monolithic in-memory
-pass: a crash loses everything and a single worker carries every LLM call.
-:class:`RunEngine` splits the same run into independently executable,
-individually checkpointed *shards* without changing a single byte of the
-result:
+A run is one :class:`~repro.pipeline.pipeline.Pipeline` of the seven stock
+stage names.  The stock ``Featurize`` → ``BatchQuestions`` →
+``SelectDemonstrations`` → ``RenderPrompts`` stages fix every batch prompt
+without an LLM call; the engine's own ``inference`` stage
+(:class:`CheckpointedInference`) answers them; the stock ``ParseAnswers`` and
+``Evaluate`` stages turn the responses into a :class:`RunResult`.
 
-1. **Plan** — run the deterministic pipeline prefix (``Featurize`` →
-   ``BatchQuestions`` → ``SelectDemonstrations`` → ``RenderPrompts``) once on
-   the full question set.  No LLM is called; batching, demonstration
-   selection (and hence labeling cost) and every rendered prompt are fixed
-   here, identical to the unsharded run.
-2. **Shard** — assign whole batches to shards with a deterministic
-   :class:`~repro.engine.sharding.ShardPlanner`.  Batches are the LLM-call
-   unit, so moving them between workers cannot change any response.
-3. **Execute** — run each shard's batches through per-shard
-   :meth:`~repro.pipeline.context.PipelineContext.shard_view` contexts
-   (sharing the plan's feature store), serially or on a bounded
-   :class:`~repro.llm.executors.ConcurrentExecutor`.  After every batch (=
-   one LLM call) the parsed resolutions and token usage are appended to the
-   shard's JSONL checkpoint, so a killed run resumes with zero repeated
-   calls.
-4. **Merge** — :class:`~repro.engine.merger.ShardMerger` reassembles the
-   records and runs the stock ``Evaluate`` stage, producing a
-   :class:`RunResult` byte-identical to the unsharded path for a fixed seed.
+The batch — one prompt, one paid LLM call — is the unit of dispatch and of
+checkpointing.  Pending batches are dispatched one call each on the
+configured executor, whose worker bound is therefore the number of in-flight
+calls, and once a failed call has been recorded no further call starts.
+With a checkpoint store, every answered batch is appended to the run's
+checkpoint file, so a killed run resumes by replaying the recorded responses
+with zero repeated LLM calls.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import threading
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from repro.batching.base import QuestionBatch
 from repro.core.config import BatcherConfig
 from repro.core.result import RunResult
 from repro.data.fingerprint import pair_fingerprint
 from repro.data.schema import Dataset
-from repro.engine.checkpoint import BatchRecord, CheckpointStore, QuestionRecord, ShardHeader
-from repro.engine.merger import ShardMerger
-from repro.engine.sharding import Shard, ShardPlanner
-from repro.llm.base import LLMClient
+from repro.engine.checkpoint import BatchRecord, CheckpointStore, RunHeader
+from repro.llm.base import LLMClient, LLMResponse, UsageTracker
 from repro.llm.executors import ExecutionBackend, SerialExecutor
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.pipeline import Pipeline, StageHook
-from repro.pipeline.stages import Inference, ParseAnswers, RenderPrompts
+from repro.pipeline.stages import (
+    DEFAULT_STAGES,
+    BatchQuestions,
+    Inference,
+    PipelineStage,
+    RenderPrompts,
+)
 from repro.resilience.breaker import CircuitOpenError
 
 
@@ -62,19 +57,43 @@ def config_fingerprint(config: BatcherConfig) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
+def _run_key(context: PipelineContext) -> str:
+    """Checkpoint file name of one (dataset, configuration) run."""
+    return f"{context.dataset_name}-{config_fingerprint(context.config)[:12]}"
+
+
+def batch_fingerprint(batch: QuestionBatch) -> str:
+    """Canonical content fingerprint of one question batch.
+
+    Hashes the (global index, pair fingerprint) sequence of the batch's
+    questions, so it identifies both *which* pairs the batch contains and
+    *where* they sit in the run's question order — exactly the facts a
+    checkpointed response depends on.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for index, pair in zip(batch.indices, batch.pairs):
+        digest.update(f"{index}:".encode("ascii"))
+        digest.update(pair_fingerprint(pair).encode("ascii"))
+    return digest.hexdigest()
+
+
+def _plan_fingerprint(fingerprints: Sequence[str]) -> str:
+    """Content fingerprint of a whole batch plan (batch fingerprints in order)."""
+    return hashlib.blake2b(
+        "\n".join(fingerprints).encode("ascii"), digest_size=16
+    ).hexdigest()
+
+
 @dataclass(frozen=True)
 class EngineReport:
     """Counters describing how the last engine run was executed.
 
     Attributes:
-        num_shards: shards in the plan (empty shards included).
-        strategy: shard assignment strategy used.
         num_batches: total batches (= total LLM calls a fresh run makes).
         batches_executed: batches answered live in this run.
         batches_resumed: batches replayed from checkpoints (zero LLM calls).
-        llm_calls: LLM calls recorded on the merged result (live + resumed).
+        llm_calls: LLM calls accounted on the result (live + resumed).
         llm_calls_saved: calls the resume avoided re-paying.
-        shard_sizes: batches per shard, in shard-id order.
         checkpointed: whether a checkpoint store persisted this run.
         paused: the run stopped on an open circuit breaker
             (:class:`~repro.resilience.CircuitOpenError`) after persisting
@@ -82,61 +101,140 @@ class EngineReport:
             the backend recovers; the resume repeats zero LLM calls.
     """
 
-    num_shards: int
-    strategy: str
     num_batches: int
     batches_executed: int
     batches_resumed: int
     llm_calls: int
     llm_calls_saved: int
-    shard_sizes: tuple[int, ...]
     checkpointed: bool
     paused: bool = False
 
     def to_dict(self) -> dict[str, object]:
         """Return a plain-dict snapshot (JSON-serializable, for benchmarks)."""
-        return {
-            "num_shards": self.num_shards,
-            "strategy": self.strategy,
-            "num_batches": self.num_batches,
-            "batches_executed": self.batches_executed,
-            "batches_resumed": self.batches_resumed,
-            "llm_calls": self.llm_calls,
-            "llm_calls_saved": self.llm_calls_saved,
-            "shard_sizes": list(self.shard_sizes),
-            "checkpointed": self.checkpointed,
-            "paused": self.paused,
-        }
+        return asdict(self)
+
+
+class CheckpointedInference(PipelineStage):
+    """The engine's ``inference`` stage: one call per batch, resumable.
+
+    Replays the responses checkpointed for this run, dispatches every pending
+    batch prompt through ``context.llm`` on the executor (a recorded failure
+    stops further calls from starting; in-flight ones settle and are
+    persisted),
+    appends each answer to the checkpoint file, and attaches the usage summed
+    over live and replayed responses to ``context.cost``.  Without a store it
+    computes no fingerprints and writes nothing.
+
+    Args:
+        executor: backend bounding in-flight LLM calls (``None`` = serial).
+        store: checkpoint store, or ``None`` for an unpersisted run.
+    """
+
+    name = Inference.name
+
+    def __init__(
+        self,
+        executor: ExecutionBackend | None = None,
+        store: CheckpointStore | None = None,
+    ) -> None:
+        self.executor = executor
+        self.store = store
+        #: Counters of the last run of this stage (``None`` before the first).
+        self.report: EngineReport | None = None
+
+    def run(self, context: PipelineContext) -> None:
+        batches = context.require("batches", BatchQuestions.name)
+        prompts = context.require("prompts", RenderPrompts.name)
+        responses: list[LLMResponse | None] = [None] * len(prompts)
+        fingerprints: list[str] = []
+        writer = None
+        if self.store is not None:
+            fingerprints = [batch_fingerprint(batch) for batch in batches]
+            header = RunHeader(
+                dataset=context.dataset_name,
+                config_fingerprint=config_fingerprint(context.config),
+                batches_fingerprint=_plan_fingerprint(fingerprints),
+                num_batches=len(batches),
+                model=context.config.model,
+            )
+            completed, writer = self.store.open(_run_key(context), header)
+            for batch_id, record in completed.items():
+                if not (
+                    0 <= batch_id < len(batches)
+                    and record.fingerprint == fingerprints[batch_id]
+                ):
+                    writer.close()
+                    raise ValueError(
+                        f"checkpointed batch {batch_id} does not match the "
+                        "planned batch's fingerprint"
+                    )
+                responses[batch_id] = record.response()
+        pending = [batch_id for batch_id, seen in enumerate(responses) if seen is None]
+        resumed = len(responses) - len(pending)
+        failed = threading.Event()
+        append_lock = threading.Lock()
+
+        def answer(batch_id: int) -> None:
+            if failed.is_set():
+                return
+            try:
+                response = context.llm.complete(prompts[batch_id].text)
+                if writer is not None:
+                    record = BatchRecord.from_response(
+                        batch_id, fingerprints[batch_id], response
+                    )
+                    with append_lock:
+                        writer.append(record)
+            except Exception:
+                failed.set()
+                raise
+            responses[batch_id] = response
+
+        try:
+            outcomes = (self.executor or SerialExecutor()).map_settled(answer, pending)
+        finally:
+            if writer is not None:
+                writer.close()
+        errors = [error for _, error in outcomes if error is not None]
+        executed = sum(responses[batch_id] is not None for batch_id in pending)
+        self.report = EngineReport(
+            num_batches=len(batches),
+            batches_executed=executed,
+            batches_resumed=resumed,
+            llm_calls=executed + resumed,
+            llm_calls_saved=resumed,
+            checkpointed=self.store is not None,
+            paused=any(isinstance(error, CircuitOpenError) for error in errors),
+        )
+        if errors:
+            raise errors[0]
+        usage = UsageTracker()
+        for response in responses:
+            usage.add_totals(1, response.prompt_tokens, response.completion_tokens)
+        context.cost.attach_usage(usage)
+        context.responses = responses
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"CheckpointedInference(executor={self.executor!r}, store={self.store!r})"
 
 
 class RunEngine:
-    """Sharded, checkpointable executor for benchmark runs.
+    """Checkpointable executor of benchmark runs.
 
     Args:
         config: the design-space point to run.
-        llm: optional pre-built LLM client shared by every shard (the client
-            contract — generation a pure function of the prompt text, usage
-            tracking thread-safe — is what keeps shard placement invisible in
-            the results).  By default one is created from the config.
-        executor: optional backend dispatching whole *shards* concurrently;
-            its worker bound is the number of in-flight shards.  ``None``
-            executes shards serially.
-        num_shards: how many shards to split the run into.
-        shard_strategy: batch→shard assignment
-            (:data:`~repro.engine.sharding.SHARD_STRATEGIES`).
-        checkpoint_dir: root directory for crash-safe per-shard checkpoints;
-            runs are namespaced under it by dataset + config fingerprint, so
-            one directory serves many configurations.  ``None`` disables
-            checkpointing (the run still shards, but cannot resume).
+        llm: optional pre-built LLM client; by default one is created from
+            the config.
+        executor: backend dispatching the batch prompts; its worker bound is
+            the number of in-flight LLM calls.  ``None`` dispatches serially.
+        checkpoint_dir: directory of crash-safe per-run checkpoint files;
+            each run's file is named by dataset + config fingerprint, so one
+            directory serves many configurations.  ``None`` disables
+            checkpointing (the run cannot resume).
         checkpoint_store: pre-built store (overrides ``checkpoint_dir``);
             fault-injection tests pass a crashing store here.
-        hooks: pipeline telemetry hooks applied to the planning stages.
-        tracer: optional span producer; ``execute`` opens an
-            ``engine:execute`` root with one ``engine:shard`` child per
-            non-empty shard (crossing the shard executor's thread boundary).
-        metrics: optional registry recording shard progress
-            (``repro_shard_batches_total{mode=executed|resumed}`` and
-            ``repro_shards_completed_total``).
+        hooks: pipeline telemetry hooks, notified around all seven stages.
+        tracer: span producer the run's ``stage:*`` spans are recorded into.
     """
 
     def __init__(
@@ -144,236 +242,58 @@ class RunEngine:
         config: BatcherConfig | None = None,
         llm: LLMClient | None = None,
         executor: ExecutionBackend | None = None,
-        num_shards: int = 1,
-        shard_strategy: str = "fingerprint",
         checkpoint_dir: str | Path | None = None,
         checkpoint_store: CheckpointStore | None = None,
         hooks: Iterable[StageHook] = (),
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.config = config or BatcherConfig()
         self._llm = llm
-        self._executor = executor
-        self.planner = ShardPlanner(num_shards, strategy=shard_strategy)
         if checkpoint_store is None and checkpoint_dir is not None:
             checkpoint_store = CheckpointStore(checkpoint_dir)
-        self._store = checkpoint_store
-        self._hooks = tuple(hooks)
+        self._inference = CheckpointedInference(executor, checkpoint_store)
+        self.pipeline = Pipeline(
+            [
+                self._inference if stage is Inference else stage()
+                for stage in DEFAULT_STAGES
+            ],
+            hooks=hooks,
+        )
         self._tracer = tracer or NOOP_TRACER
-        self._metric_batches = self._metric_shards = None
-        if metrics is not None:
-            self._metric_batches = metrics.counter(
-                "repro_shard_batches_total",
-                "Batches completed by the run engine, by execution mode.",
-                labels=("mode",),
-            )
-            self._metric_shards = metrics.counter(
-                "repro_shards_completed_total", "Shards fully executed or replayed."
-            )
-        self.last_report: EngineReport | None = None
-
-    @property
-    def num_shards(self) -> int:
-        """Number of shards the engine splits runs into."""
-        return self.planner.num_shards
 
     @property
     def checkpoint_store(self) -> CheckpointStore | None:
-        """The root checkpoint store (``None`` when checkpointing is off)."""
-        return self._store
+        """The checkpoint store (``None`` when checkpointing is off)."""
+        return self._inference.store
 
-    # -- phases ---------------------------------------------------------------
+    @property
+    def last_report(self) -> EngineReport | None:
+        """Counters of the last inference stage run (partial after a failure)."""
+        return self._inference.report
 
     def plan(self, dataset: Dataset) -> PipelineContext:
-        """Run the deterministic planning prefix (no LLM calls) on ``dataset``."""
+        """Build the run's context and run the stages up to ``render-prompts``.
+
+        No LLM call is made: batching, demonstration selection (and its
+        labeling cost) and every prompt are fixed here.
+        """
         context = PipelineContext.from_dataset(dataset, self.config, llm=self._llm)
         context.tracer = self._tracer
-        with self._tracer.span("engine:plan"):
-            Pipeline.default(hooks=self._hooks).run_until(context, RenderPrompts.name)
-        return context
+        return self.pipeline.run_until(context, RenderPrompts.name)
 
     def run(self, dataset: Dataset) -> RunResult:
-        """Execute (or resume) a full sharded run and return the evaluated result."""
+        """Execute (or resume) a full run and return the evaluated result."""
         return self.execute(self.plan(dataset))
 
     def execute(self, context: PipelineContext) -> RunResult:
-        """Execute the sharded inference phase over a planned context.
+        """Run the stages ``context`` has not completed yet; return the result.
 
-        Shards that already have valid checkpoints are replayed without
-        touching the LLM; everything else is answered live and checkpointed
-        batch by batch.  When any shard fails, the completed work of *every*
-        shard is persisted first, then the first failure (lowest shard id)
-        is re-raised — a subsequent call resumes from exactly where the
-        failure struck.
-
-        An open circuit breaker is the planned instance of that contract: a
-        :class:`~repro.resilience.CircuitOpenError` surfacing from a shard is
-        a *checkpoint-then-pause*, not a loss.  Every batch completed before
-        the breaker tripped is already on disk, ``last_report`` is populated
-        with the partial progress (``paused=True``), and calling ``execute``
-        again after the backend recovers resumes with zero repeated LLM
-        calls.
-
-        Raises:
-            ValueError: when the context has not been planned (no prompts).
-            Exception: the first shard failure, re-raised after all in-flight
-                shards settle.
+        A failure in the inference stage — an open circuit breaker included —
+        leaves every completed batch checkpointed and ``last_report`` set
+        (``paused=True`` for a :class:`~repro.resilience.CircuitOpenError`).
+        Calling ``execute`` again with the same context skips the completed
+        stages and, with a checkpoint store, repeats zero LLM calls.
         """
-        batches = context.require("batches", "batch-questions")
-        prompts = context.require("prompts", RenderPrompts.name)
-        plan = self.planner.plan(batches)
-        store = (
-            self._store.for_run(self._run_key(context))
-            if self._store is not None
-            else None
-        )
-        backend = self._executor or SerialExecutor()
-        with self._tracer.span("engine:execute") as scope:
-            if self._tracer.enabled:
-                scope.set_attribute("shards", plan.num_shards)
-                scope.set_attribute("batches", plan.num_batches)
-            outcomes = backend.map_settled(
-                lambda shard: self._execute_shard(shard, context, store), plan.shards
-            )
-        errors = [error for _, error in outcomes if error is not None]
-        if errors:
-            # All shards have settled and every completed batch is already
-            # checkpointed; record the partial progress before re-raising so
-            # a breaker pause is observable (counters from shards that
-            # failed mid-way reappear as resumed batches on the next run).
-            settled = [outcome for outcome, error in outcomes if error is None]
-            executed = sum(shard_executed for _, shard_executed, _ in settled)
-            resumed = sum(shard_resumed for _, _, shard_resumed in settled)
-            calls = sum(
-                record.num_calls
-                for shard_records, _, _ in settled
-                for record in shard_records.values()
-            )
-            self.last_report = EngineReport(
-                num_shards=plan.num_shards,
-                strategy=plan.strategy,
-                num_batches=plan.num_batches,
-                batches_executed=executed,
-                batches_resumed=resumed,
-                llm_calls=calls,
-                llm_calls_saved=calls - executed,
-                shard_sizes=plan.shard_sizes(),
-                checkpointed=store is not None,
-                paused=any(isinstance(error, CircuitOpenError) for error in errors),
-            )
-            raise errors[0]
-
-        records: dict[int, BatchRecord] = {}
-        executed = resumed = 0
-        for shard_records, shard_executed, shard_resumed in (
-            outcome for outcome, _ in outcomes
-        ):
-            records.update(shard_records)
-            executed += shard_executed
-            resumed += shard_resumed
-        calls = sum(record.num_calls for record in records.values())
-        self.last_report = EngineReport(
-            num_shards=plan.num_shards,
-            strategy=plan.strategy,
-            num_batches=plan.num_batches,
-            batches_executed=executed,
-            batches_resumed=resumed,
-            llm_calls=calls,
-            llm_calls_saved=calls - executed,
-            shard_sizes=plan.shard_sizes(),
-            checkpointed=store is not None,
-        )
-        return ShardMerger().merge(context, records)
-
-    # -- internals ------------------------------------------------------------
-
-    def _run_key(self, context: PipelineContext) -> str:
-        """Checkpoint namespace of one (dataset, configuration) run."""
-        return f"{context.dataset_name}-{config_fingerprint(context.config)[:12]}"
-
-    def _execute_shard(
-        self,
-        shard: Shard,
-        context: PipelineContext,
-        store: CheckpointStore | None,
-    ) -> tuple[dict[int, BatchRecord], int, int]:
-        """Execute one shard, returning ``(records, executed, resumed)``.
-
-        Batches with a valid checkpoint are replayed; pending batches run
-        one at a time through a single-batch
-        :meth:`~repro.pipeline.context.PipelineContext.shard_view` (sharing
-        the plan's feature store) and are checkpointed immediately after
-        their LLM call is parsed — the granularity that bounds crash loss to
-        one in-flight call.
-        """
-        if shard.is_empty:
-            return {}, 0, 0
-        with context.tracer.span("engine:shard") as scope:
-            if context.tracer.enabled:
-                scope.set_attribute("shard_id", shard.shard_id)
-                scope.set_attribute("batches", len(shard))
-            result = self._run_shard_batches(shard, context, store)
-            if context.tracer.enabled:
-                scope.set_attribute("resumed", result[2])
-        if self._metric_batches is not None:
-            self._metric_batches.inc(result[1], mode="executed")
-            self._metric_batches.inc(result[2], mode="resumed")
-            self._metric_shards.inc()
-        return result
-
-    def _run_shard_batches(
-        self,
-        shard: Shard,
-        context: PipelineContext,
-        store: CheckpointStore | None,
-    ) -> tuple[dict[int, BatchRecord], int, int]:
-        batches = context.batches or []
-        prompts = context.prompts or []
-        header = ShardHeader(
-            dataset=context.dataset_name,
-            config_fingerprint=config_fingerprint(context.config),
-            shard_fingerprint=shard.fingerprint,
-            num_batches=len(shard),
-            model=context.config.model,
-        )
-        if store is not None:
-            completed, writer = store.open_shard(shard.shard_id, header)
-        else:
-            completed, writer = {}, None
-        resumed = len(completed)
-        executed = 0
-        try:
-            for batch_id in shard.batch_ids:
-                if batch_id in completed:
-                    continue
-                batch = batches[batch_id]
-                view = context.shard_view([batch], [prompts[batch_id]])
-                Inference().run(view)
-                ParseAnswers().run(view)
-                response = (view.responses or [None])[0]
-                assert response is not None and view.predictions is not None
-                questions = tuple(
-                    QuestionRecord(
-                        index=global_index,
-                        fingerprint=pair_fingerprint(batch.pairs[position]),
-                        label=view.predictions[position],
-                        answered=(view.answers or ())[position] is not None,
-                    )
-                    for position, global_index in enumerate(batch.indices)
-                )
-                record = BatchRecord(
-                    batch_id=batch_id,
-                    num_calls=1,
-                    prompt_tokens=response.prompt_tokens,
-                    completion_tokens=response.completion_tokens,
-                    questions=questions,
-                )
-                if writer is not None:
-                    writer.append(record)
-                completed[batch_id] = record
-                executed += 1
-        finally:
-            if writer is not None:
-                writer.close()
-        return completed, executed, resumed
+        self.pipeline.run(context)
+        assert context.result is not None  # produced by the Evaluate stage
+        return context.result

@@ -15,10 +15,10 @@ at the k-th operation:
   by then the LLM call *has* been paid for but not yet persisted.  Resume
   must re-execute (and re-pay) at most that one torn batch.
 
-Both wrappers are thread-safe, so they also exercise concurrent shard
-execution; with more than one in-flight shard, *which* logical call hits the
-crash point depends on scheduling, but the *count* of successful operations
-before the fault is always exact.
+Both wrappers are thread-safe, so they also exercise concurrent dispatch;
+with more than one call in flight, *which* batch hits the crash point depends
+on scheduling, but the *count* of successful operations before the fault is
+always exact.
 """
 
 from __future__ import annotations
@@ -86,9 +86,7 @@ class CrashingStore(CheckpointStore):
         directory: as :class:`CheckpointStore`.
         fail_at_append: 1-based ordinal of the append that raises (``0``
             disables the fault).  Like :class:`CrashingLLM`, exactly one
-            append fails; the count is global across shards and survives
-            :meth:`CheckpointStore.for_run` namespacing (child stores share
-            the parent's counter).
+            append fails; the ordinal keeps counting across runs.
     """
 
     def __init__(self, directory, fail_at_append: int = 0) -> None:
@@ -97,27 +95,12 @@ class CrashingStore(CheckpointStore):
             raise ValueError(f"fail_at_append must be >= 0, got {fail_at_append}")
         self.fail_at_append = fail_at_append
         self._lock = threading.Lock()
-        self._appends = 0
-        self._faults = 0
-        self._parent: CrashingStore | None = None
-
-    def for_run(self, run_key: str) -> "CrashingStore":
-        child = CrashingStore(self.directory / run_key, self.fail_at_append)
-        child._parent = self
-        return child
-
-    @property
-    def appends(self) -> int:
-        """Append attempts so far (successful or faulted)."""
-        root = self._parent if self._parent is not None else self
-        return root._appends
+        self.appends = 0
 
     def _before_append(self, record: BatchRecord) -> None:
-        root = self._parent if self._parent is not None else self
-        with root._lock:
-            root._appends += 1
-            if root._appends == root.fail_at_append:
-                root._faults += 1
+        with self._lock:
+            self.appends += 1
+            if self.appends == self.fail_at_append:
                 raise InjectedFault(
-                    f"injected checkpoint fault at append {root.fail_at_append}"
+                    f"injected checkpoint fault at append {self.fail_at_append}"
                 )

@@ -6,10 +6,9 @@ prints them as markdown (this is how EXPERIMENTS.md is produced).  Use the
 control the dataset scale; ``REPRO_EXP_SCALE=1.0 REPRO_EXP_MAX_QUESTIONS=none``
 reproduces the paper-scale runs (slow).  ``REPRO_EXP_JOBS`` (or ``--jobs``)
 dispatches each run's independent batch prompts concurrently — results are
-identical, only wall-clock changes.  ``--shards N`` executes each framework
-run through the sharded run engine (byte-identical results), and ``--resume
-DIR`` checkpoints every run under ``DIR`` so a killed report re-invoked with
-the same flag resumes with zero repeated LLM calls.
+identical, only wall-clock changes.  ``--resume DIR`` checkpoints every
+framework run under ``DIR`` so a killed report re-invoked with the same flag
+resumes with zero repeated LLM calls.
 """
 
 from __future__ import annotations
@@ -84,11 +83,6 @@ def main(argv: list[str] | None = None) -> int:
         help="concurrent LLM calls per run (results are identical; only faster)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="shards per framework run (results are identical; with --jobs > 1 "
-        "the shards execute concurrently)",
-    )
-    parser.add_argument(
         "--resume", metavar="DIR", default=None,
         help="checkpoint root for framework runs; a report killed mid-run and "
         "re-invoked with the same --resume DIR continues with zero repeated "
@@ -111,8 +105,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["datasets"] = tuple(name.lower() for name in args.datasets)
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
-    if args.shards is not None:
-        overrides["shards"] = args.shards
     if args.resume is not None:
         overrides["checkpoint_dir"] = args.resume
     if args.engine is not None:

@@ -13,10 +13,8 @@ Environment overrides (picked up by :meth:`ExperimentSettings.from_env`):
 * ``REPRO_EXP_MAX_QUESTIONS`` — per-dataset cap on evaluated test questions.
 * ``REPRO_EXP_DATASETS`` — comma-separated dataset codes.
 * ``REPRO_EXP_JOBS`` — concurrent LLM calls per run (default 1 = serial).
-* ``REPRO_EXP_SHARDS`` — shards per framework run (default 1; with ``jobs``
-  > 1, shards execute concurrently).  Results are identical regardless.
-* ``REPRO_EXP_CHECKPOINT_DIR`` — per-shard checkpoint root; re-running after
-  a kill resumes with zero repeated LLM calls.
+* ``REPRO_EXP_CHECKPOINT_DIR`` — checkpoint directory of framework runs;
+  re-running after a kill resumes with zero repeated LLM calls.
 * ``REPRO_EXP_ENGINE`` — LLM engine backend (default ``simulated``; real
   backends like ``openai`` require the provider's API key in the
   environment — see the README's "Real LLM backends" section).
@@ -60,14 +58,10 @@ class ExperimentSettings:
         num_demonstrations: per-batch demonstration budget.
         jobs: concurrent LLM calls per run (1 = serial dispatch).  Results are
             identical regardless of this knob — it only changes wall-clock.
-        shards: shards per framework run (1 = the historical single-pass
-            path).  Sharded runs produce byte-identical results; with
-            ``jobs`` > 1 the shards execute concurrently.
-        checkpoint_dir: per-shard checkpoint root for framework runs
-            (``None`` disables persistence).  Experiment runs are namespaced
-            by dataset + configuration, so one directory serves the whole
-            report — re-running after a kill resumes with zero repeated LLM
-            calls.
+        checkpoint_dir: checkpoint directory of framework runs (``None``
+            disables persistence).  Each run's file is named by dataset +
+            configuration, so one directory serves the whole report —
+            re-running after a kill resumes with zero repeated LLM calls.
         engine: LLM engine backend (``"simulated"`` by default; one of
             :func:`repro.engines.available_engines`).
     """
@@ -82,7 +76,6 @@ class ExperimentSettings:
     batch_size: int = 8
     num_demonstrations: int = 8
     jobs: int = 1
-    shards: int = 1
     checkpoint_dir: str | None = None
     engine: str = "simulated"
 
@@ -98,7 +91,6 @@ class ExperimentSettings:
             or available_datasets()
         )
         jobs = int(os.environ.get("REPRO_EXP_JOBS", "1"))
-        shards = int(os.environ.get("REPRO_EXP_SHARDS", "1"))
         checkpoint_dir = os.environ.get("REPRO_EXP_CHECKPOINT_DIR") or None
         engine = os.environ.get("REPRO_EXP_ENGINE", "simulated").strip().lower()
         return cls(
@@ -106,7 +98,6 @@ class ExperimentSettings:
             scale=scale,
             max_questions=max_questions,
             jobs=jobs,
-            shards=shards,
             checkpoint_dir=checkpoint_dir,
             engine=engine,
         )
@@ -116,17 +107,8 @@ class ExperimentSettings:
         return create_executor(self.jobs)
 
     def run_kwargs(self) -> dict[str, object]:
-        """Keyword arguments for ``BatchER.run`` reflecting the scale-out knobs.
-
-        Empty when neither sharding nor checkpointing is requested, so callers
-        stay on the historical single-pass path by default.
-        """
-        kwargs: dict[str, object] = {}
-        if self.shards > 1:
-            kwargs["shards"] = self.shards
-        if self.checkpoint_dir is not None:
-            kwargs["checkpoint_dir"] = self.checkpoint_dir
-        return kwargs
+        """Keyword arguments for ``BatchER.run`` (the checkpoint directory)."""
+        return {"checkpoint_dir": self.checkpoint_dir}
 
     def effective_scale(self, name: str) -> float:
         """Scale actually used for ``name``: the configured scale, floored so the

@@ -88,10 +88,10 @@ class UsageTracker:
     ) -> None:
         """Record pre-aggregated usage (e.g. replayed from a run checkpoint).
 
-        The run engine accounts resumed shards from their persisted per-batch
-        usage rather than from live calls; folding those aggregates in through
-        the same tracker keeps cost reporting identical whether the tokens
-        were spent in this process or a crashed one.
+        The run engine accounts every batch from its response's usage, live
+        or replayed from a checkpoint; folding those in through the same
+        tracker keeps cost reporting identical whether the tokens were spent
+        in this process or a crashed one.
         """
         if min(num_calls, prompt_tokens, completion_tokens) < 0:
             raise ValueError("usage totals must be >= 0")

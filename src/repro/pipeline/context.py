@@ -225,57 +225,6 @@ class PipelineContext:
             prelabeled_pool_indices=prelabeled_pool_indices,
         )
 
-    def shard_view(
-        self,
-        batches: Sequence[QuestionBatch],
-        prompts: Sequence[Prompt],
-    ) -> "PipelineContext":
-        """Build a sub-context executing only ``batches`` of this run.
-
-        The run engine plans batching/selection/prompt-rendering once on the
-        full context, then executes disjoint batch subsets (shards) through
-        per-shard contexts produced here.  The view shares this context's
-        :class:`~repro.features.engine.FeatureStore`, LLM client and cost
-        tracker — only the questions, batches and prompts are narrowed, and
-        batch indices are remapped to the view's local question order so the
-        inference and parsing stages run on it unchanged.
-
-        Raises:
-            ValueError: if ``batches`` and ``prompts`` are not aligned.
-        """
-        if len(batches) != len(prompts):
-            raise ValueError(
-                f"shard view needs one prompt per batch, got {len(batches)} "
-                f"batches and {len(prompts)} prompts"
-            )
-        questions: list[EntityPair] = []
-        local_batches: list[QuestionBatch] = []
-        for batch in batches:
-            offset = len(questions)
-            questions.extend(batch.pairs)
-            local_batches.append(
-                QuestionBatch(
-                    batch_id=batch.batch_id,
-                    indices=tuple(range(offset, offset + len(batch))),
-                    pairs=batch.pairs,
-                )
-            )
-        return PipelineContext(
-            config=self.config,
-            questions=questions,
-            pool=self.pool,
-            attributes=self.attributes,
-            llm=self.llm,
-            cost=self.cost,
-            dataset_name=self.dataset_name,
-            method=self.method,
-            prelabeled_pool_indices=self.prelabeled_pool_indices,
-            feature_store=self.feature_store,
-            batches=local_batches,
-            prompts=list(prompts),
-            tracer=self.tracer,
-        )
-
     # -- stage plumbing -------------------------------------------------------
 
     def require(self, field_name: str, producer: str):

@@ -21,7 +21,7 @@ Layers:
 * :class:`ResolutionService` — the facade: cache lookup, in-flight
   deduplication, cost-aware admission (:class:`CostBudgetExceeded` once the
   session budget is spent), ``submit`` / ``resolve_many`` / ``stats``, and
-  the engine-backed ``resolve_bulk`` path that shards large submissions
+  the ``resolve_bulk`` path that shards large submissions
   deterministically past the micro-batch queue (counters under
   ``stats().engine``).
 * :mod:`repro.service.tenants` — multi-tenant admission: API keys

@@ -13,7 +13,7 @@ Endpoints:
   {...}}]}`` where ``left``/``right`` are flat attribute→value mappings;
   responds ``{"resolutions": [Resolution.to_dict(), ...]}``.
 * ``POST /bulk`` — same pair payload plus an optional ``"shards"`` integer;
-  resolves through the engine-backed bulk path
+  resolves through the bulk path
   (:meth:`ResolutionService.resolve_bulk`), which shards the submission
   deterministically past the micro-batch queue.
 * ``GET /stats`` — the service's :meth:`ServiceStats.to_dict` snapshot,

@@ -29,7 +29,6 @@ from typing import ContextManager, Iterable, Sequence
 
 from repro.cost.tracker import CostBreakdown
 from repro.data.schema import Dataset, EntityPair
-from repro.engine.sharding import ShardPlanner
 from repro.engines.base import Engine as EngineBackend
 from repro.engines.transport import Clock, RetryingTransport
 from repro.features.engine import FeatureStoreStats
@@ -73,7 +72,7 @@ DEFAULT_OVERLOAD_RETRY_CAP = 30.0
 
 @dataclass(frozen=True)
 class EngineStats:
-    """Counters of the service's engine-backed bulk path.
+    """Counters of the service's bulk path.
 
     Attributes:
         bulk_requests: calls to :meth:`ResolutionService.resolve_bulk`.
@@ -144,7 +143,7 @@ class ServiceStats:
         llm_calls: cumulative LLM calls of the underlying session.
         pool_size / num_labeled: demonstration-pool accounting of the session.
         cost: cumulative session :class:`CostBreakdown`.
-        engine: counters of the engine-backed bulk path
+        engine: counters of the bulk path
             (:meth:`ResolutionService.resolve_bulk`).
         llm_engine: operational snapshot of the session's LLM engine backend
             (name, model, capability flags, request/token counters and — for
@@ -223,6 +222,18 @@ class ServiceStats:
             "breaker": self.breaker,
             "tenants": self.tenants,
         }
+
+
+def _partition_by_fingerprint(fingerprints: Sequence[str], num_shards: int) -> list[list[int]]:
+    """Bucket positions of hex content ``fingerprints`` into ``num_shards`` lists.
+
+    A pair's shard is a pure function of its content, so a resubmitted pair
+    always lands in the same shard; within a shard, input order is kept.
+    """
+    shards: list[list[int]] = [[] for _ in range(num_shards)]
+    for index, fingerprint in enumerate(fingerprints):
+        shards[int(fingerprint[:16], 16) % num_shards].append(index)
+    return shards
 
 
 class ResolutionService:
@@ -866,13 +877,13 @@ class ResolutionService:
         timeout: float | None = 60.0,
         tenant: Tenant | None = None,
     ) -> list[Resolution]:
-        """Resolve a large pair set through the engine-backed bulk path.
+        """Resolve a large pair set through the bulk path.
 
         Bulk submissions bypass the micro-batch queue (which is shaped for
         latency, not throughput) and go straight to the shared session in
-        deterministic fingerprint-hashed shards — the same content-addressed
-        partitioning the :class:`~repro.engine.engine.RunEngine` uses.  No
-        shard may exceed ``batcher.batch_size ** 2`` pairs (the resolver's
+        deterministic content-addressed shards
+        (:func:`_partition_by_fingerprint`).  No shard may exceed
+        ``batcher.batch_size ** 2`` pairs (the resolver's
         own streaming chunk size), and the session lock is released between
         shards, so concurrent latency-path flushes interleave with a long
         bulk resolution instead of starving behind it.
@@ -949,7 +960,7 @@ class ResolutionService:
             chunk = self.config.batcher.batch_size**2
             floor = max(1, -(-len(unique) // chunk))
             num_shards = max(shards, floor) if shards is not None else floor
-            shard_indices = ShardPlanner(num_shards).plan_pairs(unique)
+            shard_indices = _partition_by_fingerprint(list(pending), num_shards)
             populated = [indices for indices in shard_indices if indices]
             for indices in populated:
                 # Re-checked per shard, not once per request: a single huge

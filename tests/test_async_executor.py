@@ -2,7 +2,7 @@
 
 The asyncio dispatch lane must be invisible in results: a framework run
 through :class:`AsyncExecutor` is byte-identical to the serial and
-thread-pool paths, at every shard count — and a flaky transport under
+thread-pool paths, with or without a checkpoint store — and a flaky transport under
 concurrent dispatch may change *when* requests are retried but never what
 they return or how much usage is recorded.
 """
@@ -107,18 +107,18 @@ class TestGoldenEquivalence:
     def fz_serial(self, fz_dataset):
         return BatchER(CONFIG, executor=SerialExecutor()).run(fz_dataset)
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_beer_async_equals_serial(self, beer_dataset, beer_serial, shards):
+    @pytest.mark.parametrize("checkpointed", [False, True], ids=["no-store", "store"])
+    def test_beer_async_equals_serial(self, beer_dataset, beer_serial, tmp_path, checkpointed):
         result = BatchER(CONFIG, executor=AsyncExecutor(max_in_flight=8)).run(
-            beer_dataset, shards=shards
+            beer_dataset, checkpoint_dir=tmp_path if checkpointed else None
         )
         assert result == beer_serial
         assert repr(result) == repr(beer_serial)
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_fz_async_equals_serial(self, fz_dataset, fz_serial, shards):
+    @pytest.mark.parametrize("checkpointed", [False, True], ids=["no-store", "store"])
+    def test_fz_async_equals_serial(self, fz_dataset, fz_serial, tmp_path, checkpointed):
         result = BatchER(CONFIG, executor=AsyncExecutor(max_in_flight=8)).run(
-            fz_dataset, shards=shards
+            fz_dataset, checkpoint_dir=tmp_path if checkpointed else None
         )
         assert result == fz_serial
         assert repr(result) == repr(fz_serial)

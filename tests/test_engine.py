@@ -1,127 +1,157 @@
-"""Tests for the sharded, checkpointable run engine.
+"""Tests for the checkpointable run engine behind ``BatchER.run``.
 
-Covers the three pillars of :mod:`repro.engine`:
+Covers the pillars of :mod:`repro.engine`:
 
-* **determinism** — shard plans are pure functions of their inputs;
-* **equivalence** — a sharded run (any shard count, any strategy, serial or
-  concurrent) produces a ``RunResult`` byte-identical to the unsharded
-  ``BatchER.run`` path, including degenerate plans (empty shards,
-  single-question runs);
+* **equivalence** — every run (serial, concurrent or async dispatch, with or
+  without a checkpoint store) produces a ``RunResult`` byte-identical to the
+  stock ``Pipeline.default`` oracle;
 * **crash safety** — for *every* possible crash point, a killed run resumed
-  from its checkpoints finishes with zero repeated LLM calls, asserted with
-  the deterministic fault-injection wrappers from :mod:`repro.engine.faults`.
+  from its checkpoint finishes with zero repeated LLM calls (an LLM crash)
+  or exactly one re-paid batch (a checkpoint-write crash), asserted with the
+  deterministic fault-injection wrappers from :mod:`repro.engine.faults`;
+* **dispatch** — the executor bounds in-flight calls on every run, and once
+  a failed call has been recorded no further call starts;
+* **telemetry** — hooks and spans see the seven stock stages exactly once.
 """
 
+import dataclasses
 import json
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.core.batcher import BatchER
 from repro.core.config import BatcherConfig
-from repro.data.schema import MatchLabel
 from repro.engine import (
     BatchRecord,
     CheckpointStore,
     CrashingStore,
     InjectedFault,
-    QuestionRecord,
     RunEngine,
-    ShardHeader,
-    ShardMerger,
-    ShardPlanner,
+    RunHeader,
     batch_fingerprint,
     config_fingerprint,
 )
-from repro.llm.executors import ConcurrentExecutor
-from repro.pipeline.stages import RenderPrompts
+from repro.llm.base import LLMClient
+from repro.llm.executors import AsyncExecutor, ConcurrentExecutor
+from repro.llm.registry import create_llm
+from repro.observability.tracing import Tracer
+from repro.pipeline import Pipeline, PipelineContext, StageHook
+from repro.pipeline.stages import DEFAULT_STAGES, RenderPrompts
 
 CONFIG = BatcherConfig(seed=3)
 SMALL_CONFIG = BatcherConfig(seed=3, max_questions=32)
+STAGE_NAMES = [stage.name for stage in DEFAULT_STAGES]
+
+#: Executor factories the crash, failure and telemetry tests run under.
+EXECUTORS = {
+    "serial": lambda: None,
+    "concurrent4": lambda: ConcurrentExecutor(4),
+    "async4": lambda: AsyncExecutor(4),
+}
+
+
+def _oracle(dataset, config):
+    """The stock pipeline (its own ``Inference`` stage), no engine involved."""
+    context = Pipeline.default().run(PipelineContext.from_dataset(dataset, config))
+    return context.result
 
 
 @pytest.fixture(scope="module")
-def beer_unsharded(beer_dataset):
-    return BatchER(CONFIG).run(beer_dataset)
+def beer_oracle(beer_dataset):
+    return _oracle(beer_dataset, CONFIG)
 
 
 @pytest.fixture(scope="module")
-def beer_small_unsharded(beer_dataset):
-    return BatchER(SMALL_CONFIG).run(beer_dataset)
+def beer_small_oracle(beer_dataset):
+    return _oracle(beer_dataset, SMALL_CONFIG)
 
 
 @pytest.fixture(scope="module")
-def fz_unsharded(fz_dataset):
-    return BatchER(CONFIG).run(fz_dataset)
+def fz_oracle(fz_dataset):
+    return _oracle(fz_dataset, CONFIG)
 
 
 @pytest.fixture(scope="module")
 def beer_planned(beer_dataset):
-    """A planned (prompt-rendered, not inferred) context for checkpoint tests."""
+    """A planned (prompt-rendered, not inferred) context."""
     return RunEngine(config=CONFIG).plan(beer_dataset)
 
 
-class TestShardPlanner:
-    def test_rejects_invalid_arguments(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            ShardPlanner(0)
-        with pytest.raises(ValueError, match="strategy"):
-            ShardPlanner(2, strategy="alphabetical")
+class _InnerLLM(LLMClient):
+    """Delegates to the client the pipeline would build for ``config``."""
 
-    @pytest.mark.parametrize("strategy", ["fingerprint", "round-robin"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 5, 64])
-    def test_plan_partitions_every_batch_exactly_once(
-        self, beer_planned, strategy, num_shards
-    ):
-        batches = beer_planned.batches
-        plan = ShardPlanner(num_shards, strategy=strategy).plan(batches)
-        assert plan.num_shards == num_shards
-        assigned = [batch_id for shard in plan.shards for batch_id in shard.batch_ids]
-        assert sorted(assigned) == [batch.batch_id for batch in batches]
+    def __init__(self, config) -> None:
+        inner = create_llm(config.model, seed=config.seed, temperature=config.temperature)
+        super().__init__(model_name=inner.model_name, tokenizer=inner.tokenizer)
+        self.inner = inner
+        self._lock = threading.Lock()
 
-    def test_plan_is_deterministic(self, beer_planned):
-        batches = beer_planned.batches
-        first = ShardPlanner(4).plan(batches)
-        second = ShardPlanner(4).plan(batches)
-        assert first == second
 
-    def test_more_shards_than_batches_yields_empty_shards(self, beer_planned):
-        batches = beer_planned.batches
-        plan = ShardPlanner(len(batches) * 3).plan(batches)
-        assert plan.num_batches == len(batches)
-        assert any(shard.is_empty for shard in plan.shards)
+class FailingLLM(_InnerLLM):
+    """Fails completion attempt ``fail_at`` and, while ``down``, every later one.
 
-    def test_round_robin_balances_by_position(self, beer_planned):
-        batches = beer_planned.batches
-        plan = ShardPlanner(3, strategy="round-robin").plan(batches)
-        for shard in plan.shards:
-            assert all(batch_id % 3 == shard.shard_id for batch_id in shard.batch_ids)
+    Every attempt first sleeps a few milliseconds, so a successful call cannot
+    finish inside the moment between a fault being raised and the engine
+    recording it; the calls that follow a fault are those already in flight.
+    """
 
-    def test_fingerprint_assignment_is_content_addressed(self, beer_planned):
-        batches = list(beer_planned.batches)
-        plan = ShardPlanner(4).plan(batches)
-        replanned = ShardPlanner(4).plan(list(reversed(batches)))
-        # Same batches, different planning order: identical assignment.
-        assert plan.shards == replanned.shards
+    def __init__(self, config, fail_at: int, down: bool) -> None:
+        super().__init__(config)
+        self.fail_at = fail_at
+        self.down = down
+        self.attempts = 0
 
-    def test_plan_pairs_partitions_and_preserves_order(self, beer_questions):
-        shard_indices = ShardPlanner(4).plan_pairs(beer_questions)
-        flat = sorted(index for indices in shard_indices for index in indices)
-        assert flat == list(range(len(beer_questions)))
-        for indices in shard_indices:
-            assert indices == sorted(indices)
+    def _generate(self, prompt_text: str) -> str:
+        with self._lock:
+            self.attempts += 1
+            attempt = self.attempts
+        time.sleep(0.005)
+        if attempt == self.fail_at or (self.down and attempt > self.fail_at):
+            raise InjectedFault(f"injected LLM fault at call {attempt}")
+        return self.inner._generate(prompt_text)
 
-    def test_batch_fingerprint_reflects_content_and_position(self, beer_planned):
-        batches = beer_planned.batches
-        assert batch_fingerprint(batches[0]) != batch_fingerprint(batches[1])
-        assert batch_fingerprint(batches[0]) == batch_fingerprint(batches[0])
+
+class PeakConcurrencyLLM(_InnerLLM):
+    """Records the peak number of concurrently running completions."""
+
+    def __init__(self, config, seconds: float = 0.005) -> None:
+        super().__init__(config)
+        self.seconds = seconds
+        self.running = 0
+        self.peak = 0
+
+    def _generate(self, prompt_text: str) -> str:
+        with self._lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        try:
+            time.sleep(self.seconds)
+            return self.inner._generate(prompt_text)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+class RecordingHook(StageHook):
+    def __init__(self) -> None:
+        self.events: list[tuple[str, str]] = []
+
+    def on_stage_start(self, stage, context) -> None:
+        self.events.append(("start", stage.name))
+
+    def on_stage_end(self, stage, context, seconds) -> None:
+        self.events.append(("end", stage.name))
 
 
 class TestCheckpointStore:
-    def _header(self, num_batches=2):
-        return ShardHeader(
+    def _header(self, num_batches=2, config="cfg"):
+        return RunHeader(
             dataset="Beer",
-            config_fingerprint="cfg",
-            shard_fingerprint="shard",
+            config_fingerprint=config,
+            batches_fingerprint="plan",
             num_batches=num_batches,
             model="gpt-3.5-03",
         )
@@ -129,58 +159,63 @@ class TestCheckpointStore:
     def _record(self, batch_id):
         return BatchRecord(
             batch_id=batch_id,
-            num_calls=1,
+            fingerprint=f"fp-{batch_id}",
+            text=f"Question {batch_id + 1}: Yes",
+            model="gpt-3.5-03",
             prompt_tokens=100 + batch_id,
             completion_tokens=10,
-            questions=(
-                QuestionRecord(
-                    index=batch_id * 2,
-                    fingerprint=f"fp-{batch_id}",
-                    label=MatchLabel.MATCH,
-                    answered=True,
-                ),
-            ),
         )
 
     def test_round_trip(self, checkpoint_dir):
         store = CheckpointStore(checkpoint_dir)
         header = self._header()
-        completed, writer = store.open_shard(0, header)
+        completed, writer = store.open("run", header)
         assert completed == {}
         with writer:
             writer.append(self._record(0))
             writer.append(self._record(1))
-        reloaded = store.completed_batches(0, header)
+        reloaded = store.completed_batches("run", header)
         assert set(reloaded) == {0, 1}
         assert reloaded[1] == self._record(1)
+        assert reloaded[1].response().text == "Question 2: Yes"
+        assert list(checkpoint_dir.iterdir()) == [store.path("run")]
 
     def test_header_mismatch_discards_the_file(self, checkpoint_dir):
         store = CheckpointStore(checkpoint_dir)
-        _, writer = store.open_shard(0, self._header())
+        _, writer = store.open("run", self._header())
         with writer:
             writer.append(self._record(0))
-        other = ShardHeader(
-            dataset="Beer",
-            config_fingerprint="DIFFERENT",
-            shard_fingerprint="shard",
-            num_batches=2,
-            model="gpt-3.5-03",
+        assert store.completed_batches("run", self._header(config="OTHER")) == {}
+
+    def test_version_1_file_is_stale_and_rewritten(self, checkpoint_dir):
+        store = CheckpointStore(checkpoint_dir)
+        header = self._header()
+        old_header = {**header.to_dict(), "version": 1}
+        store.path("run").write_text(
+            json.dumps(old_header) + "\n"
+            + json.dumps(self._record(0).to_dict()) + "\n"
         )
-        assert store.completed_batches(0, other) == {}
+        assert store.completed_batches("run", header) == {}
+        completed, writer = store.open("run", header)
+        writer.close()
+        assert completed == {}
+        lines = [json.loads(line) for line in store.path("run").read_text().splitlines()]
+        assert lines == [header.to_dict()]
+        assert lines[0]["version"] == 2
 
     def test_torn_tail_keeps_the_valid_prefix(self, checkpoint_dir):
         store = CheckpointStore(checkpoint_dir)
         header = self._header()
-        _, writer = store.open_shard(0, header)
+        _, writer = store.open("run", header)
         with writer:
             writer.append(self._record(0))
             writer.append(self._record(1))
-        path = store.shard_path(0)
+        path = store.path("run")
         torn = path.read_text().rstrip("\n")[:-20]  # kill mid-write
         path.write_text(torn)
-        assert set(store.completed_batches(0, header)) == {0}
+        assert set(store.completed_batches("run", header)) == {0}
         # Re-opening rewrites the file back to header + valid prefix.
-        completed, writer = store.open_shard(0, header)
+        completed, writer = store.open("run", header)
         writer.close()
         assert set(completed) == {0}
         lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -189,70 +224,50 @@ class TestCheckpointStore:
 
     def test_missing_file_is_a_fresh_start(self, checkpoint_dir):
         store = CheckpointStore(checkpoint_dir)
-        assert store.completed_batches(7, self._header()) == {}
+        assert store.completed_batches("absent", self._header()) == {}
 
-    def test_for_run_namespaces_and_preserves_type(self, checkpoint_dir):
-        store = CrashingStore(checkpoint_dir, fail_at_append=0)
-        child = store.for_run("beer-abc")
-        assert isinstance(child, CrashingStore)
-        assert child.directory == checkpoint_dir / "beer-abc"
+    def test_batch_fingerprint_reflects_content_and_position(self, beer_planned):
+        batches = beer_planned.batches
+        assert batch_fingerprint(batches[0]) != batch_fingerprint(batches[1])
+        assert batch_fingerprint(batches[0]) == batch_fingerprint(batches[0])
 
 
 class TestGoldenEquivalence:
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_beer_sharded_runs_are_byte_identical(
-        self, beer_dataset, beer_unsharded, checkpoint_dir, shards
+    @pytest.mark.parametrize("checkpointed", [False, True], ids=["no-store", "store"])
+    @pytest.mark.parametrize(
+        "make_executor",
+        [lambda: None, lambda: ConcurrentExecutor(4), lambda: AsyncExecutor(8)],
+        ids=["serial", "concurrent4", "async8"],
+    )
+    def test_beer_runs_are_byte_identical(
+        self, beer_dataset, beer_oracle, checkpoint_dir, make_executor, checkpointed
     ):
-        result = BatchER(CONFIG).run(
-            beer_dataset, shards=shards, checkpoint_dir=checkpoint_dir
+        framework = BatchER(CONFIG, executor=make_executor())
+        result = framework.run(
+            beer_dataset, checkpoint_dir=checkpoint_dir if checkpointed else None
         )
-        assert result == beer_unsharded
-        assert repr(result) == repr(beer_unsharded)
-        assert result.summary() == beer_unsharded.summary()
+        assert result == beer_oracle
+        assert repr(result) == repr(beer_oracle)
+        assert result.summary() == beer_oracle.summary()
 
-    @pytest.mark.parametrize("shards", [2, 8])
-    def test_fz_sharded_runs_are_byte_identical(
-        self, fz_dataset, fz_unsharded, checkpoint_dir, shards
-    ):
-        result = BatchER(CONFIG).run(
-            fz_dataset, shards=shards, checkpoint_dir=checkpoint_dir
-        )
-        assert result == fz_unsharded
-        assert repr(result) == repr(fz_unsharded)
-
-    def test_round_robin_strategy_is_equivalent_too(self, beer_dataset, beer_unsharded):
-        engine = RunEngine(config=CONFIG, num_shards=5, shard_strategy="round-robin")
-        assert engine.run(beer_dataset) == beer_unsharded
-
-    def test_concurrent_shards_are_equivalent(
-        self, beer_dataset, beer_unsharded, checkpoint_dir
+    def test_fz_checkpointed_concurrent_run_is_byte_identical(
+        self, fz_dataset, fz_oracle, checkpoint_dir
     ):
         with ConcurrentExecutor(4) as executor:
-            engine = RunEngine(
-                config=CONFIG,
-                executor=executor,
-                num_shards=6,
-                checkpoint_dir=checkpoint_dir,
+            result = BatchER(CONFIG, executor=executor).run(
+                fz_dataset, checkpoint_dir=checkpoint_dir
             )
-            assert engine.run(beer_dataset) == beer_unsharded
+        assert result == fz_oracle
+        assert repr(result) == repr(fz_oracle)
 
-    def test_engine_without_checkpointing_is_equivalent(
-        self, beer_dataset, beer_unsharded
-    ):
-        engine = RunEngine(config=CONFIG, num_shards=4)
-        assert engine.run(beer_dataset) == beer_unsharded
-        assert engine.last_report is not None
-        assert engine.last_report.checkpointed is False
-
-    def test_degenerate_empty_shards_single_question(self, beer_dataset):
+    def test_degenerate_single_question(self, beer_dataset, checkpoint_dir):
         config = BatcherConfig(seed=3, max_questions=1)
-        unsharded = BatchER(config).run(beer_dataset)
-        sharded = RunEngine(config=config, num_shards=4).run(beer_dataset)
-        assert sharded == unsharded
-        assert unsharded.num_questions == 1
+        result = BatchER(config).run(beer_dataset, checkpoint_dir=checkpoint_dir)
+        assert result == _oracle(beer_dataset, config)
+        assert result.num_questions == 1
 
     def test_report_counts_a_fresh_run(self, beer_dataset, checkpoint_dir):
-        engine = RunEngine(config=SMALL_CONFIG, num_shards=3, checkpoint_dir=checkpoint_dir)
+        engine = RunEngine(config=SMALL_CONFIG, checkpoint_dir=checkpoint_dir)
         result = engine.run(beer_dataset)
         report = engine.last_report
         assert report.num_batches == result.num_batches
@@ -260,169 +275,265 @@ class TestGoldenEquivalence:
         assert report.batches_resumed == 0
         assert report.llm_calls == result.cost.num_llm_calls
         assert report.llm_calls_saved == 0
-        assert sum(report.shard_sizes) == report.num_batches
-        assert set(report.to_dict()) >= {"num_shards", "llm_calls", "shard_sizes"}
+        assert report.checkpointed is True
+        assert set(report.to_dict()) == {
+            "num_batches", "batches_executed", "batches_resumed", "llm_calls",
+            "llm_calls_saved", "checkpointed", "paused",
+        }
+
+    def test_unstored_run_writes_nothing(self, beer_dataset, beer_small_oracle, tmp_path):
+        engine = RunEngine(config=SMALL_CONFIG)
+        assert engine.run(beer_dataset) == beer_small_oracle
+        assert engine.checkpoint_store is None
+        assert engine.last_report.checkpointed is False
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_checkpoint_file_per_run(self, beer_dataset, checkpoint_dir):
+        with ConcurrentExecutor(4) as executor:
+            result = BatchER(SMALL_CONFIG, executor=executor).run(
+                beer_dataset, checkpoint_dir=checkpoint_dir
+            )
+        (path,) = checkpoint_dir.iterdir()
+        assert path.name == f"Beer-{config_fingerprint(SMALL_CONFIG)[:12]}.jsonl"
+        header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert header["version"] == 2
+        assert header["num_batches"] == result.num_batches
+        assert sorted(record["batch_id"] for record in records) == list(
+            range(result.num_batches)
+        )
+        assert set(records[0]) == {
+            "type", "batch_id", "fingerprint", "text", "model",
+            "prompt_tokens", "completion_tokens",
+        }
 
 
 class TestCrashResume:
-    def test_every_crash_point_resumes_with_zero_repeated_calls(
-        self, beer_dataset, beer_small_unsharded, make_crashing_llm, tmp_path
+    @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
+    def test_every_llm_crash_point_resumes_with_zero_repeated_calls(
+        self, beer_dataset, beer_small_oracle, make_crashing_llm, tmp_path, executor_name
     ):
         """The headline property: for every crash point k, the crashed run plus
-        the resume together make exactly as many LLM calls as the unsharded
+        the resume together make exactly as many LLM calls as an uninterrupted
         run — no completed call is ever re-paid."""
-        total_calls = beer_small_unsharded.cost.num_llm_calls
+        total_calls = beer_small_oracle.cost.num_llm_calls
         assert total_calls > 1
         for k in range(1, total_calls + 1):
-            directory = tmp_path / f"crash-{k}"
             llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=k)
             engine = RunEngine(
-                config=SMALL_CONFIG, llm=llm, num_shards=3, checkpoint_dir=directory
+                config=SMALL_CONFIG,
+                llm=llm,
+                executor=EXECUTORS[executor_name](),
+                checkpoint_dir=tmp_path / f"crash-{k}",
             )
             with pytest.raises(InjectedFault):
                 engine.run(beer_dataset)
-            # Sibling shards settle (and checkpoint) after the fault, so the
-            # crashed run completes anywhere from k-1 calls up to all but the
-            # faulted one — never the full run.
+            # In-flight calls settle (and are checkpointed) after the fault,
+            # so the crashed run completes k-1 calls or more — never all.
             assert k - 1 <= llm.successful_calls < total_calls
+            checkpointed = llm.successful_calls
+            assert engine.last_report.batches_executed == checkpointed
             resumed = engine.run(beer_dataset)
-            assert resumed == beer_small_unsharded
+            assert resumed == beer_small_oracle
+            assert repr(resumed) == repr(beer_small_oracle)
             assert llm.successful_calls == total_calls
+            assert engine.last_report.batches_resumed == checkpointed
+            assert engine.last_report.llm_calls_saved == checkpointed
+            assert engine.last_report.batches_executed == total_calls - checkpointed
 
-    def test_resume_after_kill_reports_saved_calls(
-        self, beer_dataset, beer_small_unsharded, make_crashing_llm, checkpoint_dir
-    ):
-        total_calls = beer_small_unsharded.cost.num_llm_calls
-        k = total_calls // 2 + 1
-        llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=k)
-        engine = RunEngine(
-            config=SMALL_CONFIG, llm=llm, num_shards=2, checkpoint_dir=checkpoint_dir
-        )
-        with pytest.raises(InjectedFault):
-            engine.run(beer_dataset)
-        checkpointed = llm.successful_calls  # all persisted before the re-raise
-        resumed = engine.run(beer_dataset)
-        assert resumed == beer_small_unsharded
-        report = engine.last_report
-        assert report.batches_resumed == checkpointed >= k - 1
-        assert report.llm_calls_saved == checkpointed
-        assert report.batches_executed == total_calls - checkpointed
-
-    def test_completed_run_resumes_for_free(
-        self, beer_dataset, beer_small_unsharded, make_crashing_llm, checkpoint_dir
-    ):
-        llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=0)
-        engine = RunEngine(
-            config=SMALL_CONFIG, llm=llm, num_shards=3, checkpoint_dir=checkpoint_dir
-        )
-        first = engine.run(beer_dataset)
-        calls_after_first = llm.successful_calls
-        second = engine.run(beer_dataset)
-        assert first == second == beer_small_unsharded
-        assert llm.successful_calls == calls_after_first  # zero new LLM calls
-        assert engine.last_report.batches_executed == 0
-        assert engine.last_report.llm_calls_saved == engine.last_report.num_batches
-
-    def test_checkpoint_crash_repays_at_most_the_torn_batch(
-        self, beer_dataset, beer_small_unsharded, make_crashing_llm, checkpoint_dir
+    @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
+    def test_every_store_crash_point_repays_exactly_the_torn_batch(
+        self, beer_dataset, beer_small_oracle, make_crashing_llm, tmp_path, executor_name
     ):
         """A crash *between* the LLM call and its persistence is the harshest
         point: that one call is paid but not saved, so resume re-pays exactly
         it — never more."""
-        llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=0)
-        store = CrashingStore(checkpoint_dir, fail_at_append=3)
-        engine = RunEngine(
-            config=SMALL_CONFIG, llm=llm, num_shards=2, checkpoint_store=store
-        )
-        with pytest.raises(InjectedFault):
-            engine.run(beer_dataset)
-        resumed = engine.run(beer_dataset)
-        total_calls = beer_small_unsharded.cost.num_llm_calls
-        assert resumed == beer_small_unsharded
-        assert llm.successful_calls == total_calls + 1
-        # The merged result still accounts each batch exactly once.
-        assert resumed.cost.num_llm_calls == total_calls
-
-    def test_concurrent_crash_resume_is_still_exact(
-        self, beer_dataset, beer_small_unsharded, make_crashing_llm, checkpoint_dir
-    ):
-        total_calls = beer_small_unsharded.cost.num_llm_calls
-        llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=2)
-        with ConcurrentExecutor(3) as executor:
+        total_calls = beer_small_oracle.cost.num_llm_calls
+        for k in range(1, total_calls + 1):
+            llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=0)
+            store = CrashingStore(tmp_path / f"crash-{k}", fail_at_append=k)
             engine = RunEngine(
                 config=SMALL_CONFIG,
                 llm=llm,
-                executor=executor,
-                num_shards=3,
-                checkpoint_dir=checkpoint_dir,
+                executor=EXECUTORS[executor_name](),
+                checkpoint_store=store,
             )
             with pytest.raises(InjectedFault):
                 engine.run(beer_dataset)
             resumed = engine.run(beer_dataset)
-        assert resumed == beer_small_unsharded
+            assert resumed == beer_small_oracle
+            assert llm.successful_calls == total_calls + 1
+            # The result still accounts each batch exactly once.
+            assert resumed.cost.num_llm_calls == total_calls
+
+    def test_completed_run_resumes_for_free(
+        self, beer_dataset, beer_small_oracle, make_crashing_llm, checkpoint_dir
+    ):
+        llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=0)
+        engine = RunEngine(config=SMALL_CONFIG, llm=llm, checkpoint_dir=checkpoint_dir)
+        first = engine.run(beer_dataset)
+        calls_after_first = llm.successful_calls
+        second = engine.run(beer_dataset)
+        assert first == second == beer_small_oracle
+        assert llm.successful_calls == calls_after_first  # zero new LLM calls
+        assert engine.last_report.batches_executed == 0
+        assert engine.last_report.llm_calls_saved == engine.last_report.num_batches
+
+    def test_execute_again_resumes_the_same_context(
+        self, beer_dataset, beer_small_oracle, make_crashing_llm, checkpoint_dir
+    ):
+        total_calls = beer_small_oracle.cost.num_llm_calls
+        llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=2)
+        hook = RecordingHook()
+        engine = RunEngine(
+            config=SMALL_CONFIG, llm=llm, checkpoint_dir=checkpoint_dir, hooks=[hook]
+        )
+        context = engine.plan(beer_dataset)
+        with pytest.raises(InjectedFault):
+            engine.execute(context)
+        assert engine.execute(context) == beer_small_oracle
         assert llm.successful_calls == total_calls
+        # The planning stages ran once; only inference was re-entered.
+        starts = [name for kind, name in hook.events if kind == "start"]
+        assert starts == STAGE_NAMES[:5] + STAGE_NAMES[4:]
 
     def test_stale_checkpoints_from_another_config_are_ignored(
         self, beer_dataset, make_crashing_llm, checkpoint_dir
     ):
-        """Checkpoints are namespaced and header-checked by configuration: a
-        run with a different seed must not resume from them."""
-        RunEngine(config=SMALL_CONFIG, num_shards=2, checkpoint_dir=checkpoint_dir).run(
-            beer_dataset
-        )
+        """Checkpoints are named and header-checked by configuration: a run
+        with a different seed must not resume from them."""
+        RunEngine(config=SMALL_CONFIG, checkpoint_dir=checkpoint_dir).run(beer_dataset)
         other_config = BatcherConfig(seed=4, max_questions=32)
         llm = make_crashing_llm(other_config, fail_at_call=0)
-        engine = RunEngine(
-            config=other_config, llm=llm, num_shards=2, checkpoint_dir=checkpoint_dir
-        )
+        engine = RunEngine(config=other_config, llm=llm, checkpoint_dir=checkpoint_dir)
         result = engine.run(beer_dataset)
         assert llm.successful_calls == result.cost.num_llm_calls > 0
-        assert result == BatchER(other_config).run(beer_dataset)
+        assert result == _oracle(beer_dataset, other_config)
 
+    def test_other_data_under_the_same_name_is_rerun(
+        self, beer_dataset, wa_dataset, make_crashing_llm, checkpoint_dir
+    ):
+        """The header pins the batch plan: same dataset name and config but
+        different pairs restart the run instead of replaying foreign answers."""
+        RunEngine(config=SMALL_CONFIG, checkpoint_dir=checkpoint_dir).run(beer_dataset)
+        renamed = dataclasses.replace(wa_dataset, name=beer_dataset.name)
+        llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=0)
+        engine = RunEngine(config=SMALL_CONFIG, llm=llm, checkpoint_dir=checkpoint_dir)
+        result = engine.run(renamed)
+        assert engine.last_report.batches_resumed == 0
+        assert llm.successful_calls == result.cost.num_llm_calls
 
-class TestShardMerger:
-    def test_missing_batch_record_is_rejected(self, beer_planned):
-        with pytest.raises(ValueError, match="missing batch records"):
-            ShardMerger().merge(beer_planned, {})
-
-    def test_foreign_batch_record_is_rejected(self, beer_dataset):
-        engine = RunEngine(config=CONFIG, num_shards=1)
-        context = engine.plan(beer_dataset)
-        plan = engine.planner.plan(context.batches)
-        records, _, _ = engine._execute_shard(plan.shards[0], context, None)
-        bogus = BatchRecord(
-            batch_id=max(records) + 1,
-            num_calls=1,
-            prompt_tokens=1,
-            completion_tokens=1,
-            questions=(),
-        )
-        with pytest.raises(ValueError, match="do not belong"):
-            ShardMerger().merge(context, {**records, bogus.batch_id: bogus})
-
-    def test_fingerprint_mismatch_is_rejected(self, beer_dataset):
-        engine = RunEngine(config=CONFIG, num_shards=1)
-        context = engine.plan(beer_dataset)
-        plan = engine.planner.plan(context.batches)
-        records, _, _ = engine._execute_shard(plan.shards[0], context, None)
-        first = records[0]
-        tampered = BatchRecord(
-            batch_id=first.batch_id,
-            num_calls=first.num_calls,
-            prompt_tokens=first.prompt_tokens,
-            completion_tokens=first.completion_tokens,
-            questions=(
-                QuestionRecord(
-                    index=first.questions[0].index,
-                    fingerprint="not-the-real-fingerprint",
-                    label=first.questions[0].label,
-                    answered=first.questions[0].answered,
-                ),
-            )
-            + first.questions[1:],
-        )
+    @pytest.mark.parametrize("field", ["fingerprint", "batch_id"])
+    def test_tampered_record_is_rejected(self, beer_dataset, checkpoint_dir, field):
+        """A record whose fingerprint differs from its planned batch, or whose
+        batch id lies outside the plan, is never replayed."""
+        engine = RunEngine(config=SMALL_CONFIG, checkpoint_dir=checkpoint_dir)
+        engine.run(beer_dataset)
+        (path,) = checkpoint_dir.iterdir()
+        header, first, *rest = path.read_text().splitlines()
+        foreign = {
+            "fingerprint": "not-the-real-fingerprint",
+            "batch_id": json.loads(header)["num_batches"],
+        }
+        tampered = {**json.loads(first), field: foreign[field]}
+        path.write_text("\n".join([header, json.dumps(tampered), *rest]) + "\n")
         with pytest.raises(ValueError, match="fingerprint"):
-            ShardMerger().merge(context, {**records, 0: tampered})
+            engine.run(beer_dataset)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "make_executor",
+        [lambda: ConcurrentExecutor(8), lambda: AsyncExecutor(8)],
+        ids=["concurrent8", "async8"],
+    )
+    def test_checkpointed_run_keeps_the_executor_concurrency(
+        self, beer_dataset, beer_oracle, checkpoint_dir, make_executor
+    ):
+        llm = PeakConcurrencyLLM(CONFIG)
+        result = BatchER(CONFIG, llm=llm, executor=make_executor()).run(
+            beer_dataset, checkpoint_dir=checkpoint_dir
+        )
+        assert result == beer_oracle
+        assert 1 < llm.peak <= 8
+
+    def test_concurrent_appends_stay_whole_lines(
+        self, beer_dataset, beer_oracle, make_crashing_llm, checkpoint_dir
+    ):
+        """16 workers on 2+ cores with a short switch interval: every batch
+        lands as exactly one whole checkpoint line, so a resume replays all
+        of them and makes no call."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ConcurrentExecutor(16) as executor:
+                engine = BatchER(CONFIG, executor=executor).build_engine(checkpoint_dir)
+                assert engine.run(beer_dataset) == beer_oracle
+        finally:
+            sys.setswitchinterval(interval)
+        (path,) = checkpoint_dir.iterdir()
+        batch_ids = [json.loads(line)["batch_id"] for line in path.read_text().splitlines()[1:]]
+        assert sorted(batch_ids) == list(range(beer_oracle.num_batches))
+        llm = make_crashing_llm(CONFIG, fail_at_call=0)
+        resumed = RunEngine(config=CONFIG, llm=llm, checkpoint_dir=checkpoint_dir)
+        assert resumed.run(beer_dataset) == beer_oracle
+        assert llm.attempts == 0
+
+    @pytest.mark.parametrize(
+        ("executor_name", "extra_attempts"),
+        [("serial", 0), ("concurrent4", 3), ("async4", 3)],
+    )
+    @pytest.mark.parametrize("down", [True, False], ids=["fail-from-k", "fail-at-k"])
+    def test_no_call_starts_after_the_first_failure(
+        self, beer_dataset, beer_oracle, checkpoint_dir,
+        executor_name, extra_attempts, down,
+    ):
+        """A backend failing from call k on (down) or only at call k (one
+        fault): either way at most the calls already in flight follow it."""
+        k = 3
+        assert beer_oracle.num_batches > k + extra_attempts
+        llm = FailingLLM(CONFIG, fail_at=k, down=down)
+        framework = BatchER(CONFIG, llm=llm, executor=EXECUTORS[executor_name]())
+        with pytest.raises(InjectedFault):
+            framework.run(beer_dataset, checkpoint_dir=checkpoint_dir)
+        if extra_attempts == 0:
+            assert llm.attempts == k
+        else:
+            assert k <= llm.attempts <= k + extra_attempts
+
+
+class TestTelemetry:
+    @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
+    @pytest.mark.parametrize("mode", ["no-store", "fresh-store", "resume"])
+    def test_seven_stages_under_batcher_run(
+        self, beer_dataset, beer_small_oracle, make_crashing_llm, checkpoint_dir,
+        mode, executor_name,
+    ):
+        llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=2 if mode == "resume" else 0)
+        directory = None if mode == "no-store" else checkpoint_dir
+        if mode == "resume":
+            with pytest.raises(InjectedFault):
+                BatchER(SMALL_CONFIG, llm=llm).run(beer_dataset, checkpoint_dir=directory)
+        hook, tracer = RecordingHook(), Tracer()
+        framework = BatchER(
+            SMALL_CONFIG,
+            llm=llm,
+            executor=EXECUTORS[executor_name](),
+            hooks=[hook],
+            tracer=tracer,
+        )
+        assert framework.run(beer_dataset, checkpoint_dir=directory) == beer_small_oracle
+
+        assert hook.events == [
+            (kind, name) for name in STAGE_NAMES for kind in ("start", "end")
+        ]
+        spans = tracer.finished_spans()
+        (root,) = [span for span in spans if span.parent_id is None]
+        assert root.name == "batcher:run"
+        children = [span.name for span in spans if span.parent_id == root.span_id]
+        assert children == [f"stage:{name}" for name in STAGE_NAMES]
+        known = {span.span_id for span in spans}
+        assert all(span.parent_id in known for span in spans if span is not root)
+        assert not any(span.name.startswith("engine:") for span in spans)
 
 
 class TestFacade:
@@ -432,39 +543,16 @@ class TestFacade:
         assert base != config_fingerprint(BatcherConfig(seed=2))
         assert base != config_fingerprint(BatcherConfig(seed=1, batch_size=4))
 
-    def test_build_engine_exposes_the_run_report(self, beer_dataset, checkpoint_dir):
-        framework = BatchER(SMALL_CONFIG)
-        engine = framework.build_engine(shards=2, checkpoint_dir=checkpoint_dir)
-        result = engine.run(beer_dataset)
-        assert engine.last_report.num_shards == 2
-        assert result == BatchER(SMALL_CONFIG).run(beer_dataset)
-
-    def test_checkpoint_dir_alone_keeps_executor_concurrency(
-        self, beer_dataset, checkpoint_dir
+    def test_build_engine_exposes_the_run_report(
+        self, beer_dataset, beer_small_oracle, checkpoint_dir
     ):
-        """Adding checkpointing to a concurrent facade must not silently
-        serialize it: without an explicit shard count, the engine shards to
-        the executor's worker bound."""
-        with ConcurrentExecutor(4) as executor:
-            framework = BatchER(CONFIG, executor=executor)
-            result = framework.run(beer_dataset, checkpoint_dir=checkpoint_dir)
-        assert result == BatchER(CONFIG).run(beer_dataset)
-        run_dirs = list(checkpoint_dir.iterdir())
-        assert len(run_dirs) == 1
-        # 12 batches hash across all 4 shards for this fixed seed; the point
-        # is that the plan followed the executor's worker bound, not 1.
-        assert len(list(run_dirs[0].glob("shard-*.jsonl"))) == 4
+        engine = BatchER(SMALL_CONFIG).build_engine(checkpoint_dir=checkpoint_dir)
+        assert engine.pipeline.stage_names == tuple(STAGE_NAMES)
+        assert engine.run(beer_dataset) == beer_small_oracle
+        assert engine.last_report.num_batches == beer_small_oracle.num_batches
 
-    def test_run_without_engine_kwargs_keeps_the_legacy_path(self, beer_dataset):
-        framework = BatchER(SMALL_CONFIG)
-        assert framework.run(beer_dataset) == framework.run(
-            beer_dataset, shards=1, checkpoint_dir=None
-        )
-
-    def test_planned_context_is_required(self, beer_dataset):
-        engine = RunEngine(config=SMALL_CONFIG)
-        context = engine.plan(beer_dataset)
-        assert context.prompts is not None
-        assert RenderPrompts.name in context.completed_stages
-        assert context.responses is None  # planning makes no LLM calls
-        assert context.cost.breakdown().num_llm_calls == 0
+    def test_planned_context_has_made_no_llm_call(self, beer_planned):
+        assert beer_planned.prompts is not None
+        assert RenderPrompts.name in beer_planned.completed_stages
+        assert beer_planned.responses is None
+        assert beer_planned.cost.breakdown().num_llm_calls == 0

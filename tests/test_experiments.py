@@ -5,6 +5,8 @@ they check row shapes and the structural invariants of each artifact rather
 than absolute numbers.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -20,6 +22,7 @@ from repro.experiments import (
     run_figure6_precision_recall,
     run_threshold_ablation,
 )
+from repro.experiments import runner
 from repro.experiments.exp2_design_space import best_design_choice
 from repro.experiments.exp3_plm_comparison import crossover_summary
 
@@ -48,6 +51,27 @@ class TestSettings:
         assert settings.scale == 0.2
         assert settings.max_questions is None
         assert settings.datasets == ("beer", "fz")
+
+    def test_checkpoint_dir_env_reaches_run_kwargs(self, monkeypatch, tmp_path):
+        assert ExperimentSettings().run_kwargs() == {"checkpoint_dir": None}
+        monkeypatch.setenv("REPRO_EXP_CHECKPOINT_DIR", str(tmp_path))
+        settings = ExperimentSettings.from_env()
+        assert settings.run_kwargs() == {"checkpoint_dir": str(tmp_path)}
+
+    def test_resume_flag_reaches_run_kwargs(self, monkeypatch, tmp_path):
+        captured = []
+        monkeypatch.setattr(runner, "generate_report", captured.append)
+        assert runner.main(["--resume", str(tmp_path)]) == 0
+        (settings,) = captured
+        assert settings.run_kwargs() == {"checkpoint_dir": str(tmp_path)}
+
+    def test_checkpointed_experiment_writes_run_files(self, tiny_settings, tmp_path):
+        settings = dataclasses.replace(
+            tiny_settings, datasets=("beer",), checkpoint_dir=str(tmp_path)
+        )
+        rows = run_exp4_manual_prompt(settings)
+        assert rows == run_exp4_manual_prompt(dataclasses.replace(settings, checkpoint_dir=None))
+        assert [path.suffix for path in tmp_path.iterdir()] == [".jsonl"]
 
     def test_load_respects_scale(self, tiny_settings):
         dataset = tiny_settings.load("beer")

@@ -224,7 +224,8 @@ class TestSerialVsConcurrentDeterminism:
 
     def test_facade_pipeline_is_inspectable(self):
         framework = BatchER(BatcherConfig(), executor=ConcurrentExecutor(2))
-        pipeline = framework.build_pipeline()
-        inference = [stage for stage in pipeline.stages if isinstance(stage, Inference)]
+        pipeline = framework.build_engine().pipeline
+        assert pipeline.stage_names == Pipeline.default().stage_names
+        inference = [stage for stage in pipeline.stages if stage.name == Inference.name]
         assert len(inference) == 1
         assert isinstance(inference[0].executor, ConcurrentExecutor)

@@ -34,6 +34,7 @@ from repro.engines.transport import (
     TransportRequest,
 )
 from repro.llm.base import LLMClient
+from repro.llm.executors import ConcurrentExecutor
 from repro.llm.registry import create_llm
 from repro.resilience import (
     STATE_CLOSED,
@@ -496,32 +497,46 @@ class _BreakerOpenLLM(LLMClient):
 
 
 class TestEnginePauseResume:
+    @pytest.mark.parametrize(
+        "make_executor",
+        [lambda: None, lambda: ConcurrentExecutor(4)],
+        ids=["serial", "concurrent4"],
+    )
     def test_open_breaker_pauses_then_resumes_with_zero_repeated_calls(
-        self, beer_dataset, checkpoint_dir
+        self, beer_dataset, tmp_path, make_executor
     ):
         config = BatcherConfig(seed=3, max_questions=32)
-        unsharded = BatchER(config).run(beer_dataset)
-        llm = _BreakerOpenLLM(
-            create_llm(config.model, seed=config.seed, temperature=config.temperature),
-            fail_at_call=3,
-        )
-        engine = RunEngine(
-            config=config, llm=llm, num_shards=2, checkpoint_dir=checkpoint_dir
-        )
-        with pytest.raises(CircuitOpenError):
-            engine.run(beer_dataset)
-        report = engine.last_report
-        assert report is not None
-        assert report.paused is True
-        assert report.checkpointed is True
-        assert report.to_dict()["paused"] is True
+        oracle = BatchER(config).run(beer_dataset)
+        total_calls = oracle.cost.num_llm_calls
+        for k in range(1, total_calls + 1):
+            llm = _BreakerOpenLLM(
+                create_llm(config.model, seed=config.seed, temperature=config.temperature),
+                fail_at_call=k,
+            )
+            engine = RunEngine(
+                config=config,
+                llm=llm,
+                executor=make_executor(),
+                checkpoint_dir=tmp_path / f"pause-{k}",
+            )
+            context = engine.plan(beer_dataset)
+            with pytest.raises(CircuitOpenError):
+                engine.execute(context)
+            report = engine.last_report
+            assert report is not None
+            assert report.paused is True
+            assert report.checkpointed is True
+            assert report.to_dict()["paused"] is True
+            paid = llm.attempts - llm.faults
+            assert report.batches_executed == paid
 
-        resumed = engine.run(beer_dataset)
-        assert resumed == unsharded  # byte-identical to the never-paused run
-        assert engine.last_report.paused is False
-        # Every call before the pause was checkpointed; the resume repeated
-        # none of them (the faulted attempt itself never reached the LLM).
-        assert llm.attempts - llm.faults == unsharded.cost.num_llm_calls
+            resumed = engine.execute(context)  # same context: plain Pipeline.run
+            assert resumed == oracle  # byte-identical to the never-paused run
+            assert engine.last_report.paused is False
+            assert engine.last_report.batches_resumed == paid
+            # Every call before the pause was checkpointed; the resume
+            # repeated none of them (the faulted attempt never reached the LLM).
+            assert llm.attempts - llm.faults == total_calls
 
     def test_other_failures_do_not_mark_the_report_paused(
         self, beer_dataset, checkpoint_dir, make_crashing_llm
@@ -530,7 +545,6 @@ class TestEnginePauseResume:
         engine = RunEngine(
             config=config,
             llm=make_crashing_llm(config, fail_at_call=2),
-            num_shards=2,
             checkpoint_dir=checkpoint_dir,
         )
         with pytest.raises(Exception, match="injected LLM fault"):

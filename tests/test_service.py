@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.core.config import BatcherConfig
+from repro.data.fingerprint import pair_fingerprint
 from repro.data.schema import EntityPair, MatchLabel, Record
 from repro.pipeline import Resolution, Resolver
 from repro.service import (
@@ -16,6 +17,7 @@ from repro.service import (
     ServiceConfig,
     ServiceOverloaded,
 )
+from repro.service.service import _partition_by_fingerprint
 
 
 @pytest.fixture()
@@ -491,6 +493,29 @@ class TestServiceLifecycle:
 
 
 class TestBulkResolve:
+    def test_partition_is_a_pure_function_of_content(self, questions):
+        """Every index lands in exactly one shard, in input order, and a
+        pair's shard is its fingerprint's leading 64 bits modulo the count."""
+        fingerprints = [pair_fingerprint(pair) for pair in questions]
+        shard_indices = _partition_by_fingerprint(fingerprints, 4)
+        assert len(shard_indices) == 4
+        flat = sorted(index for indices in shard_indices for index in indices)
+        assert flat == list(range(len(questions)))
+        for shard, indices in enumerate(shard_indices):
+            assert indices == sorted(indices)
+            for index in indices:
+                assert int(fingerprints[index][:16], 16) % 4 == shard
+
+        shuffled = list(reversed(fingerprints))
+        reshuffled = _partition_by_fingerprint(shuffled, 4)
+        shard_of = {
+            shuffled[index]: shard
+            for shard, indices in enumerate(reshuffled)
+            for index in indices
+        }
+        for shard, indices in enumerate(shard_indices):
+            assert all(shard_of[fingerprints[index]] == shard for index in indices)
+
     def test_bulk_resolves_in_input_order(self, beer_dataset, service_config, questions):
         service = _started_service(beer_dataset, service_config)
         try:
