@@ -12,10 +12,12 @@ Two workload shapes, matching how featurization is actually paid for:
   engine featurizes through one shared content-addressed store.
 
 Besides the optional pytest-benchmark timing, the run emits
-``BENCH_features.json`` in the repository root with the headline speedups.
-The file is a machine-local artifact (gitignored), not a tracked result.
+``BENCH_features.json`` in the repository root with the headline speedups
+and the absolute seconds behind them; the full-size report is tracked in git.
+``--report PATH`` writes it elsewhere (the CI smoke run points it at a
+scratch file so it never overwrites the tracked report).
 
-Standalone (the CI smoke invocation)::
+Standalone::
 
     PYTHONPATH=src python benchmarks/bench_feature_engine.py
 """
@@ -136,8 +138,8 @@ def run_feature_engine_bench() -> dict[str, object]:
     }
 
 
-def write_report(report: dict[str, object]) -> None:
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+def write_report(report: dict[str, object], path: Path = REPORT_PATH) -> None:
+    path.write_text(json.dumps(report, indent=2) + "\n")
 
 
 def test_feature_engine_speedup(benchmark):
@@ -165,10 +167,13 @@ def main(argv=None) -> int:
         default=2.0,
         help="fail (exit 1) when the headline streaming speedup is below this",
     )
+    parser.add_argument(
+        "--report", type=Path, default=REPORT_PATH, help="where to write the JSON report"
+    )
     args = parser.parse_args(argv)
 
     report = run_feature_engine_bench()
-    write_report(report)
+    write_report(report, args.report)
     print(json.dumps(report, indent=2))
     ok = report["columnar_speedup"] >= args.min_speedup
     if not ok:

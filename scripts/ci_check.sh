@@ -71,8 +71,11 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_observability.
 echo "== feature engine smoke benchmark (BENCH_features.json) =="
 # --min-speedup 0: the smoke run checks the equivalence oracles and emits the
 # report; the wall-clock floor stays for manual/release invocations only
-# (timing assertions on shared CI runners are load-dependent).
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_feature_engine.py --min-speedup 0 > /dev/null
+# (timing assertions on shared CI runners are load-dependent).  The smoke
+# report goes to a scratch file so it never clobbers the tracked
+# BENCH_features.json.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_feature_engine.py \
+  --min-speedup 0 --report "$(mktemp)" > /dev/null
 
 echo "== batch planning smoke benchmark (BENCH_planning.json) =="
 # --small --min-speedup 0 --min-lsh-speedup 0: a timing-independent run of

@@ -42,32 +42,61 @@ def tokenize_value(value: str | None) -> list[str]:
     return _TOKEN_PATTERN.findall(_normalise(value))
 
 
+def _edit_distance(a: str, b: str) -> int:
+    """Levenshtein distance of two already-normalised strings.
+
+    Myers' (1999) bit-vector algorithm in Hyyrö's (2003) formulation: the
+    longer string is the pattern, one bit per character, and every character
+    of the shorter string advances a whole column of the edit-distance matrix
+    with one fixed chain of bitwise operations.  ``pv``/``mv`` hold the
+    column's +1/-1 vertical deltas and ``distance`` tracks its last cell.
+    Python ints have no fixed width, so patterns longer than a machine word
+    need no blocking.  ``~`` makes the horizontal vectors negative (infinite
+    two's-complement ones), which the bit tests read correctly; ``& mask``
+    keeps ``pv``, and with it ``mv``, non-negative and inside the pattern.
+    """
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in a:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv = mask
+    mv = 0
+    distance = len(a)
+    for char in b:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
+
+
 def levenshtein_distance(left: str | None, right: str | None) -> int:
     """Compute the Levenshtein edit distance between two strings.
 
-    Uses the classic two-row dynamic program, O(len(left) * len(right)) time and
-    O(min(len)) memory.
+    Bit-parallel (Myers/Hyyrö): O(ceil(m / w) * n) word operations for a
+    longer string of length ``m``, a shorter one of length ``n`` and machine
+    word size ``w``, plus one ``m``-bit mask per distinct character of the
+    longer string.  Exact: the result is the same integer the classic
+    O(m * n) dynamic program computes.
     """
-    a = _normalise(left)
-    b = _normalise(right)
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (char_a != char_b)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
+    return _edit_distance(_normalise(left), _normalise(right))
 
 
 def levenshtein_ratio(left: str | None, right: str | None) -> float:
@@ -84,7 +113,7 @@ def levenshtein_ratio(left: str | None, right: str | None) -> float:
     total_length = len(a) + len(b)
     if total_length == 0:
         return 1.0
-    return 1.0 - levenshtein_distance(a, b) / total_length
+    return 1.0 - _edit_distance(a, b) / total_length
 
 
 def jaccard_similarity(left: str | None, right: str | None) -> float:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from levenshtein_oracle import dp_edit_distance
 
+from repro.data.registry import load_dataset
 from repro.data.schema import EntityPair, MatchLabel, Record
 from repro.features import (
     SemanticExtractor,
@@ -10,6 +12,7 @@ from repro.features import (
     create_feature_extractor,
 )
 from repro.features.structure_aware import BOTH_MISSING_SIMILARITY
+from repro.text import similarity
 
 
 def make_pair(left_values, right_values, label=MatchLabel.MATCH):
@@ -78,6 +81,30 @@ class TestStructureAwareExtractor:
 
     def test_values_bounded(self, beer_dataset, beer_question_features):
         assert ((beer_question_features >= 0.0) & (beer_question_features <= 1.0)).all()
+
+
+class TestLevenshteinKernelDifferential:
+    """BatchER-LR features are bit-identical under the DP oracle kernel."""
+
+    @pytest.mark.parametrize("name, scale", [("beer", 1.0), ("ab", 0.04)])
+    def test_lr_matrix_is_bit_identical_under_the_dp_oracle(self, monkeypatch, name, scale):
+        dataset = load_dataset(name, seed=7, scale=scale)
+        pairs = list(dataset.candidate_pairs)
+        kernel = create_feature_extractor("lr", dataset.attributes).extract_matrix(pairs)
+
+        longest: list[int] = []
+
+        def counting_oracle(a: str, b: str) -> int:
+            longest.append(max(len(a), len(b)))
+            return dp_edit_distance(a, b)
+
+        monkeypatch.setattr(similarity, "_edit_distance", counting_oracle)
+        oracle = create_feature_extractor("lr", dataset.attributes).extract_matrix(pairs)
+        assert longest, "the oracle was never called"
+        if name == "ab":
+            # ab's descriptions run past one 64-bit word: real multi-word inputs.
+            assert sum(length > 64 for length in longest) > 100
+        assert kernel.tobytes() == oracle.tobytes()
 
 
 class TestSemanticExtractor:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from levenshtein_oracle import levenshtein_distance as oracle_distance
 
 from repro.text.similarity import (
     SIMILARITY_FUNCTIONS,
@@ -88,6 +89,96 @@ class TestLevenshtein:
     @settings(max_examples=40, deadline=None)
     def test_identity_is_maximal(self, text):
         assert levenshtein_ratio(text, text) == pytest.approx(1.0)
+
+
+#: Characters that exercise the kernel's bit masks and ``_normalise``: a
+#: small alphabet (so strings share many characters), upper case and
+#: whitespace that normalisation folds, a precomposed and a combining accent,
+#: a character whose lower case is two code points, and non-BMP code points.
+_KERNEL_ALPHABET = (
+    "a", "b", "c", " ", "A", "B", "\t",
+    "\u00e9", "e\u0301", "\u0130", "\U0001f600", "\U00010348",
+)
+
+#: Lengths on and around machine-word boundaries, and well past one word.
+_WORD_LENGTHS = (0, 1, 63, 64, 65, 127, 128, 129, 201, 240)
+
+
+@st.composite
+def _edit_pairs(draw):
+    """A string and a second one that is either an edited copy or independent."""
+    length = draw(st.sampled_from(_WORD_LENGTHS) | st.integers(min_value=0, max_value=80))
+    base = draw(
+        st.lists(st.sampled_from(_KERNEL_ALPHABET), min_size=length, max_size=length).map("".join)
+        | st.text(min_size=length, max_size=length)
+    )
+    if draw(st.booleans()):
+        other = list(base)
+        for _ in range(draw(st.integers(min_value=0, max_value=12))):
+            position = draw(st.integers(min_value=0, max_value=len(other)))
+            operation = draw(st.sampled_from(("insert", "delete", "substitute")))
+            if operation == "insert":
+                other.insert(position, draw(st.sampled_from(_KERNEL_ALPHABET)))
+            elif other:
+                index = min(position, len(other) - 1)
+                if operation == "delete":
+                    del other[index]
+                else:
+                    other[index] = draw(st.sampled_from(_KERNEL_ALPHABET))
+        right = "".join(other)
+    else:
+        right = draw(st.text(max_size=draw(st.sampled_from(_WORD_LENGTHS))))
+    if draw(st.booleans()):
+        right = "  " + right.upper() + "\n"
+    return base, right
+
+
+class TestLevenshteinAgainstOracle:
+    """The bit-parallel kernel against the two-row DP oracle."""
+
+    @given(_edit_pairs())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_distance_matches_dp_oracle_and_is_symmetric(self, pair):
+        left, right = pair
+        expected = oracle_distance(left, right)
+        assert levenshtein_distance(left, right) == expected
+        assert levenshtein_distance(right, left) == expected
+
+    @given(_edit_pairs())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_ratio_uses_the_exact_distance(self, pair):
+        left, right = pair
+        a, b = left.strip().lower(), right.strip().lower()
+        expected = 1.0 if not a and not b else 1.0 - oracle_distance(a, b) / (len(a) + len(b))
+        assert levenshtein_ratio(left, right) == expected
+
+    def test_none_and_empty(self):
+        assert levenshtein_distance(None, None) == 0
+        assert levenshtein_distance(None, "  ") == 0
+        assert levenshtein_distance(None, "abc") == 3
+        assert levenshtein_distance("abc", None) == 3
+
+    def test_normalisation_is_folded_before_the_kernel(self):
+        assert levenshtein_distance("  Hello World\t", "hello world") == 0
+        assert levenshtein_distance(" KITTEN ", "sitting") == 3
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 200, 257])
+    def test_word_boundary_lengths(self, length):
+        base = "ab" * (length // 2) + "a" * (length % 2)
+        assert levenshtein_distance(base, base) == 0
+        assert levenshtein_distance(base, "") == length
+        # One change at either end: the last pattern bit and the first.
+        assert levenshtein_distance(base, base[:-1] + "z") == 1
+        assert levenshtein_distance(base, "z" + base[1:]) == 1
+        assert levenshtein_distance(base, base + "z") == 1
+        shifted = base[1:] + "z"
+        assert levenshtein_distance(base, shifted) == oracle_distance(base, shifted)
+
+    def test_non_bmp_and_combining_characters(self):
+        assert levenshtein_distance("\U0001f600\U0001f601", "\U0001f600") == 1
+        # A combining accent is its own code point, hence its own edit.
+        assert levenshtein_distance("caf\u00e9", "cafe\u0301") == 2
+        assert levenshtein_distance("cafe", "cafe\u0301") == 1
 
 
 class TestJaccard:
