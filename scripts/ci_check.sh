@@ -78,19 +78,16 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_feature_engine
   --min-speedup 0 --report "$(mktemp)" > /dev/null
 
 echo "== batch planning smoke benchmark (BENCH_planning.json) =="
-# --small --min-speedup 0 --min-lsh-speedup 0: a timing-independent run of
-# the planning oracles — it *asserts* identical DBSCAN labels and covering
-# selections across the benchmark's own dense baseline, the planner's exact
-# sparse regime and the LSH arm; the n = 16 ... 2048 small-n sweep asserts
-# the same dense/sparse identity; and at n = 5000 it rebuilds the exact
-# graph to check the LSH subgraph property and the >= 0.95 edge-recall
-# floor.  The wall-clock floors (dense-vs-sparse and LSH-vs-exact-sparse
-# speedups) are checked by the full-size manual invocation
-# (benchmarks/bench_batch_planning.py --min-speedup 5 --min-lsh-speedup 5
-# --n 1000000).  The smoke report goes to a scratch file so it never
-# clobbers a full-size BENCH_planning.json.
+# --small --min-speedup 0: a timing-independent run of the planning oracle —
+# it *asserts* identical DBSCAN labels and covering selections between the
+# benchmark's own dense baseline and the planner's exact sparse join at
+# n = 300, 600 and 5000, and the n = 16 ... 2048 small-n sweep asserts the
+# same identity.  The wall-clock floor (dense-vs-sparse speedup) is checked
+# by the full-size manual invocation
+# (benchmarks/bench_batch_planning.py --min-speedup 5).  The smoke report
+# goes to a scratch file so it never clobbers a full-size BENCH_planning.json.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_batch_planning.py \
-  --small --min-speedup 0 --min-lsh-speedup 0 --report "$(mktemp)" > /dev/null
+  --small --min-speedup 0 --report "$(mktemp)" > /dev/null
 
 echo "== engines smoke benchmark (BENCH_async.json) =="
 # --small --min-speedup 0: a dispatch-identity and retry-parity oracle, not a

@@ -69,7 +69,7 @@ class QuestionBatcher(ABC):
         Args:
             questions: the question pairs, in evaluation order.
             features: ``(len(questions), d)`` feature matrix.
-            planner: optional routing policy
+            planner: optional planner
                 (:class:`~repro.clustering.neighbors.NeighborPlanner`) for the
                 clustering step's epsilon-neighbor graph.  Ignored by
                 strategies that never look at distances.

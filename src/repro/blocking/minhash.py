@@ -17,10 +17,6 @@ Everything is deterministic for a fixed ``seed``: token hashes are keyed
 blake2b digests (not Python's salted ``hash``), permutations are drawn from a
 seeded generator, and candidate emission order is stable — so blocking results
 are byte-stable across processes.
-
-The same :class:`MinHashSigner` primitives back the approximate epsilon-graph
-in :mod:`repro.clustering.neighbors`, which feeds quantized-grid cell tokens
-(instead of text shingles) through identical banded-LSH machinery.
 """
 
 from __future__ import annotations
@@ -72,7 +68,7 @@ def hash_tokens(tokens: Iterable[str]) -> np.ndarray:
 
 
 class MinHashSigner:
-    """Seeded MinHash permutations shared by text blocking and vector LSH.
+    """Seeded MinHash permutations over token-hash sets.
 
     Each "permutation" is a multiply-shift universal hash over uint64 token
     hashes (odd multiplier, additive offset, natural 2^64 wraparound); the
@@ -93,24 +89,6 @@ class MinHashSigner:
             rng.integers(1, 2**63, size=num_perm, dtype=np.uint64) | np.uint64(1)
         )
         self._offsets = rng.integers(0, 2**63, size=num_perm, dtype=np.uint64)
-
-    def signature_matrix(self, token_hashes: np.ndarray) -> np.ndarray:
-        """Signatures of rows of a dense ``(n, t)`` token-hash matrix.
-
-        Every row must carry the same number of tokens ``t`` (the vector-LSH
-        case: one grid-cell token per dimension per offset grid).  Returns a
-        ``(n, num_perm)`` uint64 matrix.
-        """
-        hashes = np.ascontiguousarray(token_hashes, dtype=np.uint64)
-        if hashes.ndim != 2 or hashes.shape[1] == 0:
-            raise ValueError(
-                f"expected a non-empty 2-D token-hash matrix, got {hashes.shape}"
-            )
-        out = np.empty((hashes.shape[0], self.num_perm), dtype=np.uint64)
-        for perm in range(self.num_perm):
-            permuted = hashes * self._multipliers[perm] + self._offsets[perm]
-            np.min(permuted, axis=1, out=out[:, perm])
-        return out
 
     def signatures_of_sets(
         self, token_sets: Sequence[np.ndarray]

@@ -13,11 +13,9 @@ from repro.clustering.distance import (
 from repro.clustering.dbscan import DBSCAN, DBSCANResult
 from repro.clustering.kmeans import KMeans, KMeansResult
 from repro.clustering.neighbors import (
-    LSHConfig,
     NeighborGraph,
     NeighborPlanner,
     build_cross_neighbor_graph,
-    build_lsh_neighbor_graph,
     build_neighbor_graph,
     default_planner,
     dense_percentile_radius,
@@ -29,11 +27,9 @@ __all__ = [
     "DBSCANResult",
     "KMeans",
     "KMeansResult",
-    "LSHConfig",
     "NeighborGraph",
     "NeighborPlanner",
     "build_cross_neighbor_graph",
-    "build_lsh_neighbor_graph",
     "build_neighbor_graph",
     "default_planner",
     "dense_percentile_radius",

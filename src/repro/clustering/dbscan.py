@@ -7,9 +7,9 @@ expansion over the index arrays of a CSR-style
 arrays, neighbour gathers are vectorized, and an enqueued mask guarantees
 every point enters a frontier at most once.  The graph and the automatic
 ``eps`` come from a :class:`~repro.clustering.neighbors.NeighborPlanner`:
-blocked radius joins (or, for very large inputs, the approximate LSH join)
-and a percentile radius that is exact up to 2,048 points and sampled above,
-so the ``(n, n)`` distance matrix is never materialised for the graph.
+exact blocked radius joins and a percentile radius that is exact up to
+2,048 points and sampled above, so the ``(n, n)`` distance matrix is never
+materialised for the graph.
 
 Labels ``0..k-1`` are assigned in seed order and noise points are marked
 ``-1``; downstream batching treats every noise point as its own singleton
@@ -75,7 +75,7 @@ class DBSCAN:
         min_samples: minimum neighbourhood size for a core point.
         eps_percentile: percentile used by the automatic radius rule.
         metric: distance metric (``"euclidean"`` or ``"cosine"``).
-        planner: exact/LSH routing policy; defaults to the process-wide
+        planner: builds the epsilon-graph; defaults to the process-wide
             :func:`~repro.clustering.neighbors.default_planner`.
     """
 
@@ -106,7 +106,7 @@ class DBSCAN:
 
         Args:
             features: ``(n, d)`` feature matrix.
-            planner: per-call override of the routing policy.
+            planner: per-call override of the planner.
         """
         features = np.asarray(features, dtype=float)
         if features.ndim != 2:

@@ -17,16 +17,13 @@ subsystem:
   sentence encoding) instead of per-pair Python loops;
 * **one planning policy per store** — the store owns the
   :class:`~repro.clustering.neighbors.NeighborPlanner` that clustering-based
-  batchers and the covering selector plan through: sparse epsilon-neighbor
-  graphs built in fixed-size blocks, and above the planner's
-  ``approx_threshold`` the MinHash-LSH approximate graph, so its routing
-  counters describe the whole run;
+  batchers and the covering selector plan through (exact sparse
+  epsilon-neighbor graphs built in fixed-size blocks), so its counters
+  describe the whole run;
 * **chunked featurization** — :meth:`FeatureStore.extract_matrix` walks its
   input in fixed-size blocks (each block is one columnar extractor call), so
-  peak *working* memory is bounded by the block size; with a
-  ``matrix_byte_budget`` the output matrix itself spills to an anonymous
-  ``np.memmap`` once it would exceed the budget, which is what lets a
-  million-record featurization run without holding the result in RAM.
+  peak *working* memory beyond the output matrix is bounded by the block
+  size.
 
 The store is thread-safe: a service flushes micro-batches from its consumer
 thread while HTTP handler threads read statistics.  Miss computation is
@@ -36,7 +33,6 @@ memo caches), while lookups, stats and gets stay concurrent.
 
 from __future__ import annotations
 
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -68,12 +64,9 @@ class FeatureStoreStats:
         evictions: vectors dropped by the LRU bound so far.
         chunked_extracts: ``extract_matrix`` calls that spanned more than one
             extraction block.
-        memmap_matrices: output matrices spilled to ``np.memmap`` because
-            they exceeded the store's byte budget.
-        planning: routing counters of the store's
-            :class:`~repro.clustering.neighbors.NeighborPlanner` (sparse /
-            LSH graphs built, radii sampled, edges kept, LSH candidate counts
-            and oracle recall).
+        planning: counters of the store's
+            :class:`~repro.clustering.neighbors.NeighborPlanner` (graphs and
+            cross joins built, radii sampled, edges kept).
     """
 
     size: int
@@ -82,7 +75,6 @@ class FeatureStoreStats:
     misses: int
     evictions: int
     chunked_extracts: int = 0
-    memmap_matrices: int = 0
     planning: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -101,7 +93,6 @@ class FeatureStoreStats:
             "hit_rate": self.hit_rate,
             "evictions": self.evictions,
             "chunked_extracts": self.chunked_extracts,
-            "memmap_matrices": self.memmap_matrices,
             "planning": dict(self.planning),
         }
 
@@ -116,17 +107,10 @@ class FeatureStore:
             vector is evicted on overflow.
         planner: batch-planning policy; a default
             :class:`~repro.clustering.neighbors.NeighborPlanner` when omitted.
-        approx_planning_threshold: convenience override of the default
-            planner's ``approx_threshold`` (``0`` forces LSH planning
-            everywhere — used by the forced-LSH golden tests); ignored when
-            an explicit ``planner`` is supplied.
         extract_block_size: pairs featurized per columnar extractor call;
             larger inputs are walked block by block (output rows are
             bit-identical to one-shot extraction — extractor rows are
             independent).
-        matrix_byte_budget: when set, output matrices whose float64 bytes
-            exceed this budget are allocated as anonymous ``np.memmap``
-            arrays instead of RAM; ``None`` keeps everything in memory.
     """
 
     def __init__(
@@ -134,9 +118,7 @@ class FeatureStore:
         extractor: FeatureExtractor,
         capacity: int = DEFAULT_CAPACITY,
         planner: NeighborPlanner | None = None,
-        approx_planning_threshold: int | None = None,
         extract_block_size: int = DEFAULT_EXTRACT_BLOCK_SIZE,
-        matrix_byte_budget: int | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -147,14 +129,7 @@ class FeatureStore:
         self.extractor = extractor
         self.capacity = capacity
         self.extract_block_size = extract_block_size
-        self.matrix_byte_budget = matrix_byte_budget
-        if planner is None:
-            planner = (
-                NeighborPlanner()
-                if approx_planning_threshold is None
-                else NeighborPlanner(approx_threshold=approx_planning_threshold)
-            )
-        self.planner = planner
+        self.planner = planner if planner is not None else NeighborPlanner()
         self._vectors: OrderedDict[str, np.ndarray] = OrderedDict()
         self._lock = threading.RLock()
         # Serializes extractor computation: the extractors' internal memo
@@ -165,7 +140,6 @@ class FeatureStore:
         self._misses = 0
         self._evictions = 0
         self._chunked_extracts = 0
-        self._memmap_matrices = 0
 
     @property
     def dimension(self) -> int:
@@ -234,26 +208,6 @@ class FeatureStore:
             self._vectors.popitem(last=False)
             self._evictions += 1
 
-    def _allocate_matrix(self, rows: int) -> np.ndarray:
-        """The output matrix: RAM, or an anonymous memmap past the budget.
-
-        The memmap is backed by an unlinked temporary file, so the spill
-        needs no cleanup — the mapping (and its disk space) is released when
-        the array is garbage collected.
-        """
-        if (
-            self.matrix_byte_budget is not None
-            and rows * self.dimension * 8 > self.matrix_byte_budget
-        ):
-            handle = tempfile.TemporaryFile()
-            matrix = np.memmap(
-                handle, dtype=np.float64, mode="w+", shape=(rows, self.dimension)
-            )
-            with self._lock:
-                self._memmap_matrices += 1
-            return matrix
-        return np.empty((rows, self.dimension), dtype=float)
-
     def _extract_block(self, pairs: Sequence[EntityPair], out: np.ndarray) -> None:
         """Fill ``out`` with the vectors of one block of ``pairs``."""
         fingerprints = [pair_fingerprint(pair) for pair in pairs]
@@ -290,13 +244,12 @@ class FeatureStore:
         ``extract_block_size`` pairs per call, so working memory stays
         bounded however long the input is.  Output rows are bit-identical to
         scalar per-pair extraction (extractor rows are independent, so block
-        composition cannot change them), and the matrix itself spills to an
-        anonymous ``np.memmap`` when it exceeds ``matrix_byte_budget``.
+        composition cannot change them).
         """
         pairs = list(pairs)
         if not pairs:
             return np.zeros((0, self.dimension), dtype=float)
-        matrix = self._allocate_matrix(len(pairs))
+        matrix = np.empty((len(pairs), self.dimension), dtype=float)
         block = self.extract_block_size
         if len(pairs) > block:
             with self._lock:
@@ -318,7 +271,6 @@ class FeatureStore:
                 misses=self._misses,
                 evictions=self._evictions,
                 chunked_extracts=self._chunked_extracts,
-                memmap_matrices=self._memmap_matrices,
                 planning=self.planner.stats().to_dict(),
             )
 
@@ -339,15 +291,10 @@ def create_feature_store(
     variant: str,
     attributes: tuple[str, ...],
     capacity: int = DEFAULT_CAPACITY,
-    approx_planning_threshold: int | None = None,
-    matrix_byte_budget: int | None = None,
 ) -> FeatureStore:
     """Build a :class:`FeatureStore` over one of the paper's extractor variants."""
     from repro.features.factory import create_feature_extractor
 
     return FeatureStore(
-        create_feature_extractor(variant, attributes),
-        capacity=capacity,
-        approx_planning_threshold=approx_planning_threshold,
-        matrix_byte_budget=matrix_byte_budget,
+        create_feature_extractor(variant, attributes), capacity=capacity
     )

@@ -61,11 +61,11 @@ class PipelineContext:
             each demonstration only once across many resolve calls).
         feature_store: the columnar feature engine used to featurize (and
             the owner of the run's
-            :class:`~repro.clustering.neighbors.NeighborPlanner`, which routes
-            batch planning between the exact sparse-graph and approximate
-            LSH regimes).  A long-lived session (``Resolver``, the service)
-            pre-sets a shared store so vectors are memoized across calls;
-            ``Featurize`` builds an ephemeral one otherwise.
+            :class:`~repro.clustering.neighbors.NeighborPlanner`, which builds
+            the batch-planning neighbour graphs).  A long-lived session
+            (``Resolver``, the service) pre-sets a shared store so vectors
+            are memoized across calls; ``Featurize`` builds an ephemeral one
+            otherwise.
         question_features / pool_features: feature matrices (``Featurize``).
         batches: question batches (``BatchQuestions``).
         selection: per-batch demonstrations (``SelectDemonstrations``).

@@ -184,7 +184,7 @@ class Resolver:
         A :class:`~repro.clustering.neighbors.NeighborPlanner` owned by the
         session's feature store: every resolve call plans over sparse
         epsilon-neighbor graphs with bounded memory.  Exposed so serving
-        deployments can inspect the routing counters next to :meth:`cost`
+        deployments can inspect the planning counters next to :meth:`cost`
         and :attr:`usage`.
         """
         store = self.feature_store

@@ -67,8 +67,8 @@ class Featurize(PipelineStage):
             store = create_feature_store(
                 context.config.feature_extractor, context.attributes
             )
-            # Ephemeral stores inherit the run's tracer so planner routing
-            # (sparse / LSH graph builds) appears in the trace.
+            # Ephemeral stores inherit the run's tracer so planner graph
+            # builds appear in the trace.
             store.planner.tracer = context.tracer
             context.feature_store = store
         store = context.feature_store
@@ -82,10 +82,8 @@ class BatchQuestions(PipelineStage):
     """Group the questions into batches with the configured strategy.
 
     The feature store's :class:`~repro.clustering.neighbors.NeighborPlanner`
-    routes the clustering geometry: question sets cluster over a sparse
-    epsilon-neighbor graph built in fixed-size blocks, and sets above the
-    planner's ``approx_threshold`` over the approximate MinHash-LSH
-    epsilon-graph.
+    supplies the clustering geometry: question sets cluster over a sparse
+    epsilon-neighbor graph built in fixed-size blocks.
     """
 
     name = "batch-questions"
@@ -127,7 +125,7 @@ class SelectDemonstrations(PipelineStage):
             seed=config.seed,
             threshold_percentile=config.threshold_percentile,
         )
-        # As in BatchQuestions, the store's planner is the single routing point.
+        # As in BatchQuestions, the store's planner is the single planning point.
         planner = (
             context.feature_store.planner if context.feature_store is not None else None
         )

@@ -104,7 +104,7 @@ class DemonstrationSelector(ABC):
             pool: the unlabeled demonstration pool (gold labels are present on
                 the pairs but conceptually hidden until selected).
             pool_features: ``(len(pool), d)`` feature matrix of the pool.
-            planner: optional routing policy
+            planner: optional planner
                 (:class:`~repro.clustering.neighbors.NeighborPlanner`); the
                 covering strategy resolves its radius and radius-joins through
                 it, the rest ignore it.

@@ -65,7 +65,7 @@ class CoveringSelector(DemonstrationSelector):
         threshold: explicit radius overriding the percentile rule.
         tokenizer: tokenizer used to weight demonstrations by token count in
             the Batch Covering phase.
-        planner: routing policy for the coverage geometry;
+        planner: planner building the coverage geometry;
             defaults to the process-wide
             :func:`~repro.clustering.neighbors.default_planner`.
     """
@@ -105,7 +105,7 @@ class CoveringSelector(DemonstrationSelector):
         questions, from a seeded distance sample above.
 
         Args:
-            planner: per-call override of the routing policy.
+            planner: per-call override of the planner.
         """
         if self.threshold is not None:
             return self.threshold

@@ -392,14 +392,10 @@ def run_self_test(
         # The registry is the only store of the service's event counters:
         # GET /stats over HTTP must report exactly what GET /metrics does.
         "stats_counters_match_metrics": _stats_match_metrics(http_stats, metrics_text),
-        # The planner's routing counters must reach both surfaces: the
-        # /stats planning dict (lsh_routes / candidate counts / oracle
-        # recall) and the per-regime route metric.  At self-test scale every
-        # self-join is exact, so the sparse counter carries the routes while
-        # the lsh family renders at zero — proving the schema is stable
-        # before any large input arrives.
+        # The planner's counters must reach both surfaces: the /stats
+        # planning dict (graphs, cross joins, edges) and the route metric.
         "planner_routing_counters_in_stats": (
-            {"lsh_routes", "lsh_candidates", "lsh_recall_min"}
+            {"sparse_graphs", "cross_joins", "edges_built"}
             <= set(feature_store.get("planning") or {})
         ),
         "planner_route_metric_exposed": (

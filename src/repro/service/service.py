@@ -151,7 +151,7 @@ class ServiceStats:
             :meth:`repro.engines.base.Engine.describe`; ``None`` when the
             session's LLM is not a registered engine.
         feature_store: snapshot of the session's columnar feature-vector
-            store (size, hit rate, evictions, and the ``planning`` routing
+            store (size, hit rate, evictions, and the ``planning``
             counters of its sparse-neighbor-graph planner); ``None`` before
             the store exists (no demonstrations yet).
         uptime_seconds: seconds since :meth:`ResolutionService.start` (0.0
@@ -435,21 +435,11 @@ class ResolutionService:
             if self._resolver.feature_store is not None
             else 0
         )
-        planner_routes = metrics.counter(
-            "repro_planner_route_total",
-            "Epsilon-graph builds by planner routing regime.",
-            labels=("regime",),
-        )
-        planner_routes.set_function(
-            lambda: self._planner_stat("sparse_graphs"), regime="sparse"
-        )
-        planner_routes.set_function(
-            lambda: self._planner_stat("lsh_graphs"), regime="lsh"
-        )
         metrics.counter(
-            "repro_planner_lsh_candidates_total",
-            "Directed candidate pairs verified by the LSH planning regime.",
-        ).set_function(lambda: self._planner_stat("lsh_candidates"))
+            "repro_planner_route_total",
+            "Epsilon-graph builds by planning regime (only the exact sparse join).",
+            labels=("regime",),
+        ).set_function(lambda: self._planner_stat("sparse_graphs"), regime="sparse")
         metrics.gauge(
             "repro_queue_depth", "Requests waiting in the micro-batch queue."
         ).set_function(lambda: len(self._queue))
@@ -538,7 +528,7 @@ class ResolutionService:
         return store.stats().hit_rate
 
     def _planner_stat(self, name: str) -> int:
-        """One routing counter of the resolver's planner (0 before planning)."""
+        """One counter of the resolver's planner (0 before planning)."""
         store = self._resolver.feature_store
         if store is None:
             return 0

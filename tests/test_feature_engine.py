@@ -200,7 +200,7 @@ class TestFeatureStore:
 
 
 class TestChunkedExtraction:
-    """Block-walked ``extract_matrix`` + memmap spill (million-record path)."""
+    """Block-walked ``extract_matrix``: bounded working memory per call."""
 
     def make_pairs(self, count):
         return [
@@ -228,36 +228,11 @@ class TestChunkedExtraction:
         )
         assert chunked.stats().chunked_extracts == 2
 
-    def test_memmap_spill_over_byte_budget(self):
-        pairs = self.make_pairs(12)
-        attributes = ("name",)
-        store = FeatureStore(
-            create_feature_extractor("lr", attributes),
-            extract_block_size=5,
-            matrix_byte_budget=8,  # any real matrix exceeds 8 bytes
-        )
-        in_ram = FeatureStore(create_feature_extractor("lr", attributes))
-        spilled = store.extract_matrix(pairs)
-        assert isinstance(spilled, np.memmap)
-        assert np.array_equal(np.asarray(spilled), in_ram.extract_matrix(pairs))
-        assert store.stats().memmap_matrices == 1
-        # Small outputs stay in RAM even with a budget configured.
-        assert not isinstance(store.extract_matrix([]), np.memmap)
-
     def test_stats_dict_carries_chunking_counters(self):
         store = create_feature_store("lr", ("name",))
         payload = store.stats().to_dict()
-        assert {"chunked_extracts", "memmap_matrices", "planning"} <= set(payload)
-
-    def test_create_feature_store_passthrough_reaches_planner(self):
-        store = create_feature_store(
-            "lr",
-            ("name",),
-            approx_planning_threshold=0,
-            matrix_byte_budget=64,
-        )
-        assert store.planner.approx_threshold == 0
-        assert store.matrix_byte_budget == 64
+        assert {"chunked_extracts", "planning"} <= set(payload)
+        assert "memmap_matrices" not in payload
 
     def test_extract_block_size_validated(self):
         extractor = create_feature_extractor("lr", ("name",))

@@ -18,10 +18,8 @@ from repro.clustering.dbscan import DBSCAN
 from repro.clustering.distance import cross_distances, pairwise_distances
 from repro.clustering.neighbors import (
     EXACT_RADIUS_MAX_POINTS,
-    LSHConfig,
     NeighborPlanner,
     build_cross_neighbor_graph,
-    build_lsh_neighbor_graph,
     build_neighbor_graph,
     default_planner,
     dense_percentile_radius,
@@ -46,6 +44,14 @@ def random_features(seed, n=None, d=None, degenerate=True):
         elif seed % 5 == 0:
             features[n // 2 :] = 0.0  # mixed zero rows
     return features
+
+
+def blob_features(seed, n, d=6, blob_size=20):
+    """Clustered (blobby) features: realistic geometry for the radius tests."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=4.0, size=(max(1, n // blob_size), d))
+    assignments = rng.integers(0, len(centers), size=n)
+    return centers[assignments] + rng.normal(scale=0.25, size=(n, d))
 
 
 def make_pair(index, label=MatchLabel.MATCH):
@@ -192,6 +198,26 @@ class TestNeighborPlanner:
     def test_default_planner_is_shared(self):
         assert default_planner() is default_planner()
 
+    def test_graph_spans_carry_points_and_edges(self):
+        from repro.observability.tracing import Tracer
+
+        tracer = Tracer()
+        planner = NeighborPlanner(**SPARSE)
+        planner.tracer = tracer
+        features = blob_features(2, 40, d=2)
+        graphs = [planner.graph(np.zeros((3, 2)), 1.0), planner.graph(features, 1.0)]
+        spans = [
+            span.attributes
+            for span in tracer.finished_spans()
+            if span.name == "planner:graph"
+        ]
+        assert [(span["points"], span["edges"]) for span in spans] == [
+            (3, graphs[0].num_edges),
+            (40, graphs[1].num_edges),
+        ]
+        assert graphs[0].num_edges == 6  # three coincident points
+        assert all("regime" not in span for span in spans)
+
 
 class TestExactRadiusBound:
     """Percentile radii are exact up to EXACT_RADIUS_MAX_POINTS points.
@@ -263,6 +289,78 @@ class TestExactRadiusBound:
             if span.name == "planner:radius"
         ]
         assert points == [20, EXACT_RADIUS_MAX_POINTS + 1]
+
+
+class TestExactJoinOnBlobbyWorkloads:
+    """The blocked self-join is exact on clustered geometry at any size.
+
+    Blobby inputs put many points inside each radius, which is where a
+    candidate-pruning join would lose edges; the blocked join must not.
+    """
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_graph_matches_dense_adjacency(self, n, metric):
+        features = blob_features(17, n)
+        radius = sample_percentile_radius(features, 0.5, metric=metric)
+        graph = NeighborPlanner().graph(features, radius, metric=metric)
+        dense = dense_graph(
+            pairwise_distances(features, metric=metric), radius, metric=metric
+        )
+        assert graph.num_edges > 0
+        assert np.array_equal(graph.indptr, dense.indptr)
+        assert np.array_equal(graph.indices, dense.indices)
+
+    def test_graph_independent_of_block_size_and_call(self):
+        features = blob_features(3, 700)
+        radius = sample_percentile_radius(features, 1.0)
+        reference = NeighborPlanner().graph(features, radius)
+        for block_size in (1, 13, 700, 4096):
+            planner = NeighborPlanner(block_size=block_size)
+            for _ in range(2):
+                graph = planner.graph(features, radius)
+                assert np.array_equal(graph.indptr, reference.indptr)
+                assert np.array_equal(graph.indices, reference.indices)
+
+    def test_zero_radius_links_exactly_the_duplicates(self):
+        features = blob_features(4, 60)
+        features[10:20] = features[10]
+        inclusive = NeighborPlanner(**SPARSE).graph(features, 0.0, inclusive=True)
+        expected = np.zeros(60, dtype=np.int64)
+        expected[10:20] = 9
+        assert np.array_equal(inclusive.degrees(), expected)
+        assert np.array_equal(inclusive.neighbors(10), np.arange(11, 20))
+        exclusive = NeighborPlanner(**SPARSE).graph(features, 0.0, inclusive=False)
+        assert exclusive.num_edges == 0
+
+    def test_dbscan_labels_match_dense(self):
+        features = blob_features(13, 900)
+        dense = DBSCAN(
+            min_samples=2, eps_percentile=2.0, planner=DensePlanner()
+        ).fit(features)
+        planned = DBSCAN(
+            min_samples=2, eps_percentile=2.0, planner=NeighborPlanner()
+        ).fit(features)
+        assert dense.num_clusters > 1
+        assert np.array_equal(dense.labels, planned.labels)
+        assert np.array_equal(dense.core_point_mask, planned.core_point_mask)
+
+    def test_cross_join_matches_dense_and_nearest(self):
+        features = blob_features(7, 300)
+        rng = np.random.default_rng(8)
+        # demonstrations drawn from the same blobs as the questions
+        pool = features[::6] + rng.normal(scale=0.25, size=(50, features.shape[1]))
+        planner = NeighborPlanner(**SPARSE)
+        graph, nearest = planner.cross_graph(features, pool, 1.0, return_nearest=True)
+        distances = cross_distances(features, pool)
+        rows, cols = np.nonzero(distances < 1.0)
+        assert graph.num_edges > 0
+        assert np.array_equal(graph.indices, cols)
+        assert np.array_equal(
+            graph.degrees(), np.bincount(rows, minlength=len(features))
+        )
+        assert np.array_equal(nearest, np.argmin(distances, axis=1))
+        assert planner.stats().cross_joins == 1
 
 
 class TestSparseDBSCANEquivalence:
@@ -408,207 +506,7 @@ class TestEndToEndGoldenEquivalence:
         assert "planning" in stats.to_dict()
         # Small chunks plan over exact sparse graphs with exact radii.
         assert stats.planning["sparse_graphs"] >= 1
-        assert stats.planning["lsh_graphs"] == 0
         assert stats.planning["sampled_radii"] == 0
-
-
-def blob_features(seed, n, d=6, blob_size=20):
-    """Clustered (blobby) features: realistic geometry for the LSH recall tests."""
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=4.0, size=(max(1, n // blob_size), d))
-    assignments = rng.integers(0, len(centers), size=n)
-    return centers[assignments] + rng.normal(scale=0.25, size=(n, d))
-
-
-def edge_keys(graph):
-    counts = np.diff(graph.indptr)
-    rows = np.repeat(np.arange(graph.num_rows, dtype=np.uint64), counts)
-    return rows * np.uint64(graph.num_cols) + graph.indices.astype(np.uint64)
-
-
-def assert_subgraph(approx, exact, features, radius, metric="euclidean"):
-    """Every LSH edge is an exact edge, modulo exact-boundary rounding ties.
-
-    The LSH verifier and the blocked join use two different exact formulas
-    that can disagree by one ulp (documented on ``build_lsh_neighbor_graph``);
-    an extra edge is only a bug when its distance is genuinely away from the
-    radius boundary.
-    """
-    extra = np.setdiff1d(edge_keys(approx), edge_keys(exact))
-    if extra.size == 0:
-        return
-    from repro.clustering.distance import elementwise_distances
-
-    n = exact.num_cols
-    rows = (extra // np.uint64(n)).astype(np.int64)
-    cols = (extra % np.uint64(n)).astype(np.int64)
-    distances = elementwise_distances(features[rows], features[cols], metric)
-    assert np.allclose(distances, radius, rtol=1e-9, atol=1e-12), (
-        f"{extra.size} non-boundary false edges; distances {distances[:5]} "
-        f"vs radius {radius}"
-    )
-
-
-class TestLSHNeighborGraph:
-    """The approximate graph may miss edges but must never invent them."""
-
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    @pytest.mark.parametrize("inclusive", [True, False])
-    def test_subgraph_of_exact_across_seeds(self, metric, inclusive):
-        for seed in range(8):
-            features = random_features(seed)
-            distances = pairwise_distances(features, metric=metric)
-            positive = distances[distances > 0]
-            radius = float(np.median(positive)) if positive.size else 0.5
-            exact = build_neighbor_graph(
-                features, radius, metric=metric, inclusive=inclusive
-            )
-            approx, _ = build_lsh_neighbor_graph(
-                features, radius, metric=metric, inclusive=inclusive
-            )
-            assert approx.num_rows == exact.num_rows
-            assert_subgraph(approx, exact, features, radius, metric)
-            for row in range(approx.num_rows):
-                neighbours = approx.neighbors(row)
-                assert row not in neighbours
-                assert np.array_equal(neighbours, np.sort(neighbours))
-
-    @pytest.mark.parametrize("n", [512, 4096])
-    def test_recall_floor_on_blobby_workload(self, n):
-        features = blob_features(17, n)
-        radius = sample_percentile_radius(features, 0.5)
-        exact = build_neighbor_graph(features, radius)
-        approx, num_candidates = build_lsh_neighbor_graph(features, radius)
-        assert num_candidates >= approx.num_edges
-        # Subgraph + edge counts make the ratio the (clamped) edge recall.
-        assert_subgraph(approx, exact, features, radius)
-        assert exact.num_edges > 0
-        assert min(1.0, approx.num_edges / exact.num_edges) >= 0.95
-
-    def test_deterministic_across_calls(self):
-        features = blob_features(3, 700)
-        radius = sample_percentile_radius(features, 1.0)
-        first, candidates_first = build_lsh_neighbor_graph(features, radius)
-        second, candidates_second = build_lsh_neighbor_graph(features, radius)
-        assert candidates_first == candidates_second
-        assert np.array_equal(first.indptr, second.indptr)
-        assert np.array_equal(first.indices, second.indices)
-
-    def test_small_inputs_fall_back_to_exact(self):
-        empty, candidates = build_lsh_neighbor_graph(np.zeros((0, 3)), 1.0)
-        assert empty.num_rows == 0 and candidates == 0
-        single, candidates = build_lsh_neighbor_graph(np.zeros((1, 3)), 1.0)
-        assert single.num_rows == 1 and single.num_edges == 0 and candidates == 0
-        pair, _ = build_lsh_neighbor_graph(np.zeros((2, 3)), 1.0)
-        assert pair.num_edges == 2  # coincident points within any radius
-
-    def test_degenerate_radius_and_duplicates(self):
-        features = np.zeros((50, 4))
-        exact = build_neighbor_graph(features, 0.0, inclusive=True)
-        approx, _ = build_lsh_neighbor_graph(features, 0.0, inclusive=True)
-        assert np.array_equal(approx.indptr, exact.indptr)
-        assert np.array_equal(approx.indices, exact.indices)
-
-    def test_candidate_cap_bounds_row_candidates(self):
-        features = blob_features(5, 600, d=4)
-        radius = sample_percentile_radius(features, 25.0)  # huge neighbourhoods
-        config = LSHConfig(candidate_cap=7)
-        approx, _ = build_lsh_neighbor_graph(features, radius, config=config)
-        assert int(np.diff(approx.indptr).max()) <= 7
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            build_lsh_neighbor_graph(
-                np.zeros((10, 2)), 1.0, config=LSHConfig(num_perm=64, bands=7)
-            )
-        with pytest.raises(ValueError):
-            build_lsh_neighbor_graph(np.zeros(10), 1.0)
-
-
-class TestLSHRouting:
-    def test_use_lsh_thresholds(self):
-        planner = NeighborPlanner(approx_threshold=100)
-        assert not planner.use_lsh(10)
-        assert not planner.use_lsh(100)  # at the threshold: still exact sparse
-        assert planner.use_lsh(101)
-        disabled = NeighborPlanner(approx_threshold=None)
-        assert not disabled.use_lsh(10**9)
-        forced = NeighborPlanner(approx_threshold=0)
-        assert forced.use_lsh(2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NeighborPlanner(approx_threshold=-1)
-        with pytest.raises(ValueError):
-            NeighborPlanner(recall_oracle_max=-1)
-
-    def test_lsh_stats_and_alias(self):
-        features = blob_features(9, 300)
-        planner = NeighborPlanner(approx_threshold=0)
-        radius = planner.resolve_radius(features, 1.0)
-        planner.graph(features, radius)
-        stats = planner.stats()
-        assert stats.lsh_graphs == 1
-        assert stats.sparse_graphs == 0
-        assert stats.lsh_candidates >= stats.lsh_edges > 0
-        as_dict = stats.to_dict()
-        assert as_dict["lsh_routes"] == 1  # the serving-surface alias
-        assert as_dict["lsh_recall_min"] is None  # oracle never ran
-
-    def test_recall_oracle_records_minimum(self):
-        features = blob_features(21, 400)
-        planner = NeighborPlanner(approx_threshold=0, recall_oracle_max=1024)
-        radius = planner.resolve_radius(features, 1.0)
-        planner.graph(features, radius)
-        stats = planner.stats()
-        assert stats.lsh_oracle_runs == 1
-        assert stats.lsh_recall_min is not None
-        assert 0.95 <= stats.lsh_recall_min <= 1.0
-
-    def test_lsh_labels_match_exact_on_blobby_workload(self):
-        # At full recall the approximate graph IS the exact graph, so DBSCAN
-        # over it reproduces the exact labels.  The eps percentile stays in
-        # the within-blob distance regime on purpose: the default (15.0)
-        # resolves a whole-blob-scale radius whose giant LSH buckets are
-        # exactly where truncation loses edges.  Everything is seeded, so the
-        # full-recall premise asserted via the planner's oracle is stable.
-        features = blob_features(13, 900)
-        exact = DBSCAN(min_samples=2, eps_percentile=2.0).fit(features)
-        planner = NeighborPlanner(approx_threshold=0, recall_oracle_max=1024)
-        approx = DBSCAN(min_samples=2, eps_percentile=2.0, planner=planner).fit(features)
-        assert planner.stats().lsh_recall_min == 1.0
-        assert np.array_equal(exact.labels, approx.labels)
-
-    def test_cross_joins_stay_exact_under_forced_lsh(self):
-        features = blob_features(7, 300)
-        pool = blob_features(8, 40, d=features.shape[1])
-        planner = NeighborPlanner(approx_threshold=0)
-        graph, nearest = planner.cross_graph(
-            features, pool, 1.0, return_nearest=True
-        )
-        reference, reference_nearest = build_cross_neighbor_graph(
-            features, pool, 1.0, return_nearest=True
-        )
-        assert np.array_equal(graph.indptr, reference.indptr)
-        assert np.array_equal(graph.indices, reference.indices)
-        assert np.array_equal(nearest, reference_nearest)
-        assert planner.stats().lsh_graphs == 0
-
-    def test_planner_spans_carry_regime(self):
-        from repro.observability.tracing import Tracer
-
-        tracer = Tracer()
-        planner = NeighborPlanner(approx_threshold=16)
-        planner.tracer = tracer
-        planner.graph(np.zeros((3, 2)), 1.0)  # exact sparse
-        planner.graph(np.ones((10, 2)), 1.0)  # exact sparse
-        planner.graph(blob_features(2, 40, d=2), 1.0)  # lsh
-        regimes = [
-            span.attributes["regime"]
-            for span in tracer.finished_spans()
-            if span.name == "planner:graph"
-        ]
-        assert regimes == ["sparse", "sparse", "lsh"]
 
 
 class TestRadiusSeedStability:
@@ -661,43 +559,3 @@ class TestRadiusSeedStability:
         features = np.random.default_rng(7).normal(size=(2100, 4))
         planner = NeighborPlanner(sample_size=2000)
         assert completed.stdout.strip() == repr(planner.resolve_radius(features, 10.0))
-
-
-class TestEndToEndForcedLSH:
-    """Fixed-seed BatchER runs stay byte-identical with LSH planning forced.
-
-    At benchmark scale the approximate graph achieves full recall, so every
-    plan (batches, selections) and therefore every prediction must match the
-    reference run exactly — LSH planning changes the route, not the result.
-    """
-
-    @pytest.mark.parametrize("dataset_fixture", ["beer_dataset", "fz_dataset"])
-    def test_batcher_run_identical_with_forced_lsh(self, request, dataset_fixture):
-        from repro.core.batcher import BatchER
-        from repro.core.config import BatcherConfig
-        from repro.features.engine import FeatureStore
-        from repro.features.factory import create_feature_extractor
-        from repro.pipeline.context import PipelineContext
-        from repro.pipeline.pipeline import Pipeline
-
-        dataset = request.getfixturevalue(dataset_fixture)
-        config = BatcherConfig(seed=0, max_questions=60)
-        reference = BatchER(config).run(dataset)
-
-        context = PipelineContext.from_dataset(dataset, config)
-        context.feature_store = FeatureStore(
-            create_feature_extractor(config.feature_extractor, dataset.attributes),
-            approx_planning_threshold=0,  # force LSH for every self-join
-        )
-        Pipeline.default().run(context)
-        forced = context.result
-
-        assert forced is not None
-        assert forced.predictions == reference.predictions
-        assert forced.metrics == reference.metrics
-        assert forced.cost == reference.cost
-        assert forced.num_batches == reference.num_batches
-        assert forced.summary() == reference.summary()
-        planning = context.feature_store.stats().planning
-        assert planning["lsh_routes"] >= 1
-        assert planning["sparse_graphs"] == 0

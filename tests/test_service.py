@@ -464,7 +464,7 @@ class TestServiceLifecycle:
         finally:
             service.stop()
 
-    def test_planner_routes_report_the_exact_and_lsh_regimes(
+    def test_planner_routes_report_only_the_exact_regime(
         self, beer_dataset, service_config, questions
     ):
         service = _started_service(beer_dataset, service_config)
@@ -473,10 +473,13 @@ class TestServiceLifecycle:
             planning = service.stats().to_dict()["feature_store"]["planning"]
             assert planning["sparse_graphs"] > 0
             assert not {"dense_graphs", "dense_radii"} & set(planning)
+            assert not [key for key in planning if key.startswith("lsh_")]
             routes = service.metrics.get("repro_planner_route_total")
             assert routes.value(regime="sparse") == planning["sparse_graphs"]
-            assert routes.value(regime="lsh") == planning["lsh_graphs"]
-            assert 'regime="dense"' not in service.metrics.render()
+            rendered = service.metrics.render()
+            assert 'regime="dense"' not in rendered
+            assert 'regime="lsh"' not in rendered
+            assert "repro_planner_lsh_candidates_total" not in rendered
         finally:
             service.stop()
 
