@@ -9,7 +9,8 @@ identical, pre-resolved radii:
   implementation — the full ``(n, n)`` pairwise matrix, per-point Python
   loops and an eager (re-scan every round) greedy set cover.
 - **exact sparse** (every size): the planner's blocked CSR epsilon-graphs
-  (:mod:`repro.clustering.neighbors`) with a lazy-greedy set cover.
+  (:mod:`repro.clustering.neighbors`) with the array greedy set cover over
+  the same CSR graphs.
 
 The benchmark is an equivalence oracle as much as a stopwatch.  Where both
 arms run they must produce *identical* labels and selections.  Peak planning

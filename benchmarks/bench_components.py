@@ -9,6 +9,7 @@ end-to-end experiment timings.
 import numpy as np
 
 from repro.clustering.dbscan import DBSCAN
+from repro.clustering.neighbors import NeighborGraph
 from repro.data.registry import load_dataset
 from repro.features.structure_aware import StructureAwareExtractor
 from repro.llm.simulated import SimulatedLLM
@@ -51,11 +52,17 @@ def test_dbscan_speed(benchmark):
 def test_greedy_set_cover_speed(benchmark):
     rng = np.random.default_rng(0)
     num_items, num_candidates = 200, 400
-    coverage = [
-        frozenset(rng.choice(num_items, size=rng.integers(1, 12), replace=False).tolist())
-        for _ in range(num_candidates)
-    ]
-    solution = benchmark(greedy_set_cover, num_items, coverage)
+    degrees = rng.integers(1, 12, size=num_candidates)
+    indptr = np.zeros(num_candidates + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.concatenate(
+        [np.sort(rng.choice(num_items, size=degree, replace=False)) for degree in degrees]
+    )
+    coverage = NeighborGraph(
+        indptr=indptr, indices=indices.astype(np.int64), num_cols=num_items,
+        radius=0.0, metric="euclidean", inclusive=False,
+    )
+    solution = benchmark(greedy_set_cover, coverage, coverage.transpose())
     assert solution.selected
 
 

@@ -109,18 +109,29 @@ class NeighborGraph:
         """Per-row neighbour counts."""
         return np.diff(self.indptr)
 
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The neighbour lists of ``rows``, concatenated in order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        # Output position k of row r reads indices[starts[r] + k - offsets[r]].
+        offsets = np.cumsum(lengths) - lengths
+        return self.indices[np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())]
+
     def transpose(self) -> "NeighborGraph":
         """The column-to-row view of this graph (e.g. demo -> questions)."""
         counts = np.bincount(self.indices, minlength=self.num_cols)
         indptr = np.zeros(self.num_cols + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(self.indices, kind="stable")
         rows = np.repeat(
             np.arange(self.num_rows, dtype=np.int64), np.diff(self.indptr)
         )
+        # Sorting (column, row) keys puts the edges column-major with
+        # ascending rows, as a stable argsort of the columns would, but
+        # several times faster.
+        keys = np.sort(self.indices * self.num_rows + rows)
         return NeighborGraph(
             indptr=indptr,
-            indices=rows[order],
+            indices=keys % self.num_rows,
             num_cols=self.num_rows,
             radius=self.radius,
             metric=self.metric,

@@ -28,7 +28,7 @@ The selections are golden-tested against a test-only dense-matrix oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -131,7 +131,6 @@ class CoveringSelector(DemonstrationSelector):
         pool_features = np.asarray(pool_features, dtype=float)
         active = planner or self.planner or default_planner()
         threshold = self.resolve_threshold(question_features, planner=active)
-        num_questions = question_features.shape[0]
         num_pool = len(pool)
         # One blocked pass over the question-to-pool geometry yields both the
         # strict-radius coverage graph and each question's nearest pool
@@ -147,11 +146,7 @@ class CoveringSelector(DemonstrationSelector):
         assert nearest is not None
 
         # Phase 1 over the transposed graph: demo -> covered questions.
-        by_demo = graph.transpose()
-        coverage = [
-            frozenset(by_demo.neighbors(demo).tolist()) for demo in range(num_pool)
-        ]
-        generation = greedy_set_cover(num_questions, coverage, weights=None)
+        generation = greedy_set_cover(graph.transpose(), graph)
         demonstration_set = list(generation.selected)
 
         fallback_questions = sorted(generation.uncovered_items)
@@ -161,49 +156,49 @@ class CoveringSelector(DemonstrationSelector):
                 demonstration_set.append(nearest_demo)
 
         token_weights = self._token_weights(pool, demonstration_set)
-
-        # Phase 2 reads the same graph: a question's covering demos are its
-        # graph neighbours, intersected with the demonstration set.
-        demo_lookup = set(demonstration_set)
-        covering_demos: dict[int, set[int]] = {}
-        for batch in batches:
-            for question_index in batch.indices:
-                if question_index not in covering_demos:
-                    covering_demos[question_index] = demo_lookup.intersection(
-                        graph.neighbors(question_index).tolist()
-                    )
+        set_weights = np.array([token_weights[demo] for demo in demonstration_set])
+        set_demos = np.asarray(demonstration_set, dtype=np.int64)
+        # Phase 2 reads the same graph, masked to the demonstration set:
+        # ``set_rank[demo]`` is the demo's position in the set, or -1.
+        set_rank = np.full(num_pool, -1, dtype=np.int64)
+        set_rank[set_demos] = np.arange(len(set_demos))
 
         per_batch: list[list[int]] = []
         for batch in batches:
-            batch_questions = list(batch.indices)
-            positions_by_demo: dict[int, list[int]] = {}
-            for position, question_index in enumerate(batch_questions):
-                for demo in covering_demos[question_index]:
-                    positions_by_demo.setdefault(demo, []).append(position)
-            local_coverage = [
-                frozenset(positions_by_demo.get(demo, ()))
-                for demo in demonstration_set
-            ]
-            solution = greedy_set_cover(
-                len(batch_questions),
-                local_coverage,
-                weights=[token_weights[demo] for demo in demonstration_set],
+            questions = np.asarray(batch.indices, dtype=np.int64)
+            ranks = set_rank[graph.gather(questions)]
+            in_set = ranks >= 0
+            positions = np.repeat(
+                np.arange(len(questions)),
+                graph.indptr[questions + 1] - graph.indptr[questions],
+            )[in_set]
+            # The candidates are the set's demonstrations covering one of the
+            # batch's questions, in set order, so ties resolve as they would
+            # over the whole set.
+            candidates, local = np.unique(ranks[in_set], return_inverse=True)
+            indptr = np.zeros(len(questions) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(positions, minlength=len(questions)), out=indptr[1:])
+            by_position = replace(
+                graph, indptr=indptr, indices=local,
+                num_cols=len(candidates),
             )
-            chosen = [demonstration_set[position] for position in solution.selected]
-            for position in sorted(solution.uncovered_items):
-                question_index = batch_questions[position]
-                # One (1, |Ds|) distance row on demand — cheaper than keeping
-                # the full matrix for the rare fallback questions.  Ordering
-                # by demonstration_set breaks ties towards the earliest
-                # generated demonstration.
-                row = cross_distances(
-                    question_features[question_index : question_index + 1],
-                    pool_features[demonstration_set],
+            solution = greedy_set_cover(
+                by_position.transpose(), by_position, set_weights[candidates]
+            )
+            chosen = set_demos[candidates[list(solution.selected)]].tolist()
+            uncovered = questions[sorted(solution.uncovered_items)]
+            if len(uncovered):
+                # The fallback questions' (k, |Ds|) distance rows on demand —
+                # cheaper than keeping the full matrix for these rare
+                # questions.  Ordering by demonstration_set breaks ties
+                # towards the earliest generated demonstration.
+                rows = cross_distances(
+                    question_features[uncovered], pool_features[set_demos],
                     metric=self.metric,
-                )[0]
-                nearest_demo = demonstration_set[int(np.argmin(row))]
-                if nearest_demo not in chosen:
-                    chosen.append(nearest_demo)
+                )
+                for nearest_demo in set_demos[np.argmin(rows, axis=1)].tolist():
+                    if nearest_demo not in chosen:
+                        chosen.append(nearest_demo)
             per_batch.append(chosen)
 
         self.last_diagnostics = CoveringDiagnostics(

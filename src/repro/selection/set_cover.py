@@ -14,20 +14,24 @@ The greedy rule picks, at each step, the candidate maximising
 approximation guarantee cited by the paper.  Ties on ``(efficiency, gain)``
 resolve deterministically to the lowest candidate index.
 
-:func:`greedy_set_cover` is a **lazy-greedy (CELF-style)** implementation.
-Gains are kept in a max-heap and only re-evaluated when a candidate reaches
-the top with a stale value; because gains are non-increasing as the
-uncovered set shrinks (submodularity), a fresh heap-top is provably the
-global greedy choice — including its tie-break — so the selection sequence is
-identical to an every-round re-scan while skipping the re-scan of candidates
-whose gain cannot have changed.
+:func:`greedy_set_cover` reads the coverage relation as a CSR
+:class:`~repro.clustering.neighbors.NeighborGraph` (candidate rows, item
+columns) and keeps every candidate's gain — its number of still-uncovered
+items — in one integer vector.  A pick is an ``argmax`` of ``gain / weight``
+over that vector; the items it newly covers are walked
+back through the item→candidate graph, and one ``bincount`` of the
+candidates covering them lowers every affected gain at once.  Each item is
+uncovered once, so the updates touch each graph edge once per run.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
+
+from repro.clustering.neighbors import NeighborGraph
 
 
 @dataclass(frozen=True)
@@ -56,80 +60,61 @@ def coverage_value(selected_coverage: Sequence[frozenset[int] | set[int]]) -> in
 
 
 def greedy_set_cover(
-    num_items: int,
-    coverage: Sequence[frozenset[int] | set[int]],
-    weights: Sequence[float] | None = None,
+    coverage: NeighborGraph,
+    covered_by: NeighborGraph,
+    weights: Sequence[float] | np.ndarray | None = None,
 ) -> SetCoverSolution:
-    """Lazy-greedy (CELF-style) weighted set cover.
+    """Greedy weighted set cover over a CSR coverage graph.
 
     Args:
-        num_items: number of items (questions) to cover; items are
-            ``0 .. num_items - 1``.
-        coverage: for every candidate (demonstration), the set of item indices
-            it covers.
-        weights: positive weight per candidate; defaults to unit weights.
+        coverage: row ``c`` lists the items candidate ``c`` covers; items
+            are ``0 .. coverage.num_cols - 1``.
+        covered_by: the transpose of ``coverage`` (item → candidates).
+        weights: positive, finite weight per candidate; defaults to unit
+            weights.
 
     Returns:
-        The greedy solution — selection-for-selection identical to the eager
-        every-round re-scan, including the deterministic lowest-index
-        tie-break.  Items that appear in no candidate's coverage
-        are reported as ``uncovered_items`` rather than raising, because in
-        the ER pipeline an uncoverable question simply falls back to
-        nearest-neighbour demonstrations.
+        The greedy solution: each pick maximises ``gain / weight``, then
+        gain, then takes the lowest candidate index.  Items that appear in no
+        candidate's coverage are reported as ``uncovered_items`` rather than
+        raising, because in the ER pipeline an uncoverable question simply
+        falls back to nearest-neighbour demonstrations.
 
     Raises:
-        ValueError: if weights are non-positive or the lengths disagree.
+        ValueError: if a weight is non-positive or non-finite, or the
+            lengths disagree.
     """
-    if weights is None:
-        weights = [1.0] * len(coverage)
-    if len(weights) != len(coverage):
+    num_candidates = coverage.num_rows
+    weight_array = np.ones(num_candidates) if weights is None else np.asarray(weights, dtype=float)
+    if weight_array.shape != (num_candidates,):
         raise ValueError(
-            f"coverage has {len(coverage)} candidates but weights has {len(weights)}"
+            f"coverage has {num_candidates} candidates but weights has {weight_array.size}"
         )
-    if any(weight <= 0.0 for weight in weights):
-        raise ValueError("all candidate weights must be positive")
-    universe = set(range(num_items))
-    candidate_sets = [set(cover) & universe for cover in coverage]
-    coverable: set[int] = set().union(*candidate_sets)
-    uncoverable = universe - coverable
-    uncovered = set(coverable)
+    if not np.all(np.isfinite(weight_array) & (weight_array > 0.0)):
+        raise ValueError("all candidate weights must be positive and finite")
+
+    gain = coverage.degrees().astype(np.int64)
+    covered = np.zeros(coverage.num_cols, dtype=bool)
     selected: list[int] = []
     total_weight = 0.0
+    while num_candidates:
+        efficiency = gain / weight_array
+        ties = np.flatnonzero(efficiency == efficiency.max())
+        # argmax returns the first maximum: the lowest index on a gain tie.
+        best = int(ties[np.argmax(gain[ties])])
+        if gain[best] == 0:
+            break
+        items = coverage.neighbors(best)
+        newly = items[~covered[items]]
+        covered[newly] = True
+        gain -= np.bincount(covered_by.gather(newly), minlength=num_candidates)
+        selected.append(best)
+        total_weight += float(weight_array[best])
 
-    # Max-heap of (-efficiency, -gain, index): popping yields the candidate
-    # that is best under (efficiency desc, gain desc, index asc) — exactly
-    # the eager scan's selection rule.  ``stamp[i]`` records how many
-    # selections had been made when candidate i's gain was last computed; a
-    # popped entry is trusted only if nothing was selected since.
-    heap: list[tuple[float, int, int]] = []
-    stamp = [0] * len(candidate_sets)
-    for index, candidate in enumerate(candidate_sets):
-        gain = len(candidate)
-        if gain:
-            heap.append((-gain / weights[index], -gain, index))
-    heapq.heapify(heap)
-
-    rounds = 0
-    while uncovered and heap:
-        _, _, index = heapq.heappop(heap)
-        if stamp[index] == rounds:
-            # Fresh value: stale entries are upper bounds (gains only shrink
-            # as ``uncovered`` shrinks), so a fresh top beats everything
-            # still in the heap — select it.
-            selected.append(index)
-            uncovered -= candidate_sets[index]
-            total_weight += float(weights[index])
-            rounds += 1
-        else:
-            gain = len(candidate_sets[index] & uncovered)
-            stamp[index] = rounds
-            if gain:
-                heapq.heappush(heap, (-gain / weights[index], -gain, index))
-
-    covered = coverable - uncovered
     return SetCoverSolution(
         selected=tuple(selected),
-        covered_items=frozenset(covered),
-        uncovered_items=frozenset(uncoverable | uncovered),
+        covered_items=frozenset(np.flatnonzero(covered).tolist()),
+        uncovered_items=frozenset(np.flatnonzero(~covered).tolist()),
         total_weight=total_weight,
     )
+

@@ -9,6 +9,7 @@ greedy set cover.  None of it bounds memory; it exists to be obviously right.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.clustering.neighbors import (
     dense_percentile_radius,
 )
 from repro.selection.covering import CoveringDiagnostics, CoveringSelector
-from repro.selection.set_cover import SetCoverSolution, greedy_set_cover
+from repro.selection.set_cover import SetCoverSolution
 
 
 def dense_graph(
@@ -92,7 +93,7 @@ def dense_covering_select(
         frozenset(np.flatnonzero(distances[:, demo] < threshold).tolist())
         for demo in range(num_pool)
     ]
-    generation = greedy_set_cover(num_questions, coverage, weights=None)
+    generation = greedy_set_cover_eager(num_questions, coverage, weights=None)
     demonstration_set = list(generation.selected)
     fallback_questions = sorted(generation.uncovered_items)
     for question_index in fallback_questions:
@@ -112,7 +113,7 @@ def dense_covering_select(
             )
             for demo in demonstration_set
         ]
-        solution = greedy_set_cover(
+        solution = greedy_set_cover_eager(
             len(batch_questions),
             local_coverage,
             weights=[token_weights[demo] for demo in demonstration_set],
@@ -150,8 +151,8 @@ def greedy_set_cover_eager(
         weights = [1.0] * len(coverage)
     if len(weights) != len(coverage):
         raise ValueError("coverage and weights differ in length")
-    if any(weight <= 0.0 for weight in weights):
-        raise ValueError("all candidate weights must be positive")
+    if not all(math.isfinite(weight) and weight > 0.0 for weight in weights):
+        raise ValueError("all candidate weights must be positive and finite")
     universe = set(range(num_items))
     candidate_sets = [set(cover) & universe for cover in coverage]
     coverable = set().union(*candidate_sets)

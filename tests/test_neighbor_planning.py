@@ -103,6 +103,26 @@ class TestNeighborGraph:
         assert np.array_equal(back.indptr, graph.indptr)
         assert np.array_equal(back.indices, graph.indices)
 
+    def test_transpose_matches_dense_transpose(self):
+        for seed in range(6):
+            left = random_features(seed, n=37, d=4)
+            right = random_features(seed + 50, n=23, d=4)
+            distances = cross_distances(left, right)
+            radius = float(np.median(distances))
+            graph, _ = build_cross_neighbor_graph(left, right, radius, block_size=9)
+            transposed = graph.transpose()
+            rows, cols = np.nonzero((distances < radius).T)
+            assert transposed.num_rows == 23 and transposed.num_cols == 37
+            assert np.array_equal(transposed.indices, cols)
+            assert np.array_equal(transposed.degrees(), np.bincount(rows, minlength=23))
+
+    def test_gather_concatenates_rows_in_order(self):
+        graph = build_neighbor_graph(random_features(9), 1.5, block_size=11)
+        rows = np.array([5, 0, 5, graph.num_rows - 1], dtype=np.int64)
+        expected = np.concatenate([graph.neighbors(row) for row in rows])
+        assert np.array_equal(graph.gather(rows), expected)
+        assert graph.gather(np.empty(0, dtype=np.int64)).size == 0
+
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_cross_graph_matches_dense_and_nearest(self, metric):
         for seed in range(6):

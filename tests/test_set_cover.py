@@ -1,11 +1,36 @@
 """Tests for the greedy (weighted) set cover of Algorithm 1."""
 
+import math
+
+import numpy as np
 import pytest
 from dense_oracle import greedy_set_cover_eager
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.clustering.neighbors import NeighborGraph
 from repro.selection.set_cover import coverage_value, greedy_set_cover
+
+
+def cover_graph(num_items, coverage):
+    """The CSR coverage graph of ``coverage`` (one item set per candidate).
+
+    Items outside ``0 .. num_items - 1`` are dropped.
+    """
+    rows = [sorted(item for item in set(cover) if 0 <= item < num_items) for cover in coverage]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.array([item for row in rows for item in row], dtype=np.int64)
+    return NeighborGraph(
+        indptr=indptr, indices=indices, num_cols=num_items,
+        radius=0.0, metric="euclidean", inclusive=False,
+    )
+
+
+def solve(num_items, coverage, weights=None):
+    """:func:`greedy_set_cover` on set-based input."""
+    graph = cover_graph(num_items, coverage)
+    return greedy_set_cover(graph, graph.transpose(), weights)
 
 
 class TestCoverageValue:
@@ -17,7 +42,7 @@ class TestCoverageValue:
 class TestGreedySetCover:
     def test_simple_cover(self):
         coverage = [{0, 1}, {1, 2}, {3}]
-        solution = greedy_set_cover(4, coverage)
+        solution = solve(4, coverage)
         covered = set()
         for index in solution.selected:
             covered |= set(coverage[index])
@@ -26,7 +51,7 @@ class TestGreedySetCover:
 
     def test_greedy_prefers_large_sets(self):
         coverage = [{0}, {1}, {2}, {0, 1, 2}]
-        solution = greedy_set_cover(3, coverage)
+        solution = solve(3, coverage)
         assert solution.selected == (3,)
 
     def test_weighted_cover_prefers_cheap_sets(self):
@@ -34,42 +59,47 @@ class TestGreedySetCover:
         # cover everything together at a lower combined efficiency per weight.
         coverage = [{0, 1, 2, 3}, {0, 1}, {2, 3}]
         weights = [100.0, 1.0, 1.0]
-        solution = greedy_set_cover(4, coverage, weights)
+        solution = solve(4, coverage, weights)
         assert set(solution.selected) == {1, 2}
         assert solution.total_weight == pytest.approx(2.0)
 
     def test_uncoverable_items_reported(self):
         coverage = [{0}, {1}]
-        solution = greedy_set_cover(3, coverage)
+        solution = solve(3, coverage)
         assert 2 in solution.uncovered_items
         assert solution.covered_items == {0, 1}
 
     def test_zero_items(self):
-        solution = greedy_set_cover(0, [{0, 1}])
+        solution = solve(0, [{0, 1}])
         assert solution.selected == ()
         assert not solution.uncovered_items
 
     def test_no_candidates(self):
-        solution = greedy_set_cover(3, [])
+        solution = solve(3, [])
         assert solution.selected == ()
         assert solution.uncovered_items == {0, 1, 2}
 
     def test_weight_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            greedy_set_cover(2, [{0}], weights=[1.0, 2.0])
+            solve(2, [{0}], weights=[1.0, 2.0])
 
     def test_non_positive_weights_rejected(self):
         with pytest.raises(ValueError):
-            greedy_set_cover(2, [{0}, {1}], weights=[1.0, 0.0])
+            solve(2, [{0}, {1}], weights=[1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError):
+            solve(2, [{0}, {1}], weights=[bad, 1.0])
 
     def test_coverage_outside_universe_ignored(self):
-        solution = greedy_set_cover(2, [{0, 5, 9}, {1}])
+        solution = solve(2, [{0, 5, 9}, {1}])
         assert solution.covered_items == {0, 1}
 
     def test_greedy_matches_optimum_on_classic_instance(self):
         # Classic set cover instance where greedy happens to be optimal.
         coverage = [{0, 1, 2}, {2, 3}, {4, 5}, {0, 3, 4, 5}]
-        solution = greedy_set_cover(6, coverage)
+        solution = solve(6, coverage)
         assert len(solution.selected) == 2
 
     @given(
@@ -80,7 +110,7 @@ class TestGreedySetCover:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_all_coverable_items_covered(self, num_items, candidates):
-        solution = greedy_set_cover(num_items, candidates)
+        solution = solve(num_items, candidates)
         universe = set(range(num_items))
         coverable = set().union(*[set(c) & universe for c in candidates]) if candidates else set()
         covered = set()
@@ -100,7 +130,7 @@ class TestGreedySetCover:
     @settings(max_examples=40, deadline=None)
     def test_property_total_weight_is_sum_of_selected(self, candidates, weights):
         weights = weights[: len(candidates)]
-        solution = greedy_set_cover(15, candidates, weights)
+        solution = solve(15, candidates, weights)
         expected = sum(weights[index] for index in solution.selected)
         assert solution.total_weight == pytest.approx(expected)
 
@@ -110,7 +140,7 @@ class TestDeterministicTieBreaking:
         # Candidates 1 and 3 tie exactly on (efficiency, gain); the lowest
         # index must win, deterministically.
         coverage = [{0}, {0, 1}, {2}, {0, 1}]
-        solution = greedy_set_cover(3, coverage)
+        solution = solve(3, coverage)
         assert solution.selected[0] == 1
         eager = greedy_set_cover_eager(3, coverage)
         assert eager.selected[0] == 1
@@ -120,12 +150,27 @@ class TestDeterministicTieBreaking:
         # wins; on a full tie the lower index wins.
         coverage = [{0}, {0, 1}, {0, 1}]
         weights = [1.0, 2.0, 2.0]
-        for implementation in (greedy_set_cover, greedy_set_cover_eager):
+        for implementation in (solve, greedy_set_cover_eager):
             solution = implementation(2, coverage, weights)
             assert solution.selected[0] == 1
 
+    def test_efficiency_tie_after_gains_drop(self):
+        # Candidate 0 is picked first; it leaves candidate 1 with gain 1 at
+        # weight 1 and candidate 2 with gain 2 at weight 2: equal efficiency,
+        # so the higher gain (candidate 2) wins the second pick.
+        coverage = [{0, 1, 2, 3}, {3, 4}, {0, 5, 6}]
+        weights = [1.0, 1.0, 2.0]
+        for implementation in (solve, greedy_set_cover_eager):
+            assert implementation(7, coverage, weights).selected[:2] == (0, 2)
 
-class TestLazyMatchesEager:
+
+def assert_same_solution(num_items, coverage, weights):
+    fast = solve(num_items, coverage, weights)
+    eager = greedy_set_cover_eager(num_items, coverage, weights)
+    assert fast == eager
+
+
+class TestMatchesEager:
     def test_known_instances(self):
         instances = [
             (4, [{0, 1}, {1, 2}, {3}], None),
@@ -133,12 +178,12 @@ class TestLazyMatchesEager:
             (3, [{0}, {1}], None),
             (0, [{0, 1}], None),
             (5, [], None),
+            (4, [set(), {0, 1}, set(), {1, 2}], [1.0, 2.0, 1.0, 2.0]),
         ]
         for num_items, coverage, weights in instances:
-            assert greedy_set_cover(num_items, coverage, weights) == greedy_set_cover_eager(
-                num_items, coverage, weights
-            )
+            assert_same_solution(num_items, coverage, weights)
 
+    @seed(20240917)
     @given(
         num_items=st.integers(0, 25),
         candidates=st.lists(
@@ -154,16 +199,37 @@ class TestLazyMatchesEager:
         self, num_items, candidates, weight_choices, use_weights
     ):
         weights = weight_choices[: len(candidates)] if use_weights else None
-        lazy = greedy_set_cover(num_items, candidates, weights)
-        eager = greedy_set_cover_eager(num_items, candidates, weights)
-        assert lazy.selected == eager.selected
-        assert lazy.covered_items == eager.covered_items
-        assert lazy.uncovered_items == eager.uncovered_items
-        assert lazy.total_weight == pytest.approx(eager.total_weight)
+        assert_same_solution(num_items, candidates, weights)
+
+    @seed(7)
+    @given(
+        # Few items over a wider universe: gains collide often and the items
+        # above ``item_range`` can never be covered.
+        item_range=st.integers(1, 6),
+        extra_items=st.integers(0, 4),
+        # Candidates drawn from a small pool of item sets, so duplicates
+        # (exact gain ties) and empty sets are frequent.
+        pool=st.lists(st.frozensets(st.integers(0, 5), max_size=4), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), max_size=20),
+        # Weights in powers of two make gain / weight ties exact: 2/2 == 1/1.
+        weight_picks=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=20, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_identical_on_tie_heavy_weighted_instances(
+        self, item_range, extra_items, pool, picks, weight_picks
+    ):
+        candidates = [
+            frozenset(item for item in pool[pick % len(pool)] if item < item_range)
+            for pick in picks
+        ]
+        num_items = item_range + extra_items
+        assert_same_solution(num_items, candidates, weight_picks[: len(candidates)])
 
     def test_validation_matches(self):
-        for implementation in (greedy_set_cover, greedy_set_cover_eager):
+        for implementation in (solve, greedy_set_cover_eager):
             with pytest.raises(ValueError):
                 implementation(2, [{0}], weights=[1.0, 2.0])
             with pytest.raises(ValueError):
                 implementation(2, [{0}], weights=[0.0])
+            with pytest.raises(ValueError):
+                implementation(2, [{0}], weights=[math.nan])
