@@ -19,7 +19,7 @@ from repro.engines import (
     create_engine,
     engine_config_from_env,
 )
-from repro.llm.executors import AsyncExecutor
+from repro.llm.executors import ConcurrentExecutor
 from repro.llm.simulated import SimulatedLLM
 
 
@@ -66,8 +66,9 @@ def main() -> None:
         f"Q1: do 'record {i}' and 'record {i}' refer to the same entity? "
         "Answer 'A1: Yes' or 'A1: No'." for i in range(12)
     ]
-    # Async dispatch: many requests in flight on one event loop.
-    responses = engine.complete_many(prompts, executor=AsyncExecutor(max_in_flight=8))
+    # Concurrent dispatch: up to 8 requests in flight on a thread pool, with
+    # responses still returned in prompt order.
+    responses = engine.complete_many(prompts, executor=ConcurrentExecutor(max_workers=8))
     print(
         f"\nopenai dialect over fake provider: {len(responses)} completions, "
         f"usage={engine.usage.num_calls} records, "

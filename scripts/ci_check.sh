@@ -89,17 +89,6 @@ echo "== batch planning smoke benchmark (BENCH_planning.json) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_batch_planning.py \
   --small --min-speedup 0 --report "$(mktemp)" > /dev/null
 
-echo "== engines smoke benchmark (BENCH_async.json) =="
-# --small --min-speedup 0: a dispatch-identity and retry-parity oracle, not a
-# stopwatch — it *asserts* that the simulated engine through AsyncExecutor is
-# byte-identical to serial dispatch and that an OpenAI-dialect engine over a
-# flaky scripted transport retries to the same responses with zero
-# double-counted usage records.  Timing floors are for manual invocations.
-# The smoke report goes to a scratch file so it never clobbers a full-size
-# BENCH_async.json with small-n numbers.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_async_dispatch.py \
-  --small --min-speedup 0 --report "$(mktemp)" > /dev/null
-
 echo "== checkpointed run engine smoke benchmark (BENCH_engine.json) =="
 # --small: a crash-resume oracle, not a stopwatch — it *asserts* that a
 # checkpointed concurrent run is byte-identical to the stock Pipeline.default
@@ -132,5 +121,14 @@ echo "== serving latency smoke benchmark (BENCH_latency.json) =="
 # the tracked full-size BENCH_latency.json.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_latency.py \
   --small --oracles-only --report "$(mktemp)" > /dev/null
+
+echo "== examples (examples/*.py) =="
+# Every example is hermetic (simulated engine, in-process fake provider,
+# temporary checkpoint directories), so each runs to completion offline; a
+# public-API change that breaks one fails here instead of silently.
+for example in examples/*.py; do
+  echo "-- $example"
+  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python "$example" > /dev/null
+done
 
 echo "== OK =="

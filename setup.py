@@ -17,8 +17,8 @@ setup(
         "Reproduction of 'Cost-Effective In-Context Learning for Entity "
         "Resolution: A Design Space Exploration' (ICDE 2024) with a staged "
         "pipeline API, concurrent LLM dispatch, a streaming Resolver, a "
-        "micro-batching resolution server, a sharded, checkpointable "
-        "run engine and a unified tracing + metrics layer"
+        "micro-batching resolution server, a checkpointable run engine "
+        "and a unified tracing + metrics layer"
     ),
     long_description=_readme.read_text(encoding="utf-8") if _readme.exists() else "",
     long_description_content_type="text/markdown",

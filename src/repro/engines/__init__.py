@@ -4,8 +4,8 @@ The subsystem that connects the framework to *real* LLM backends without
 giving up the hermetic simulated path tier-1 depends on:
 
 * :mod:`repro.engines.base` — the :class:`Engine` interface (an
-  :class:`~repro.llm.base.LLMClient` plus async completion, capability flags,
-  structured output and an operational snapshot);
+  :class:`~repro.llm.base.LLMClient` plus capability flags, structured
+  output and an operational snapshot);
 * :mod:`repro.engines.registry` — config dataclasses, ``register_engine`` /
   ``create_engine`` and environment resolution (``REPRO_ENGINE`` & friends);
 * :mod:`repro.engines.transport` — retry/backoff, token-bucket rate limiting

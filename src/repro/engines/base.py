@@ -1,25 +1,23 @@
-"""The :class:`Engine` interface: an LLM client with an async lane.
+"""The :class:`Engine` interface: an LLM client the registry can build.
 
 An engine *is* an :class:`~repro.llm.base.LLMClient` — every existing caller
 (pipeline, resolver, service, run engine) works unchanged — plus the surface
-the registry and the async execution lane need:
+the registry and the service need:
 
 * capability flags (``supports_json_schema``, ``requires_network``) that let
   callers pick features without isinstance checks against concrete backends;
-* :meth:`Engine.acomplete`, the asyncio counterpart of ``complete`` used by
-  :class:`~repro.llm.executors.AsyncExecutor` to keep hundreds of prompts in
-  flight on one event loop (the default implementation delegates to a worker
-  thread, which is already correct for the blocking urllib transport; a
-  natively-async backend overrides it);
 * :meth:`Engine.structured_complete` for provider JSON-schema output modes
   (terminal ``NotImplementedError`` on engines without the capability);
 * :meth:`Engine.describe`, the JSON-serializable operational snapshot the
   service surfaces under ``/stats``.
+
+Concurrent dispatch is the executor's job, not the engine's: a
+:class:`~repro.llm.executors.ConcurrentExecutor` calls ``complete`` from its
+worker threads, which suits the blocking urllib transport.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import ClassVar, Mapping
 
 from repro.llm.base import LLMClient, LLMResponse
@@ -45,17 +43,6 @@ class Engine(LLMClient):
     supports_json_schema: ClassVar[bool] = False
     #: Whether completions leave the process (False = hermetic, CI-safe).
     requires_network: ClassVar[bool] = False
-
-    async def acomplete(self, prompt_text: str) -> LLMResponse:
-        """Async counterpart of :meth:`~repro.llm.base.LLMClient.complete`.
-
-        The default delegates to a worker thread, which is exactly right for
-        blocking transports (urllib) and for the CPU-bound simulated engine;
-        a backend with a native async client overrides this to await the
-        wire directly.  Usage is recorded by the delegated ``complete``, so
-        the sync and async lanes account identically.
-        """
-        return await asyncio.to_thread(self.complete, prompt_text)
 
     def structured_complete(
         self, prompt_text: str, schema: Mapping[str, object]

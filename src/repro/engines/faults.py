@@ -218,8 +218,8 @@ class SimulatedBackendTransport(Transport):
     Serves chat-completion payloads whose text is computed by the simulated
     model *from the request's own prompt* — a pure function, so concurrent
     and retried requests always receive the same answer for the same prompt.
-    This is what lets the HTTP engines, the retry stack and the async
-    executor be exercised end to end with zero network and golden-stable
+    This is what lets the HTTP engines, the retry stack and concurrent
+    dispatch be exercised end to end with zero network and golden-stable
     results.
 
     Args:

@@ -29,9 +29,8 @@ class SimulatedEngine(SimulatedLLM, Engine):
             :class:`SimulatedLLM` — an engine built with the same arguments
             generates byte-identical completions.
         latency_seconds: optional synthetic per-call latency, slept inside
-            generation.  The dispatch benchmark uses it to model a remote
-            API's round-trip so async/concurrent speedups are measurable;
-            the default of ``0.0`` keeps tests instant.
+            generation.  The end-to-end benchmark uses it to model a remote
+            API's round-trip; the default of ``0.0`` keeps tests instant.
     """
 
     engine_name: ClassVar[str] = "simulated"

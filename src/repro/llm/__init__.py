@@ -20,7 +20,6 @@ Independent prompts can be dispatched through
 
 from repro.llm.base import LLMClient, LLMResponse, UsageRecord, UsageTracker
 from repro.llm.executors import (
-    AsyncExecutor,
     ConcurrentExecutor,
     ExecutionBackend,
     SerialExecutor,
@@ -32,7 +31,6 @@ from repro.llm.simulated import SimulatedLLM
 from repro.llm.registry import create_llm
 
 __all__ = [
-    "AsyncExecutor",
     "ConcurrentExecutor",
     "ExecutionBackend",
     "LLMClient",

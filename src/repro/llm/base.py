@@ -188,7 +188,7 @@ class LLMClient(ABC):
         """
         if executor is None:
             return [self.complete(text) for text in prompt_texts]
-        return executor.map_completions(self, prompt_texts)
+        return executor.map(self.complete, prompt_texts)
 
     def reset_usage(self) -> None:
         """Clear the accumulated usage (e.g. between experiment runs)."""

@@ -13,16 +13,11 @@ often enough that tests still exercise true interleaving).
 
 from __future__ import annotations
 
-import asyncio
-import inspect
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.observability.tracing import carry_current_span
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.llm.base import LLMClient, LLMResponse
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -52,12 +47,12 @@ class ExecutionBackend(ABC):
     ) -> list[tuple[ResultT | None, Exception | None]]:
         """Like :meth:`map`, but per-item failures settle instead of raising.
 
-        Returns one ``(result, error)`` pair per item, in input order, with
-        exactly one side non-``None``.  Unlike :meth:`map` — where the first
-        exception propagates while sibling items may still be running — every
-        item has fully finished (or failed) by the time this returns, which is
-        what lets the run engine checkpoint whatever *did* complete before
-        re-raising a shard failure.
+        Returns one pair per item, in input order: ``(fn(item), None)`` or
+        ``(None, the exception it raised)``.  Unlike :meth:`map` — where the
+        first exception propagates while sibling items may still be running —
+        every item has fully finished (or failed) by the time this returns,
+        which is what lets the run engine checkpoint whatever *did* complete
+        before re-raising the first failure.
         """
 
         def settle(item: ItemT) -> tuple[ResultT | None, Exception | None]:
@@ -67,17 +62,6 @@ class ExecutionBackend(ABC):
                 return None, error
 
         return self.map(settle, items)
-
-    def map_completions(
-        self, client: "LLMClient", prompt_texts: Sequence[str]
-    ) -> "list[LLMResponse]":
-        """Run one completion per prompt, in prompt order.
-
-        The hook :meth:`~repro.llm.base.LLMClient.complete_many` dispatches
-        through.  The default simply maps ``client.complete``; the async
-        backend overrides it to prefer an engine's native ``acomplete`` lane.
-        """
-        return self.map(client.complete, prompt_texts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -162,110 +146,11 @@ class ConcurrentExecutor(ExecutionBackend):
         )
 
 
-class AsyncExecutor(ExecutionBackend):
-    """Dispatch calls on one asyncio event loop with bounded concurrency.
-
-    Where :class:`ConcurrentExecutor` holds one thread per in-flight call,
-    the async backend multiplexes arbitrarily many in-flight completions on a
-    single event loop — the natural shape for engines whose ``acomplete`` is
-    (or delegates to) non-blocking I/O, and the only one that scales to
-    hundreds of concurrent requests without hundreds of threads.
-
-    Determinism: results are gathered with :func:`asyncio.gather`, which
-    preserves argument order, so callers observe input order regardless of
-    completion order — the same contract as every other backend.
-
-    Plain synchronous callables still work: they are delegated to a thread
-    pool sized to ``max_in_flight`` (the loop's default executor for the
-    duration of the map, so an engine's ``asyncio.to_thread`` fallback is
-    bounded by the same limit instead of the small interpreter default).
-
-    Args:
-        max_in_flight: maximum completions in flight at once.
-    """
-
-    name = "async"
-
-    def __init__(self, max_in_flight: int = DEFAULT_MAX_WORKERS) -> None:
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        self.max_in_flight = max_in_flight
-
-    def map(
-        self, fn: Callable[[ItemT], ResultT], items: Iterable[ItemT]
-    ) -> list[ResultT]:
-        materialised: Sequence[ItemT] = list(items)
-        if not materialised:
-            return []
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            pass
-        else:
-            raise RuntimeError(
-                "AsyncExecutor.map cannot be called from a running event loop; "
-                "await the engine's acomplete directly instead"
-            )
-        return asyncio.run(self._dispatch(fn, materialised))
-
-    async def _dispatch(
-        self, fn: Callable[[ItemT], object], items: Sequence[ItemT]
-    ) -> list:
-        semaphore = asyncio.Semaphore(self.max_in_flight)
-        loop = asyncio.get_running_loop()
-        is_async = inspect.iscoroutinefunction(fn)
-        if not is_async:
-            # Coroutines inherit the ambient context when their task is
-            # created, but run_in_executor hops to a pool thread that does
-            # not; carry the current span across explicitly.
-            fn = carry_current_span(fn)
-        workers = min(self.max_in_flight, len(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Bound asyncio.to_thread (used by Engine.acomplete's fallback)
-            # by max_in_flight rather than the interpreter's default pool.
-            loop.set_default_executor(pool)
-
-            async def run_one(item: ItemT) -> object:
-                async with semaphore:
-                    if is_async:
-                        return await fn(item)  # type: ignore[misc]
-                    return await loop.run_in_executor(pool, fn, item)
-
-            return list(await asyncio.gather(*(run_one(item) for item in items)))
-
-    def map_completions(
-        self, client: "LLMClient", prompt_texts: Sequence[str]
-    ) -> "list[LLMResponse]":
-        """Prefer the client's native async lane when it has one."""
-        acomplete = getattr(client, "acomplete", None)
-        if acomplete is not None and inspect.iscoroutinefunction(acomplete):
-            return self.map(acomplete, prompt_texts)
-        return self.map(client.complete, prompt_texts)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AsyncExecutor(max_in_flight={self.max_in_flight})"
-
-
-def create_executor(jobs: int = 1, kind: str | None = None) -> ExecutionBackend:
-    """Create a backend for ``jobs`` parallel calls.
-
-    Args:
-        jobs: parallelism budget (workers / in-flight completions).
-        kind: explicit backend — ``"serial"``, ``"concurrent"`` or
-            ``"async"``.  ``None`` keeps the historical rule: serial for one
-            job, thread-based concurrency otherwise.
-    """
+def create_executor(jobs: int = 1) -> ExecutionBackend:
+    """Create a backend for ``jobs`` parallel calls: serial for one job,
+    a :class:`ConcurrentExecutor` with ``jobs`` workers otherwise."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if kind is None:
-        kind = "serial" if jobs == 1 else "concurrent"
-    key = kind.strip().lower()
-    if key == "serial":
+    if jobs == 1:
         return SerialExecutor()
-    if key == "concurrent":
-        return ConcurrentExecutor(max_workers=jobs)
-    if key == "async":
-        return AsyncExecutor(max_in_flight=jobs)
-    raise ValueError(
-        f"unknown executor kind {kind!r}; expected one of: async, concurrent, serial"
-    )
+    return ConcurrentExecutor(max_workers=jobs)

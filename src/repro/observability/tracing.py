@@ -17,12 +17,12 @@ Two properties shape the design:
   variable.  Hot paths that would build attribute dictionaries guard on
   :attr:`Tracer.enabled` first.
 * **Context crosses execution boundaries.**  asyncio tasks copy the ambient
-  context at creation, so spans started inside :class:`~repro.llm.executors.
-  AsyncExecutor` tasks parent correctly for free.  Thread pools do *not*
-  copy context; :func:`carry_current_span` captures the submitting thread's
-  current span and re-establishes it around each worker-side call, which is
-  how :class:`~repro.llm.executors.ConcurrentExecutor` keeps worker spans
-  parented to the span that submitted them.
+  context at creation, so spans started inside them parent correctly for
+  free.  Thread pools do *not* copy context; :func:`carry_current_span`
+  captures the submitting thread's current span and re-establishes it around
+  each worker-side call, which is how :class:`~repro.llm.executors.
+  ConcurrentExecutor` keeps worker spans parented to the span that submitted
+  them.
 
 Time is read through the injectable :class:`~repro.engines.transport.Clock`
 protocol, so tests drive tracing with a

@@ -2,15 +2,16 @@
 
 Covers the pillars of :mod:`repro.engine`:
 
-* **equivalence** — every run (serial, concurrent or async dispatch, with or
+* **equivalence** — every run (serial or concurrent dispatch, with or
   without a checkpoint store) produces a ``RunResult`` byte-identical to the
   stock ``Pipeline.default`` oracle;
 * **crash safety** — for *every* possible crash point, a killed run resumed
   from its checkpoint finishes with zero repeated LLM calls (an LLM crash)
   or exactly one re-paid batch (a checkpoint-write crash), asserted with the
   deterministic fault-injection wrappers from :mod:`repro.engine.faults`;
-* **dispatch** — the executor bounds in-flight calls on every run, and once
-  a failed call has been recorded no further call starts;
+* **dispatch** — the executor bounds in-flight calls on every run, once a
+  failed call has been recorded no further call starts, and a failed run
+  checkpoints exactly the batches that were answered;
 * **telemetry** — hooks and spans see the seven stock stages exactly once.
 """
 
@@ -35,7 +36,7 @@ from repro.engine import (
     config_fingerprint,
 )
 from repro.llm.base import LLMClient
-from repro.llm.executors import AsyncExecutor, ConcurrentExecutor
+from repro.llm.executors import ConcurrentExecutor
 from repro.llm.registry import create_llm
 from repro.observability.tracing import Tracer
 from repro.pipeline import Pipeline, PipelineContext, StageHook
@@ -49,7 +50,6 @@ STAGE_NAMES = [stage.name for stage in DEFAULT_STAGES]
 EXECUTORS = {
     "serial": lambda: None,
     "concurrent4": lambda: ConcurrentExecutor(4),
-    "async4": lambda: AsyncExecutor(4),
 }
 
 
@@ -93,9 +93,9 @@ class _InnerLLM(LLMClient):
 class FailingLLM(_InnerLLM):
     """Fails completion attempt ``fail_at`` and, while ``down``, every later one.
 
-    Every attempt first sleeps a few milliseconds, so a successful call cannot
-    finish inside the moment between a fault being raised and the engine
-    recording it; the calls that follow a fault are those already in flight.
+    Every attempt first sleeps a few milliseconds so that, on a concurrent
+    executor, other calls are in flight when the fault is raised.  No
+    assertion relies on that timing.
     """
 
     def __init__(self, config, fail_at: int, down: bool) -> None:
@@ -103,6 +103,7 @@ class FailingLLM(_InnerLLM):
         self.fail_at = fail_at
         self.down = down
         self.attempts = 0
+        self.successes = 0
 
     def _generate(self, prompt_text: str) -> str:
         with self._lock:
@@ -111,7 +112,10 @@ class FailingLLM(_InnerLLM):
         time.sleep(0.005)
         if attempt == self.fail_at or (self.down and attempt > self.fail_at):
             raise InjectedFault(f"injected LLM fault at call {attempt}")
-        return self.inner._generate(prompt_text)
+        text = self.inner._generate(prompt_text)
+        with self._lock:
+            self.successes += 1
+        return text
 
 
 class PeakConcurrencyLLM(_InnerLLM):
@@ -236,8 +240,8 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("checkpointed", [False, True], ids=["no-store", "store"])
     @pytest.mark.parametrize(
         "make_executor",
-        [lambda: None, lambda: ConcurrentExecutor(4), lambda: AsyncExecutor(8)],
-        ids=["serial", "concurrent4", "async8"],
+        [lambda: None, lambda: ConcurrentExecutor(4)],
+        ids=["serial", "concurrent4"],
     )
     def test_beer_runs_are_byte_identical(
         self, beer_dataset, beer_oracle, checkpoint_dir, make_executor, checkpointed
@@ -250,12 +254,13 @@ class TestGoldenEquivalence:
         assert repr(result) == repr(beer_oracle)
         assert result.summary() == beer_oracle.summary()
 
-    def test_fz_checkpointed_concurrent_run_is_byte_identical(
-        self, fz_dataset, fz_oracle, checkpoint_dir
+    @pytest.mark.parametrize("checkpointed", [False, True], ids=["no-store", "store"])
+    def test_fz_concurrent_runs_are_byte_identical(
+        self, fz_dataset, fz_oracle, checkpoint_dir, checkpointed
     ):
         with ConcurrentExecutor(4) as executor:
             result = BatchER(CONFIG, executor=executor).run(
-                fz_dataset, checkpoint_dir=checkpoint_dir
+                fz_dataset, checkpoint_dir=checkpoint_dir if checkpointed else None
             )
         assert result == fz_oracle
         assert repr(result) == repr(fz_oracle)
@@ -441,16 +446,11 @@ class TestCrashResume:
 
 
 class TestDispatch:
-    @pytest.mark.parametrize(
-        "make_executor",
-        [lambda: ConcurrentExecutor(8), lambda: AsyncExecutor(8)],
-        ids=["concurrent8", "async8"],
-    )
     def test_checkpointed_run_keeps_the_executor_concurrency(
-        self, beer_dataset, beer_oracle, checkpoint_dir, make_executor
+        self, beer_dataset, beer_oracle, checkpoint_dir
     ):
         llm = PeakConcurrencyLLM(CONFIG)
-        result = BatchER(CONFIG, llm=llm, executor=make_executor()).run(
+        result = BatchER(CONFIG, llm=llm, executor=ConcurrentExecutor(8)).run(
             beer_dataset, checkpoint_dir=checkpoint_dir
         )
         assert result == beer_oracle
@@ -479,26 +479,65 @@ class TestDispatch:
         assert llm.attempts == 0
 
     @pytest.mark.parametrize(
-        ("executor_name", "extra_attempts"),
-        [("serial", 0), ("concurrent4", 3), ("async4", 3)],
+        ("executor_name", "extra_attempts"), [("serial", 0), ("concurrent4", 3)]
     )
-    @pytest.mark.parametrize("down", [True, False], ids=["fail-from-k", "fail-at-k"])
     def test_no_call_starts_after_the_first_failure(
-        self, beer_dataset, beer_oracle, checkpoint_dir,
-        executor_name, extra_attempts, down,
+        self, beer_dataset, beer_oracle, checkpoint_dir, executor_name, extra_attempts
     ):
-        """A backend failing from call k on (down) or only at call k (one
-        fault): either way at most the calls already in flight follow it."""
+        """A backend that fails from call k on sees at most one failing call
+        per worker.
+
+        Every call from k on fails, and a worker records its failure before
+        it takes its next batch.  So the worker that made call k makes no
+        other, and each of the other workers makes at most one more: exactly
+        k calls when serial, at most k + 3 on 4 workers.  The bound follows
+        from that ordering alone, not from how long a call takes.
+        """
         k = 3
         assert beer_oracle.num_batches > k + extra_attempts
-        llm = FailingLLM(CONFIG, fail_at=k, down=down)
+        llm = FailingLLM(CONFIG, fail_at=k, down=True)
         framework = BatchER(CONFIG, llm=llm, executor=EXECUTORS[executor_name]())
         with pytest.raises(InjectedFault):
             framework.run(beer_dataset, checkpoint_dir=checkpoint_dir)
-        if extra_attempts == 0:
+        assert k <= llm.attempts <= k + extra_attempts
+        assert llm.successes == k - 1
+
+    @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
+    @pytest.mark.parametrize("down", [True, False], ids=["fail-from-k", "fail-at-k"])
+    def test_a_failed_run_checkpoints_exactly_its_answered_batches(
+        self, beer_dataset, beer_oracle, make_crashing_llm, checkpoint_dir,
+        executor_name, down,
+    ):
+        """Whatever the interleaving, a failed run raises, checkpoints exactly
+        the batches whose call succeeded, and a resume pays exactly the rest.
+
+        With a single fault (fail-at-k) the calls after k succeed, so on 4
+        workers nothing bounds how many start before the fault is recorded;
+        this contract is what holds there.  Serial dispatch stops at call k.
+        """
+        k = 3
+        llm = FailingLLM(CONFIG, fail_at=k, down=down)
+        engine = RunEngine(
+            config=CONFIG,
+            llm=llm,
+            executor=EXECUTORS[executor_name](),
+            checkpoint_dir=checkpoint_dir,
+        )
+        with pytest.raises(InjectedFault):
+            engine.run(beer_dataset)
+        if executor_name == "serial":
             assert llm.attempts == k
-        else:
-            assert k <= llm.attempts <= k + extra_attempts
+        answered = llm.successes
+        assert engine.last_report.batches_executed == answered
+        (path,) = checkpoint_dir.iterdir()
+        records = path.read_text().splitlines()[1:]
+        assert len({json.loads(line)["batch_id"] for line in records}) == len(records)
+        assert len(records) == answered
+        resume_llm = make_crashing_llm(CONFIG, fail_at_call=0)
+        resumed = RunEngine(config=CONFIG, llm=resume_llm, checkpoint_dir=checkpoint_dir)
+        assert resumed.run(beer_dataset) == beer_oracle
+        assert resumed.last_report.batches_resumed == answered
+        assert resume_llm.successful_calls == beer_oracle.num_batches - answered
 
 
 class TestTelemetry:

@@ -7,6 +7,8 @@ simulated backend transport, never to a network, and every clock is fake.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engines import (
     BATCH_ANSWERS_SCHEMA,
@@ -22,9 +24,11 @@ from repro.engines import (
     render_structured_answers,
 )
 from repro.engines.faults import extract_prompt
+from repro.llm.executors import ConcurrentExecutor, SerialExecutor
 from repro.llm.simulated import SimulatedLLM
 
 PROMPT = "Q1: do entity A and entity B match? Answer 'A1: Yes' or 'A1: No'."
+PROMPTS = [f"Q{i}: do entity A and entity B match? Answer Yes or No." for i in range(12)]
 
 
 def openai_payload(text, prompt_tokens=20, completion_tokens=7):
@@ -277,3 +281,49 @@ class TestRetriesAndUsage:
         assert snapshot["transport"]["requests"] == 1
         assert "throttled_requests" in snapshot["transport"]
         assert snapshot["requests"] == 1  # usage-level counter
+
+
+class TestRetriesNeverDoubleCountUsage:
+    """Property: injected 503s change retry counters, never results or usage."""
+
+    def run_engine(self, fail_at, executor):
+        sim = SimulatedLLM(model_name="gpt-3.5-03", seed=0)
+        transport = FlakyTransport(SimulatedBackendTransport(sim), fail_at=fail_at)
+        engine = make_openai(transport, model="gpt-3.5-03", seed=0)
+        return engine, engine.complete_many(PROMPTS, executor=executor)
+
+    @pytest.fixture(scope="class")
+    def clean_run(self):
+        engine, responses = self.run_engine(frozenset(), SerialExecutor())
+        return engine.usage, responses
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        fail_at=st.sets(st.integers(min_value=1, max_value=14), max_size=5).filter(
+            # Keep fault runs shorter than the retry budget so every prompt
+            # eventually succeeds (max_attempts=5 tolerates 4-in-a-row).
+            lambda s: all(not {o, o + 1, o + 2, o + 3} <= s for o in s)
+        )
+    )
+    def test_serial_dispatch(self, clean_run, fail_at):
+        clean_usage, clean_responses = clean_run
+        engine, responses = self.run_engine(fail_at, SerialExecutor())
+        assert responses == clean_responses
+        assert engine.usage.num_calls == clean_usage.num_calls == len(PROMPTS)
+        assert engine.usage.prompt_tokens == clean_usage.prompt_tokens
+        assert engine.usage.completion_tokens == clean_usage.completion_tokens
+
+    @settings(max_examples=10, deadline=None)
+    @given(fail_at=st.sets(st.integers(min_value=1, max_value=14), max_size=2))
+    def test_concurrent_dispatch(self, clean_run, fail_at):
+        # Under concurrent dispatch the fault hits a nondeterministic request,
+        # but responses are a pure function of the prompt, so results and
+        # usage still match the clean serial run exactly.
+        clean_usage, clean_responses = clean_run
+        engine, responses = self.run_engine(fail_at, ConcurrentExecutor(max_workers=4))
+        assert responses == clean_responses
+        assert engine.usage.num_calls == clean_usage.num_calls
+        assert engine.usage.total_tokens == clean_usage.total_tokens
+        # Every injected failure was absorbed by a retry (an ordinal past the
+        # last send never fires, so compare against what actually hit).
+        assert engine.transport.stats()["retries"] == engine.transport.inner.injected_failures

@@ -18,7 +18,7 @@ from repro.engines.transport import (
     TransportRequest,
     retry_reason,
 )
-from repro.llm.executors import AsyncExecutor, ConcurrentExecutor
+from repro.llm.executors import ConcurrentExecutor
 from repro.observability import (
     JsonlTraceSink,
     MetricsRegistry,
@@ -155,36 +155,6 @@ class TestCarryCurrentSpan:
             child = spans[f"work:{index}"]
             assert child.parent_id == submit.span_id
             assert child.trace_id == submit.trace_id
-
-    def test_async_executor_sync_path_parents_to_the_submitting_span(self):
-        tracer = Tracer(clock=FakeClock())
-
-        def work(index):
-            with tracer.span(f"work:{index}"):
-                return index
-
-        with tracer.span("submit"):
-            results = AsyncExecutor(max_in_flight=3).map(work, range(6))
-        assert results == list(range(6))
-        spans = {span.name: span for span in tracer.finished_spans()}
-        submit = spans["submit"]
-        for index in range(6):
-            assert spans[f"work:{index}"].parent_id == submit.span_id
-
-    def test_async_executor_coroutines_inherit_the_submitting_span(self):
-        tracer = Tracer(clock=FakeClock())
-
-        async def work(index):
-            with tracer.span(f"work:{index}"):
-                return index
-
-        with tracer.span("submit"):
-            results = AsyncExecutor(max_in_flight=3).map(work, range(6))
-        assert results == list(range(6))
-        spans = {span.name: span for span in tracer.finished_spans()}
-        submit = spans["submit"]
-        for index in range(6):
-            assert spans[f"work:{index}"].parent_id == submit.span_id
 
     def test_worker_context_is_restored_after_the_carried_call(self):
         tracer = Tracer(clock=FakeClock())

@@ -2,6 +2,7 @@
 ``complete_many`` ordering and facade equivalence."""
 
 import threading
+import time
 
 import pytest
 
@@ -29,8 +30,6 @@ class TestExecutionBackends:
 
     def test_concurrent_preserves_input_order(self):
         # Items that finish fast must not overtake slow earlier items.
-        import time
-
         def slow_then_fast(item):
             time.sleep(0.02 if item == 0 else 0.0)
             return item
@@ -79,6 +78,60 @@ class TestExecutionBackends:
         per_call.shutdown()
         with pytest.raises(RuntimeError, match="shut-down"):
             per_call.map(lambda x: x, [1, 2])
+
+
+@pytest.fixture(params=["per-call", "persistent"])
+def concurrent_executor(request):
+    """A 4-worker :class:`ConcurrentExecutor` on each kind of pool."""
+    with ConcurrentExecutor(max_workers=4, persistent=request.param == "persistent") as executor:
+        yield executor
+
+
+class TestMapSettled:
+    """The ``map_settled`` contract the run engine's inference relies on."""
+
+    def test_results_come_back_in_input_order(self, concurrent_executor):
+        def slow_then_fast(item):
+            time.sleep(0.002 * (8 - item))
+            return item * 10
+
+        settled = concurrent_executor.map_settled(slow_then_fast, range(8))
+        assert settled == [(item * 10, None) for item in range(8)]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 9])
+    def test_every_item_settles_with_exactly_one_side_set(self, concurrent_executor, count):
+        def every_third_raises(item):
+            if item % 3 == 0:
+                raise ValueError(f"item {item}")
+            return f"ok {item}"
+
+        settled = concurrent_executor.map_settled(every_third_raises, range(count))
+        assert len(settled) == count
+        for item, (result, error) in enumerate(settled):
+            assert (result is None) != (error is None)
+            if item % 3 == 0:
+                assert isinstance(error, ValueError) and str(error) == f"item {item}"
+            else:
+                assert result == f"ok {item}"
+
+    def test_a_failure_does_not_stop_its_siblings(self, concurrent_executor):
+        # Twelve items on four workers: the first item fails at once, so
+        # most siblings start after the failure and must still run.
+        ran = []
+        lock = threading.Lock()
+
+        def first_fails(item):
+            if item == 0:
+                raise RuntimeError("boom")
+            time.sleep(0.001)
+            with lock:
+                ran.append(item)
+            return item
+
+        settled = concurrent_executor.map_settled(first_fails, range(12))
+        assert settled[0][0] is None and isinstance(settled[0][1], RuntimeError)
+        assert settled[1:] == [(item, None) for item in range(1, 12)]
+        assert sorted(ran) == list(range(1, 12))
 
 
 class TestCompleteMany:
