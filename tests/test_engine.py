@@ -46,10 +46,13 @@ CONFIG = BatcherConfig(seed=3)
 SMALL_CONFIG = BatcherConfig(seed=3, max_questions=32)
 STAGE_NAMES = [stage.name for stage in DEFAULT_STAGES]
 
-#: Executor factories the crash, failure and telemetry tests run under.
+#: Executor factories the equivalence, crash, failure and telemetry tests run
+#: under: serial, a per-run thread pool, and the long-lived pool a service
+#: dispatches on.
 EXECUTORS = {
     "serial": lambda: None,
     "concurrent4": lambda: ConcurrentExecutor(4),
+    "persistent4": lambda: ConcurrentExecutor(4, persistent=True),
 }
 
 
@@ -72,6 +75,22 @@ def beer_small_oracle(beer_dataset):
 @pytest.fixture(scope="module")
 def fz_oracle(fz_dataset):
     return _oracle(fz_dataset, CONFIG)
+
+
+@pytest.fixture
+def open_executor():
+    """Build an executor by its ``EXECUTORS`` name; shut it down after the test."""
+    opened = []
+
+    def open_(name):
+        executor = EXECUTORS[name]()
+        if executor is not None:
+            opened.append(executor)
+        return executor
+
+    yield open_
+    for executor in opened:
+        executor.shutdown()
 
 
 @pytest.fixture(scope="module")
@@ -238,15 +257,12 @@ class TestCheckpointStore:
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("checkpointed", [False, True], ids=["no-store", "store"])
-    @pytest.mark.parametrize(
-        "make_executor",
-        [lambda: None, lambda: ConcurrentExecutor(4)],
-        ids=["serial", "concurrent4"],
-    )
+    @pytest.mark.parametrize("executor_name", list(EXECUTORS))
     def test_beer_runs_are_byte_identical(
-        self, beer_dataset, beer_oracle, checkpoint_dir, make_executor, checkpointed
+        self, beer_dataset, beer_oracle, checkpoint_dir, open_executor, executor_name,
+        checkpointed,
     ):
-        framework = BatchER(CONFIG, executor=make_executor())
+        framework = BatchER(CONFIG, executor=open_executor(executor_name))
         result = framework.run(
             beer_dataset, checkpoint_dir=checkpoint_dir if checkpointed else None
         )
@@ -315,7 +331,8 @@ class TestGoldenEquivalence:
 class TestCrashResume:
     @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
     def test_every_llm_crash_point_resumes_with_zero_repeated_calls(
-        self, beer_dataset, beer_small_oracle, make_crashing_llm, tmp_path, executor_name
+        self, beer_dataset, beer_small_oracle, make_crashing_llm, tmp_path, open_executor,
+        executor_name,
     ):
         """The headline property: for every crash point k, the crashed run plus
         the resume together make exactly as many LLM calls as an uninterrupted
@@ -327,7 +344,7 @@ class TestCrashResume:
             engine = RunEngine(
                 config=SMALL_CONFIG,
                 llm=llm,
-                executor=EXECUTORS[executor_name](),
+                executor=open_executor(executor_name),
                 checkpoint_dir=tmp_path / f"crash-{k}",
             )
             with pytest.raises(InjectedFault):
@@ -347,7 +364,8 @@ class TestCrashResume:
 
     @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
     def test_every_store_crash_point_repays_exactly_the_torn_batch(
-        self, beer_dataset, beer_small_oracle, make_crashing_llm, tmp_path, executor_name
+        self, beer_dataset, beer_small_oracle, make_crashing_llm, tmp_path, open_executor,
+        executor_name,
     ):
         """A crash *between* the LLM call and its persistence is the harshest
         point: that one call is paid but not saved, so resume re-pays exactly
@@ -359,7 +377,7 @@ class TestCrashResume:
             engine = RunEngine(
                 config=SMALL_CONFIG,
                 llm=llm,
-                executor=EXECUTORS[executor_name](),
+                executor=open_executor(executor_name),
                 checkpoint_store=store,
             )
             with pytest.raises(InjectedFault):
@@ -446,13 +464,15 @@ class TestCrashResume:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("persistent", [False, True], ids=["concurrent8", "persistent8"])
     def test_checkpointed_run_keeps_the_executor_concurrency(
-        self, beer_dataset, beer_oracle, checkpoint_dir
+        self, beer_dataset, beer_oracle, checkpoint_dir, persistent
     ):
         llm = PeakConcurrencyLLM(CONFIG)
-        result = BatchER(CONFIG, llm=llm, executor=ConcurrentExecutor(8)).run(
-            beer_dataset, checkpoint_dir=checkpoint_dir
-        )
+        with ConcurrentExecutor(8, persistent=persistent) as executor:
+            result = BatchER(CONFIG, llm=llm, executor=executor).run(
+                beer_dataset, checkpoint_dir=checkpoint_dir
+            )
         assert result == beer_oracle
         assert 1 < llm.peak <= 8
 
@@ -479,10 +499,12 @@ class TestDispatch:
         assert llm.attempts == 0
 
     @pytest.mark.parametrize(
-        ("executor_name", "extra_attempts"), [("serial", 0), ("concurrent4", 3)]
+        ("executor_name", "extra_attempts"),
+        [("serial", 0), ("concurrent4", 3), ("persistent4", 3)],
     )
     def test_no_call_starts_after_the_first_failure(
-        self, beer_dataset, beer_oracle, checkpoint_dir, executor_name, extra_attempts
+        self, beer_dataset, beer_oracle, checkpoint_dir, open_executor, executor_name,
+        extra_attempts,
     ):
         """A backend that fails from call k on sees at most one failing call
         per worker.
@@ -496,7 +518,7 @@ class TestDispatch:
         k = 3
         assert beer_oracle.num_batches > k + extra_attempts
         llm = FailingLLM(CONFIG, fail_at=k, down=True)
-        framework = BatchER(CONFIG, llm=llm, executor=EXECUTORS[executor_name]())
+        framework = BatchER(CONFIG, llm=llm, executor=open_executor(executor_name))
         with pytest.raises(InjectedFault):
             framework.run(beer_dataset, checkpoint_dir=checkpoint_dir)
         assert k <= llm.attempts <= k + extra_attempts
@@ -506,7 +528,7 @@ class TestDispatch:
     @pytest.mark.parametrize("down", [True, False], ids=["fail-from-k", "fail-at-k"])
     def test_a_failed_run_checkpoints_exactly_its_answered_batches(
         self, beer_dataset, beer_oracle, make_crashing_llm, checkpoint_dir,
-        executor_name, down,
+        open_executor, executor_name, down,
     ):
         """Whatever the interleaving, a failed run raises, checkpoints exactly
         the batches whose call succeeded, and a resume pays exactly the rest.
@@ -520,7 +542,7 @@ class TestDispatch:
         engine = RunEngine(
             config=CONFIG,
             llm=llm,
-            executor=EXECUTORS[executor_name](),
+            executor=open_executor(executor_name),
             checkpoint_dir=checkpoint_dir,
         )
         with pytest.raises(InjectedFault):
@@ -545,7 +567,7 @@ class TestTelemetry:
     @pytest.mark.parametrize("mode", ["no-store", "fresh-store", "resume"])
     def test_seven_stages_under_batcher_run(
         self, beer_dataset, beer_small_oracle, make_crashing_llm, checkpoint_dir,
-        mode, executor_name,
+        open_executor, mode, executor_name,
     ):
         llm = make_crashing_llm(SMALL_CONFIG, fail_at_call=2 if mode == "resume" else 0)
         directory = None if mode == "no-store" else checkpoint_dir
@@ -556,7 +578,7 @@ class TestTelemetry:
         framework = BatchER(
             SMALL_CONFIG,
             llm=llm,
-            executor=EXECUTORS[executor_name](),
+            executor=open_executor(executor_name),
             hooks=[hook],
             tracer=tracer,
         )

@@ -87,6 +87,10 @@ def concurrent_executor(request):
         yield executor
 
 
+def test_concurrent_map_of_no_items_is_empty(concurrent_executor):
+    assert concurrent_executor.map(lambda x: x, []) == []
+
+
 class TestMapSettled:
     """The ``map_settled`` contract the run engine's inference relies on."""
 
