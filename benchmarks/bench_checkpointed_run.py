@@ -19,7 +19,7 @@ headline numbers (tracked in git at full size).
 
 Standalone (the CI smoke invocation uses ``--small``)::
 
-    PYTHONPATH=src python benchmarks/bench_sharded_run.py
+    PYTHONPATH=src python benchmarks/bench_checkpointed_run.py
 """
 
 from __future__ import annotations

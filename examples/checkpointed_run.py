@@ -10,7 +10,7 @@ byte-identical while the run is persisted, killed and resumed:
    the k-th LLM call) and resumed by calling ``run`` again with the same
    arguments — completing with zero repeated LLM calls.
 
-Run with:  python examples/sharded_run.py
+Run with:  python examples/checkpointed_run.py
 """
 
 import tempfile

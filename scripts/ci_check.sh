@@ -96,7 +96,7 @@ echo "== checkpointed run engine smoke benchmark (BENCH_engine.json) =="
 # zero repeated LLM calls.
 # The smoke report goes to a scratch file so it never clobbers a full-size
 # BENCH_engine.json with small-n numbers.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_sharded_run.py \
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_checkpointed_run.py \
   --small --report "$(mktemp)" > /dev/null
 
 echo "== resilience chaos smoke benchmark (BENCH_resilience.json) =="

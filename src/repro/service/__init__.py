@@ -21,8 +21,9 @@ Layers:
 * :class:`ResolutionService` — the facade: cache lookup, in-flight
   deduplication, cost-aware admission (:class:`CostBudgetExceeded` once the
   session budget is spent), ``submit`` / ``resolve_many`` / ``stats``, and
-  the ``resolve_bulk`` path that shards large submissions
-  deterministically past the micro-batch queue (counters under
+  the ``resolve_bulk`` path that resolves large submissions past the
+  micro-batch queue in chunks of at most ``batch_size ** 2`` pairs, sharing
+  the flush's in-flight table and resolve core (counters under
   ``stats().engine``).
 * :mod:`repro.service.tenants` — multi-tenant admission: API keys
   (``X-API-Key``) resolving to per-tenant requests-per-second quotas

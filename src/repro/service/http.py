@@ -12,10 +12,10 @@ Endpoints:
 * ``POST /resolve`` — body ``{"pairs": [{"pair_id"?, "left": {...}, "right":
   {...}}]}`` where ``left``/``right`` are flat attribute→value mappings;
   responds ``{"resolutions": [Resolution.to_dict(), ...]}``.
-* ``POST /bulk`` — same pair payload plus an optional ``"shards"`` integer;
-  resolves through the bulk path
-  (:meth:`ResolutionService.resolve_bulk`), which shards the submission
-  deterministically past the micro-batch queue.
+* ``POST /bulk`` — same pair payload; resolves through the bulk path
+  (:meth:`ResolutionService.resolve_bulk`), which bypasses the micro-batch
+  queue and resolves the submission in chunks of at most
+  ``batch_size ** 2`` pairs.  Unknown body keys are ignored.
 * ``GET /stats`` — the service's :meth:`ServiceStats.to_dict` snapshot,
   consolidated with a ``"metrics"`` dump of the service's registry so both
   endpoints read from the same source of truth.
@@ -127,20 +127,6 @@ def pairs_from_json(body: Any) -> list[EntityPair]:
     if not isinstance(entries, list):
         raise BadRequest('"pairs" must be an array')
     return [pair_from_json(entry, next(_request_ids)) for entry in entries]
-
-
-def _shards_from_json(body: Mapping[str, Any]) -> int | None:
-    """Parse the optional ``"shards"`` field of a ``/bulk`` body.
-
-    Raises:
-        BadRequest: when present but not a positive integer.
-    """
-    shards = body.get("shards")
-    if shards is None:
-        return None
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise BadRequest('"shards" must be a positive integer')
-    return shards
 
 
 @dataclass(frozen=True)
@@ -284,13 +270,12 @@ class ServiceRouter:
         try:
             body = json.loads(raw.decode("utf-8"))
             pairs = pairs_from_json(body)
-            shards = _shards_from_json(body) if path == "/bulk" else None
         except (BadRequest, UnicodeDecodeError, json.JSONDecodeError) as error:
             return _error_result(400, str(error))
         service = self.service
         try:
             if path == "/bulk":
-                resolutions = service.resolve_bulk(pairs, shards=shards, tenant=tenant)
+                resolutions = service.resolve_bulk(pairs, tenant=tenant)
             else:
                 resolutions = service.resolve_many(
                     pairs, timeout=RESOLVE_TIMEOUT_SECONDS, tenant=tenant

@@ -77,9 +77,10 @@ class EngineStats:
     Attributes:
         bulk_requests: calls to :meth:`ResolutionService.resolve_bulk`.
         bulk_pairs: pairs submitted through the bulk path in total.
-        shards_resolved: bulk shards that completed resolution (a request
-            rejected mid-way — e.g. by the cost budget — stops counting at
-            the shard the rejection struck).
+        shards_resolved: bulk chunks (at most ``batcher.batch_size ** 2``
+            pairs each) whose live resolution completed; a request rejected
+            mid-way — e.g. by the cost budget — stops counting at the chunk
+            the rejection struck.
         pairs_from_cache: bulk pairs served by the result cache, by an
             in-flight join, or by deduplication within one submission — all
             at zero LLM cost.
@@ -222,18 +223,6 @@ class ServiceStats:
             "breaker": self.breaker,
             "tenants": self.tenants,
         }
-
-
-def _partition_by_fingerprint(fingerprints: Sequence[str], num_shards: int) -> list[list[int]]:
-    """Bucket positions of hex content ``fingerprints`` into ``num_shards`` lists.
-
-    A pair's shard is a pure function of its content, so a resubmitted pair
-    always lands in the same shard; within a shard, input order is kept.
-    """
-    shards: list[list[int]] = [[] for _ in range(num_shards)]
-    for index, fingerprint in enumerate(fingerprints):
-        shards[int(fingerprint[:16], 16) % num_shards].append(index)
-    return shards
 
 
 class ResolutionService:
@@ -468,7 +457,8 @@ class ResolutionService:
             "repro_service_bulk_pairs_total", "Pairs submitted to resolve_bulk()."
         )
         self._metric_bulk_shards = metrics.counter(
-            "repro_service_bulk_shards_total", "Bulk shards that completed resolution."
+            "repro_service_bulk_shards_total",
+            "Bulk chunks (at most batch_size**2 pairs) that completed resolution.",
         )
         self._metric_bulk_served = metrics.counter(
             "repro_service_bulk_pairs_served_total",
@@ -818,18 +808,23 @@ class ResolutionService:
         pair: EntityPair,
         future: Future,
         register_if_absent: bool,
+        from_submit: bool = True,
     ) -> bool:
         """Join an identical in-flight pair (returns ``True``), or optionally
-        register this request as the fingerprint's owner (returns ``False``)."""
+        register this request as the fingerprint's owner (returns ``False``).
+
+        ``from_submit`` is False for bulk futures, which the ``submitted``
+        and ``resolved`` counters do not count."""
         with self._lock:
             waiters = self._inflight.get(fingerprint)
             if waiters is not None:
-                waiters.append((pair, future, True))
-                self._metric_submitted.inc()
+                waiters.append((pair, future, from_submit))
+                if from_submit:
+                    self._metric_submitted.inc()
                 self._metric_joined.inc()
                 return True
             if register_if_absent:
-                self._inflight[fingerprint] = [(pair, future, True)]
+                self._inflight[fingerprint] = [(pair, future, from_submit)]
             return False
 
     def resolve_many(
@@ -863,49 +858,43 @@ class ResolutionService:
     def resolve_bulk(
         self,
         pairs: Iterable[EntityPair],
-        shards: int | None = None,
         timeout: float | None = 60.0,
         tenant: Tenant | None = None,
     ) -> list[Resolution]:
         """Resolve a large pair set through the bulk path.
 
         Bulk submissions bypass the micro-batch queue (which is shaped for
-        latency, not throughput) and go straight to the shared session in
-        deterministic content-addressed shards
-        (:func:`_partition_by_fingerprint`).  No shard may exceed
-        ``batcher.batch_size ** 2`` pairs (the resolver's
-        own streaming chunk size), and the session lock is released between
-        shards, so concurrent latency-path flushes interleave with a long
-        bulk resolution instead of starving behind it.
-
-        Free work stays free: the result cache, deduplication within the
-        submission, *and* pairs already in flight on the micro-batch path
-        all cost zero additional LLM calls — a bulk request joins a pending
-        identical pair's resolution rather than paying for it twice.
+        latency, not throughput).  The distinct uncached pairs are walked in
+        first-seen order in chunks of ``batcher.batch_size ** 2`` pairs (the
+        resolver's own streaming chunk size).  Each chunk goes through the
+        in-flight table as :meth:`submit` does, so free work stays free: a
+        pair already pending on either path is joined, not paid twice, and a
+        later :meth:`submit` of a pair the chunk owns joins it.  The chunk's
+        owned pairs then resolve through the micro-batch flush's core.  The
+        session lock is released between chunks, so latency-path flushes
+        interleave with a long bulk resolution instead of starving behind it.
 
         Args:
             pairs: the pairs to resolve; resolutions come back in input order.
-            shards: minimum shard count; by default one shard per
-                ``batcher.batch_size ** 2`` unique uncached pairs (raised
-                automatically when more shards are needed to respect the
-                per-shard ceiling).
             timeout: seconds to wait for joined in-flight resolutions
                 (``None`` waits indefinitely).
             tenant: submitting tenant; its quota bucket is debited one unit
-                per pair up front, its budget is re-checked at every shard
-                boundary next to the global one, and each resolved shard's
-                marginal cost is attributed to it.
+                per pair up front, its budget is re-checked at every chunk
+                boundary next to the global one, and it is charged for the
+                pairs its chunks resolve.
 
         Raises:
             ServiceClosed: if the service has been stopped.
             TenantQuotaExceeded: if the tenant's bucket cannot afford the
                 whole submission.
-            ServiceDegraded: if uncached work remains while the backend
-                breaker is open (cached and joined pairs alone still resolve).
-            CostBudgetExceeded: if uncached work remains but the session cost
-                budget is exhausted (cached pairs alone still resolve).
+            ServiceDegraded: if a chunk holds pairs neither cached nor in
+                flight while the backend breaker is open (cached and joined
+                pairs alone still resolve).
+            CostBudgetExceeded: likewise, once the session budget is spent.
             TimeoutError: if a joined in-flight pair does not resolve within
                 ``timeout``.
+            Exception: whatever the session raised while resolving a chunk;
+                requests that joined that chunk's pairs fail with it too.
         """
         if self._stopped:
             raise ServiceClosed("service has been stopped")
@@ -914,84 +903,73 @@ class ResolutionService:
             tenant.admit(len(pairs))
         self._metric_bulk_requests.inc()
         self._metric_bulk_pairs.inc(len(pairs))
-        if not pairs:
-            return []
 
         fingerprints = [pair_fingerprint(pair) for pair in pairs]
-        resolved: dict[str, Resolution] = {}
-        joined: dict[str, Future] = {}
-        pending: dict[str, EntityPair] = {}
-        for pair, fingerprint in zip(pairs, fingerprints):
-            if fingerprint in resolved or fingerprint in joined or fingerprint in pending:
-                continue
-            # In-flight check before the cache check: a flush caches its
-            # results *before* popping them from the in-flight table, so a
-            # pair that leaves in-flight between these two lookups is caught
-            # by the cache, never re-paid.
-            with self._lock:
-                waiters = self._inflight.get(fingerprint)
-                if waiters is not None:
-                    future: Future = Future()
-                    waiters.append((pair, future, False))
-                    self._metric_joined.inc()
-                    joined[fingerprint] = future
-                    continue
+        first: dict[str, EntityPair] = {}
+        for fingerprint, pair in zip(fingerprints, pairs):
+            first.setdefault(fingerprint, pair)
+        resolved: dict[str, Resolution | CachedResult] = {}
+        futures: dict[str, Future] = {}
+        for fingerprint in first:
             cached = self._cache.get(fingerprint)
-            if cached is not None:
-                resolved[fingerprint] = Resolution(
-                    pair=pair, label=cached.label, answered=cached.answered
-                )
+            if cached is None:
+                futures[fingerprint] = Future()
             else:
-                pending.setdefault(fingerprint, pair)
-        self._metric_bulk_served.inc(len(pairs) - len(pending), source="cache")
+                resolved[fingerprint] = cached
+        self._metric_bulk_served.inc(len(pairs) - len(futures), source="cache")
 
-        if pending:
-            unique = list(pending.values())
-            chunk = self.config.batcher.batch_size**2
-            floor = max(1, -(-len(unique) // chunk))
-            num_shards = max(shards, floor) if shards is not None else floor
-            shard_indices = _partition_by_fingerprint(list(pending), num_shards)
-            populated = [indices for indices in shard_indices if indices]
-            for indices in populated:
-                # Re-checked per shard, not once per request: a single huge
-                # bulk submission may then overshoot the budget by at most
-                # one shard, matching the per-submit granularity of the
-                # micro-batch path.  Shards resolved before the rejection
-                # stay cached, so a retry pays nothing for them.  The same
-                # per-shard granularity applies to degraded mode: a breaker
-                # that opens mid-bulk stops the run at the next shard
-                # boundary with everything before it cached.
+        uncached = list(futures)
+        chunk_size = self.config.batcher.batch_size**2
+        for start in range(0, len(uncached), chunk_size):
+            chunk = uncached[start : start + chunk_size]
+            fresh = [
+                fingerprint
+                for fingerprint in chunk
+                if not self._attach(
+                    fingerprint, first[fingerprint], futures[fingerprint],
+                    register_if_absent=False, from_submit=False,
+                )
+            ]
+            # Re-checked per chunk, not once per request: a single huge bulk
+            # submission may then overshoot the budget by at most one chunk,
+            # matching the per-submit granularity of the micro-batch path.
+            # Chunks resolved before the rejection stay cached, so a retry
+            # pays nothing for them.  The same per-chunk granularity applies
+            # to degraded mode: a breaker that opens mid-bulk stops the run
+            # at the next chunk boundary with everything before it cached.
+            if fresh:
                 self._admit_new_work(tenant)
-                shard_pairs = [unique[index] for index in indices]
-                cost_before = self._resolver.cost().total_cost
-                with self._resolver_lock, self._deadline():
-                    shard_resolutions = self._resolver.resolve(shard_pairs)
-                if tenant is not None:
-                    tenant.charge(self._resolver.cost().total_cost - cost_before)
-                self._metric_bulk_shards.inc()
-                self._metric_bulk_served.inc(len(shard_pairs), source="live")
-                for pair, resolution in zip(shard_pairs, shard_resolutions):
-                    fingerprint = pair_fingerprint(pair)
-                    resolved[fingerprint] = resolution
-                    # As on the micro-batch path, fallback labels are never
-                    # cached — the next request gets a fresh LLM attempt.
-                    if resolution.answered:
-                        self._cache.put(
-                            fingerprint,
-                            CachedResult(
-                                label=resolution.label, answered=resolution.answered
-                            ),
-                        )
-
-        resolved.update(zip(joined, self._await_all(list(joined.values()), timeout)))
-
-        resolutions = []
-        for pair, fingerprint in zip(pairs, fingerprints):
-            source = resolved[fingerprint]
-            resolutions.append(
-                Resolution(pair=pair, label=source.label, answered=source.answered)
+            owned: dict[str, EntityPair] = {}
+            for fingerprint in fresh:
+                if self._attach(
+                    fingerprint, first[fingerprint], futures[fingerprint],
+                    register_if_absent=True, from_submit=False,
+                ):
+                    continue
+                # A flush caches a pair before it leaves the in-flight table,
+                # so a pair resolved since the lookup above is cached by now.
+                cached = self._cache.get(fingerprint) if fingerprint in self._cache else None
+                if cached is not None:
+                    self._complete(fingerprint, cached)
+                else:
+                    owned[fingerprint] = first[fingerprint]
+            self._metric_bulk_served.inc(len(chunk) - len(owned), source="cache")
+            if not owned:
+                continue
+            error = self._resolve_owned(
+                owned, dict.fromkeys(owned, tenant.name) if tenant is not None else {}
             )
-        return resolutions
+            if error is not None:
+                raise error
+            self._metric_bulk_shards.inc()
+            self._metric_bulk_served.inc(len(owned), source="live")
+
+        resolved.update(zip(futures, self._await_all(list(futures.values()), timeout)))
+        sources = [resolved[fingerprint] for fingerprint in fingerprints]
+        return [
+            Resolution(pair=pair, label=source.label, answered=source.answered)
+            for pair, source in zip(pairs, sources)
+        ]
 
     # -- flushing ------------------------------------------------------------
 
@@ -1012,9 +990,6 @@ class ResolutionService:
                 self._flush_batch(batch)
 
     def _flush_batch(self, batch: list[PendingRequest]) -> None:
-        # First resolutions may establish the attribute schema (and hence the
-        # feature store); seed any warm-start vectors that were waiting on it.
-        self._drain_pending_vectors()
         # Defensive within-flush dedup: in-flight joining already collapses
         # duplicates, but a representative per fingerprint keeps the pipeline
         # input unique even if a duplicate slips through.
@@ -1024,20 +999,36 @@ class ResolutionService:
             if request.fingerprint not in unique and request.tenant is not None:
                 owners[request.fingerprint] = request.tenant
             unique.setdefault(request.fingerprint, request.pair)
+        self._resolve_owned(unique, owners)
+
+    def _resolve_owned(
+        self, unique: dict[str, EntityPair], owners: dict[str, str]
+    ) -> Exception | None:
+        """Resolve the in-flight pairs a caller owns and complete their waiters.
+
+        The one resolve core of both the micro-batch flush and each bulk
+        chunk.  ``unique`` maps every owned fingerprint to the pair to
+        resolve; ``owners`` maps a fingerprint to the name of the tenant that
+        pays for it.  Returns the error the session raised (every owned
+        fingerprint's waiters have then failed with it), else ``None``.
+        """
+        # First resolutions may establish the attribute schema (and hence the
+        # feature store); seed any warm-start vectors that were waiting on it.
+        self._drain_pending_vectors()
         cost_before = self._resolver.cost().total_cost
         try:
-            # One flush is one logical request for deadline purposes: the
-            # budget spans the whole resolve, retry backoff included.
+            # One flush or chunk is one logical request for deadline purposes:
+            # the budget spans the whole resolve, retry backoff included.
             with self._resolver_lock, self._deadline():
                 resolutions = self._resolver.resolve(list(unique.values()))
         except Exception as error:  # noqa: BLE001 - failures travel via futures
             for fingerprint in unique:
                 self._fail(fingerprint, error)
-            return
-        # Attribute the flush's marginal cost to the tenants whose requests
-        # paid it: each unique pair's *owner* (the request that enqueued it;
+            return error
+        # Attribute the marginal cost to the tenants whose requests paid it:
+        # each unique pair's *owner* (the request that registered it;
         # in-flight joiners ride free, matching the cache/join discipline)
-        # is charged an equal share of the flush's cost delta.
+        # is charged an equal share of the cost delta.
         if owners:
             per_pair = (
                 self._resolver.cost().total_cost - cost_before
@@ -1056,20 +1047,23 @@ class ResolutionService:
                     fingerprint,
                     CachedResult(label=resolution.label, answered=resolution.answered),
                 )
-            with self._lock:
-                waiters = self._inflight.pop(fingerprint, [])
-            # A waiter may have cancelled its future; setting a result on it
-            # would raise and kill the consumer thread.
-            waiters = [waiter for waiter in waiters if not waiter[1].done()]
-            # Counted before the futures complete, so a caller woken by its
-            # result already sees it in stats().
-            self._metric_resolved.inc(sum(from_submit for *_, from_submit in waiters))
-            for pair, future, _ in waiters:
-                future.set_result(
-                    Resolution(
-                        pair=pair, label=resolution.label, answered=resolution.answered
-                    )
-                )
+            self._complete(fingerprint, resolution)
+        return None
+
+    def _complete(self, fingerprint: str, source: Resolution | CachedResult) -> None:
+        """Pop ``fingerprint``'s waiters and give each ``source``'s label."""
+        with self._lock:
+            waiters = self._inflight.pop(fingerprint, [])
+        # A waiter may have cancelled its future; setting a result on it
+        # would raise and kill the consumer thread.
+        waiters = [waiter for waiter in waiters if not waiter[1].done()]
+        # Counted before the futures complete, so a caller woken by its
+        # result already sees it in stats().
+        self._metric_resolved.inc(sum(from_submit for *_, from_submit in waiters))
+        for pair, future, _ in waiters:
+            future.set_result(
+                Resolution(pair=pair, label=source.label, answered=source.answered)
+            )
 
     def _fail(self, fingerprint: str, error: Exception) -> None:
         with self._lock:

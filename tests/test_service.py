@@ -1,6 +1,7 @@
 """Tests for the micro-batching ResolutionService facade."""
 
 import json
+import sys
 import threading
 import time
 
@@ -9,15 +10,17 @@ import pytest
 from repro.core.config import BatcherConfig
 from repro.data.fingerprint import pair_fingerprint
 from repro.data.schema import EntityPair, MatchLabel, Record
+from repro.engines.faults import FakeClock
 from repro.pipeline import Resolution, Resolver
+from repro.resilience import BreakerConfig, CircuitBreaker
 from repro.service import (
     CostBudgetExceeded,
     ResolutionService,
     ServiceClosed,
     ServiceConfig,
+    ServiceDegraded,
     ServiceOverloaded,
 )
-from repro.service.service import _partition_by_fingerprint
 
 
 @pytest.fixture()
@@ -34,6 +37,36 @@ def questions(beer_dataset):
 
 def _started_service(beer_dataset, config) -> ResolutionService:
     return ResolutionService.from_dataset(beer_dataset, config).start()
+
+
+def _wait_until(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _gate_resolve(monkeypatch, service, error: Exception | None = None):
+    """Make the session's ``resolve`` block until released (then raise
+    ``error``, if given).  Returns the fingerprints it was asked to resolve,
+    an event set on entry, and the release event."""
+    seen: list[str] = []
+    entered, release = threading.Event(), threading.Event()
+    resolve = service.resolver.resolve
+
+    def gated(pairs):
+        pairs = list(pairs)
+        seen.extend(pair_fingerprint(pair) for pair in pairs)
+        entered.set()
+        release.wait(30.0)
+        if error is not None:
+            raise error
+        return resolve(pairs)
+
+    monkeypatch.setattr(service.resolver, "resolve", gated)
+    return seen, entered, release
 
 
 class TestServiceConfig:
@@ -496,29 +529,6 @@ class TestServiceLifecycle:
 
 
 class TestBulkResolve:
-    def test_partition_is_a_pure_function_of_content(self, questions):
-        """Every index lands in exactly one shard, in input order, and a
-        pair's shard is its fingerprint's leading 64 bits modulo the count."""
-        fingerprints = [pair_fingerprint(pair) for pair in questions]
-        shard_indices = _partition_by_fingerprint(fingerprints, 4)
-        assert len(shard_indices) == 4
-        flat = sorted(index for indices in shard_indices for index in indices)
-        assert flat == list(range(len(questions)))
-        for shard, indices in enumerate(shard_indices):
-            assert indices == sorted(indices)
-            for index in indices:
-                assert int(fingerprints[index][:16], 16) % 4 == shard
-
-        shuffled = list(reversed(fingerprints))
-        reshuffled = _partition_by_fingerprint(shuffled, 4)
-        shard_of = {
-            shuffled[index]: shard
-            for shard, indices in enumerate(reshuffled)
-            for index in indices
-        }
-        for shard, indices in enumerate(shard_indices):
-            assert all(shard_of[fingerprints[index]] == shard for index in indices)
-
     def test_bulk_resolves_in_input_order(self, beer_dataset, service_config, questions):
         service = _started_service(beer_dataset, service_config)
         try:
@@ -528,14 +538,15 @@ class TestBulkResolve:
         finally:
             service.stop()
 
-    def test_bulk_ticks_engine_counters(self, beer_dataset, service_config, questions):
-        service = _started_service(beer_dataset, service_config)
+    def test_bulk_ticks_engine_counters(self, beer_dataset, questions):
+        config = ServiceConfig(batcher=BatcherConfig(seed=1, batch_size=4), max_batch_size=16)
+        service = _started_service(beer_dataset, config)
         try:
-            service.resolve_bulk(questions, shards=3)
+            service.resolve_bulk(questions)  # 48 pairs in chunks of 4**2
             engine = service.stats().engine
             assert engine.bulk_requests == 1
             assert engine.bulk_pairs == len(questions)
-            assert 1 <= engine.shards_resolved <= 3
+            assert engine.shards_resolved == 3
             assert engine.pairs_resolved == len(questions)
             payload = service.stats().to_dict()["engine"]
             assert payload["bulk_pairs"] == len(questions)
@@ -574,26 +585,31 @@ class TestBulkResolve:
     def test_bulk_sharding_does_not_change_labels(
         self, beer_dataset, service_config, questions
     ):
+        """A submission of at most batch_size**2 distinct pairs is one chunk,
+        resolved exactly as one ``Resolver.resolve`` call in first-seen order;
+        a multi-chunk submission is deterministic."""
         one = _started_service(beer_dataset, service_config)
         try:
-            single = [int(r.label) for r in one.resolve_bulk(questions, shards=1)]
+            single = [int(r.label) for r in one.resolve_bulk(questions + questions[:8])]
         finally:
             one.stop()
-        # Shard composition changes which pairs share a prompt, so labels may
-        # legitimately differ between shard counts -- but each shard count must
-        # be deterministic.
-        many = _started_service(beer_dataset, service_config)
-        try:
-            first = [int(r.label) for r in many.resolve_bulk(questions, shards=4)]
-        finally:
-            many.stop()
-        again = _started_service(beer_dataset, service_config)
-        try:
-            second = [int(r.label) for r in again.resolve_bulk(questions, shards=4)]
-        finally:
-            again.stop()
-        assert first == second
-        assert len(single) == len(first) == len(questions)
+        direct = Resolver.from_dataset(beer_dataset, service_config.batcher)
+        assert single[: len(questions)] == [int(r.label) for r in direct.resolve(questions)]
+        assert single[len(questions) :] == single[:8]
+        # Chunk composition changes which pairs share a prompt, so labels may
+        # legitimately differ between chunk sizes -- but each must be
+        # deterministic.
+        chunked = ServiceConfig(batcher=BatcherConfig(seed=1, batch_size=4), max_batch_size=16)
+        labels = []
+        for _ in range(2):
+            many = _started_service(beer_dataset, chunked)
+            try:
+                labels.append([int(r.label) for r in many.resolve_bulk(questions)])
+                assert many.stats().engine.shards_resolved == 3
+            finally:
+                many.stop()
+        assert labels[0] == labels[1]
+        assert len(labels[0]) == len(questions)
 
     def test_bulk_respects_the_cost_budget(self, beer_dataset, questions):
         config = ServiceConfig(
@@ -646,31 +662,234 @@ class TestBulkResolve:
         finally:
             service.stop()
 
+    def test_submit_and_bulk_join_a_running_bulk_chunk(
+        self, beer_dataset, service_config, questions, monkeypatch
+    ):
+        """A pair that a bulk chunk is resolving sits in the in-flight table:
+        a submit() and a second bulk call of it join, and it is paid once."""
+        service = _started_service(beer_dataset, service_config)
+        seen, entered, release = _gate_resolve(monkeypatch, service)
+        results = {}
+        workers = [
+            threading.Thread(
+                target=lambda: results.update(first=service.resolve_bulk(questions[:4]))
+            ),
+            threading.Thread(
+                target=lambda: results.update(second=service.resolve_bulk([questions[0]]))
+            ),
+        ]
+        workers[0].start()
+        try:
+            assert entered.wait(10.0)
+            joined_before = service.stats().inflight_joined
+            submitted = service.submit(questions[0])
+            workers[1].start()
+            joined_both = _wait_until(
+                lambda: service.stats().inflight_joined == joined_before + 2
+            )
+        finally:
+            release.set()
+            for worker in workers:
+                if worker.ident is not None:
+                    worker.join(timeout=30.0)
+        try:
+            assert not any(worker.is_alive() for worker in workers)
+            assert joined_both, "the submit and the second bulk call did not both join"
+            label = results["first"][0].label
+            assert submitted.result(timeout=10.0).label == label
+            assert results["second"][0].label == label
+            assert seen.count(pair_fingerprint(questions[0])) == 1
+            assert service.stats().inflight_joined == joined_before + 2
+        finally:
+            service.stop()
+
+    def test_failed_bulk_chunk_fails_its_joiners(
+        self, beer_dataset, service_config, questions, monkeypatch
+    ):
+        """When the session raises inside a bulk chunk, the bulk call raises
+        it, a submit() that joined the chunk gets the same error instead of
+        hanging, and nothing is left in flight."""
+        service = _started_service(beer_dataset, service_config)
+        boom = RuntimeError("backend down")
+        _, entered, release = _gate_resolve(monkeypatch, service, error=boom)
+        outcome = {}
+
+        def run_bulk():
+            try:
+                service.resolve_bulk(questions[:4])
+            except RuntimeError as error:
+                outcome["error"] = error
+
+        worker = threading.Thread(target=run_bulk)
+        worker.start()
+        try:
+            assert entered.wait(10.0)
+            joined = service.submit(questions[1])
+        finally:
+            release.set()
+            worker.join(timeout=30.0)
+        try:
+            assert not worker.is_alive()
+            assert outcome["error"] is boom
+            assert joined.exception(timeout=10.0) is boom
+            assert service._inflight == {}
+        finally:
+            service.stop()
+
+    @pytest.mark.parametrize("reason", ["budget", "degraded"])
+    def test_rejected_bulk_chunk_registers_nothing(
+        self, beer_dataset, questions, monkeypatch, reason
+    ):
+        """Admission runs before a chunk registers its pairs: a rejection at
+        chunk 2 keeps chunk 1's work and leaves nothing in flight."""
+        breaker = CircuitBreaker(
+            BreakerConfig(failure_threshold=1, cooldown_seconds=60.0), clock=FakeClock()
+        )
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1, batch_size=2),
+            max_batch_size=16,
+            cost_budget=1e-9 if reason == "budget" else None,
+        )
+        service = ResolutionService.from_dataset(beer_dataset, config, breaker=breaker)
+        service.start()
+        if reason == "degraded":
+            resolve = service.resolver.resolve
+
+            def resolve_then_trip(pairs):
+                resolutions = resolve(pairs)
+                breaker.record_failure()  # opens: the next chunk is refused
+                return resolutions
+
+            monkeypatch.setattr(service.resolver, "resolve", resolve_then_trip)
+        expected = CostBudgetExceeded if reason == "budget" else ServiceDegraded
+        try:
+            with pytest.raises(expected):
+                service.resolve_bulk(questions[:12])  # 3 chunks of 2**2
+            assert service._inflight == {}
+            engine = service.stats().engine
+            assert (engine.shards_resolved, engine.pairs_resolved) == (1, 4)
+        finally:
+            service.stop()
+
+    def test_bulk_chunk_rechecks_the_cache_after_registering(
+        self, beer_dataset, questions, monkeypatch
+    ):
+        """A pair cached elsewhere between the bulk call's up-front cache
+        lookup and its chunk's registration is served from the cache, never
+        paid again."""
+        from repro.service import CachedResult
+
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1, batch_size=2), max_batch_size=16
+        )
+        service = _started_service(beer_dataset, config)
+        seen, _, release = _gate_resolve(monkeypatch, service)
+        release.set()
+        late = questions[5]  # in the second chunk of 2**2 pairs
+        admit = service._admit_new_work
+        chunks = []
+
+        def admit_then_cache_late(tenant):
+            admit(tenant)
+            chunks.append(tenant)
+            if len(chunks) == 2:  # chunk 2, before it registers its pairs
+                service.cache.put(
+                    pair_fingerprint(late),
+                    CachedResult(label=MatchLabel.MATCH, answered=True),
+                )
+
+        monkeypatch.setattr(service, "_admit_new_work", admit_then_cache_late)
+        try:
+            resolutions = service.resolve_bulk(questions[:8])
+            assert len(chunks) == 2
+            assert pair_fingerprint(late) not in seen
+            assert resolutions[5].label is MatchLabel.MATCH
+            assert service.stats().engine.pairs_resolved == 7
+            assert service._inflight == {}
+        finally:
+            service.stop()
+
+    def test_racing_bulk_and_submit_pay_each_pair_once(
+        self, beer_dataset, questions, monkeypatch
+    ):
+        """Bulk calls and submits racing over overlapping pairs share one
+        in-flight table: no answered pair reaches the session twice, and
+        every answered copy of a pair carries the same label."""
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1, batch_size=2),
+            max_batch_size=4,
+            max_wait_seconds=0.005,
+        )
+        service = _started_service(beer_dataset, config)
+        seen, _, release = _gate_resolve(monkeypatch, service)
+        release.set()
+        pool = questions[:24]
+        results, errors = [], []
+
+        def run(call, *args):
+            try:
+                results.append(call(*args))
+            except Exception as error:  # noqa: BLE001 - asserted empty below
+                errors.append(error)
+
+        workers = [
+            threading.Thread(
+                target=run, args=(service.resolve_bulk, pool[5 * i :] + pool[: 5 * i])
+            )
+            for i in range(4)
+        ] + [
+            threading.Thread(target=run, args=(service.resolve_many, pool[i::3]))
+            for i in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(worker.is_alive() for worker in workers)
+            assert errors == []
+            labels: dict[str, MatchLabel] = {}
+            for resolutions in results:
+                for resolution in resolutions:
+                    if resolution.answered:
+                        first = labels.setdefault(resolution.pair_id, resolution.label)
+                        assert resolution.label is first
+            answered = {fingerprint for fingerprint in seen if fingerprint in service.cache}
+            assert answered, "no pair was answered"
+            assert all(seen.count(fingerprint) == 1 for fingerprint in answered)
+            assert service._inflight == {}
+        finally:
+            service.stop()
+
     def test_bulk_enforces_a_per_shard_ceiling(self, beer_dataset, questions):
-        """An explicit low shard count must not produce one giant
-        lock-holding shard: the engine raises the count so no shard exceeds
-        batch_size**2 pairs."""
+        """A large submission must not become one giant lock-holding
+        resolve: no chunk exceeds batch_size**2 pairs."""
         config = ServiceConfig(
             batcher=BatcherConfig(seed=1, batch_size=2), max_batch_size=16
         )
         service = _started_service(beer_dataset, config)
         try:
-            service.resolve_bulk(questions[:20], shards=1)  # ceiling = 4 pairs
-            assert service.stats().engine.shards_resolved >= 5
+            service.resolve_bulk(questions[:20])  # ceiling = 4 pairs
+            assert service.stats().engine.shards_resolved == 5
         finally:
             service.stop()
 
     def test_bulk_budget_is_rechecked_between_shards(self, beer_dataset, questions):
         """One oversized bulk request must not blow arbitrarily past the
-        budget: the check runs per shard, so the overshoot is bounded by one
-        shard and already-resolved shards stay cached."""
+        budget: the check runs per chunk, so the overshoot is bounded by one
+        chunk and already-resolved chunks stay cached."""
         config = ServiceConfig(
-            batcher=BatcherConfig(seed=1), max_batch_size=16, cost_budget=1e-9
+            batcher=BatcherConfig(seed=1, batch_size=4), max_batch_size=16, cost_budget=1e-9
         )
         service = _started_service(beer_dataset, config)
         try:
             with pytest.raises(CostBudgetExceeded):
-                service.resolve_bulk(questions, shards=4)
+                service.resolve_bulk(questions)  # 3 chunks of 16
             resolved = service.stats().engine.pairs_resolved
             assert 0 < resolved < len(questions)  # stopped after one shard
         finally:
@@ -678,14 +897,14 @@ class TestBulkResolve:
 
     def test_bulk_counters_reflect_completed_work_only(self, beer_dataset, questions):
         config = ServiceConfig(
-            batcher=BatcherConfig(seed=1), max_batch_size=16, cost_budget=1e-9
+            batcher=BatcherConfig(seed=1, batch_size=4), max_batch_size=16, cost_budget=1e-9
         )
         service = _started_service(beer_dataset, config)
         try:
             with pytest.raises(CostBudgetExceeded):
-                service.resolve_bulk(questions, shards=4)
+                service.resolve_bulk(questions)  # 3 chunks of 16
             engine = service.stats().engine
-            # Only the shard that actually resolved is counted.
+            # Only the chunk that actually resolved is counted.
             assert engine.shards_resolved == 1
             assert engine.pairs_resolved < len(questions)
         finally:

@@ -385,6 +385,7 @@ class TestTenantsOverHTTP:
 
 class TestBulkEndpoint:
     def test_bulk_roundtrip(self, http_server, beer_dataset):
+        """A leftover ``"shards"`` key from older clients is ignored."""
         pairs = [pair.without_label() for pair in list(beer_dataset.splits.test)[:6]]
         payload = {
             "pairs": [
@@ -411,20 +412,6 @@ class TestBulkEndpoint:
         )
         assert status == 200
         assert len(body["resolutions"]) == 1
-
-    @pytest.mark.parametrize("shards", [0, -3, 1.5, "four", True])
-    def test_bulk_rejects_invalid_shards_400(self, http_server, shards):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(
-                http_server,
-                "/bulk",
-                {
-                    "pairs": [{"left": {"name": "a"}, "right": {"name": "b"}}],
-                    "shards": shards,
-                },
-            )
-        assert excinfo.value.code == 400
-        assert "shards" in json.loads(excinfo.value.read())["error"]
 
     def test_bulk_ticks_engine_counters_in_stats(self, http_server):
         _post(

@@ -254,7 +254,7 @@ class TestServiceIntegration:
         pairs = [
             pair.without_label() for pair in list(beer_dataset.splits.test)[20:24]
         ]
-        resolutions = tenant_service.resolve_bulk(pairs, shards=2, tenant=tenant)
+        resolutions = tenant_service.resolve_bulk(pairs, tenant=tenant)
         assert len(resolutions) == len(pairs)
         stats = tenant_service.stats()
         assert stats.tenants["acme"]["admitted"] >= len(pairs)
