@@ -8,8 +8,8 @@ must be served from the result cache at zero new LLM calls.
 
 Besides the pytest-benchmark timing, the run emits ``BENCH_service.json`` in
 the repository root with the headline numbers (batched-vs-serial pairs/sec and
-the cache-hit speedup).  The file is a machine-local artifact (gitignored),
-not a tracked result.
+the cache-hit speedup).  The file is tracked, and ``scripts/ci_check.sh``
+runs this benchmark, so its gates hold on every change.
 """
 
 import json

@@ -87,14 +87,27 @@ class CostTracker:
 
     def breakdown(self) -> CostBreakdown:
         """Return the current cost breakdown."""
-        prompt_tokens = self._usage.prompt_tokens if self._usage else 0
-        completion_tokens = self._usage.completion_tokens if self._usage else 0
-        num_calls = self._usage.num_calls if self._usage else 0
+        usage = self._usage or UsageTracker()
+        return self.price(
+            prompt_tokens=usage.prompt_tokens,
+            completion_tokens=usage.completion_tokens,
+            num_llm_calls=usage.num_calls,
+            num_labeled_pairs=self._num_labeled_pairs,
+        )
+
+    def price(
+        self,
+        prompt_tokens: int = 0,
+        completion_tokens: int = 0,
+        num_llm_calls: int = 0,
+        num_labeled_pairs: int = 0,
+    ) -> CostBreakdown:
+        """Price the given usage at this tracker's rates (records nothing)."""
         return CostBreakdown(
             api_cost=self._pricing.cost(prompt_tokens, completion_tokens),
-            labeling_cost=labeling_cost(self._num_labeled_pairs),
+            labeling_cost=labeling_cost(num_labeled_pairs),
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
-            num_llm_calls=num_calls,
-            num_labeled_pairs=self._num_labeled_pairs,
+            num_llm_calls=num_llm_calls,
+            num_labeled_pairs=num_labeled_pairs,
         )

@@ -13,11 +13,10 @@ often enough that tests still exercise true interleaving).
 
 from __future__ import annotations
 
+import contextvars
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
-
-from repro.observability.tracing import carry_current_span
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -115,16 +114,22 @@ class ConcurrentExecutor(ExecutionBackend):
         materialised: Sequence[ItemT] = list(items)
         if len(materialised) <= 1:
             return [fn(item) for item in materialised]
-        # Worker threads have no ambient trace context; carry the submitting
-        # thread's current span across so worker-side spans parent correctly.
-        fn = carry_current_span(fn)
+        # Worker threads do not inherit the submitting thread's context vars
+        # (the current span, the flush's deadline budget).  Each item runs in
+        # its own copy of that context: one Context cannot be entered by two
+        # threads at once.
+        contexts = [contextvars.copy_context() for _ in materialised]
+
+        def call(context: contextvars.Context, item: ItemT) -> ResultT:
+            return context.run(fn, item)
+
         if self._pool is not None:
             # Executor.map preserves input order, which is the determinism
             # guarantee callers rely on.
-            return list(self._pool.map(fn, materialised))
+            return list(self._pool.map(call, contexts, materialised))
         workers = min(self.max_workers, len(materialised))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, materialised))
+            return list(pool.map(call, contexts, materialised))
 
     def shutdown(self) -> None:
         """Release the pool; further :meth:`map` calls raise ``RuntimeError``."""

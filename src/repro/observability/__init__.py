@@ -28,7 +28,6 @@ from repro.observability.tracing import (
     Span,
     SpanSink,
     Tracer,
-    carry_current_span,
     current_span,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "Span",
     "SpanSink",
     "Tracer",
-    "carry_current_span",
     "current_span",
     "read_trace_file",
 ]

@@ -18,11 +18,10 @@ Two properties shape the design:
   :attr:`Tracer.enabled` first.
 * **Context crosses execution boundaries.**  asyncio tasks copy the ambient
   context at creation, so spans started inside them parent correctly for
-  free.  Thread pools do *not* copy context; :func:`carry_current_span`
-  captures the submitting thread's current span and re-establishes it around
-  each worker-side call, which is how :class:`~repro.llm.executors.
-  ConcurrentExecutor` keeps worker spans parented to the span that submitted
-  them.
+  free.  Thread pools do *not* copy context, so
+  :class:`~repro.llm.executors.ConcurrentExecutor` runs each task in a copy
+  of the submitting thread's context, which keeps worker spans parented to
+  the span that submitted them.
 
 Time is read through the injectable :class:`~repro.engines.transport.Clock`
 protocol, so tests drive tracing with a
@@ -36,7 +35,7 @@ import itertools
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, TypeVar
+from typing import Protocol
 
 from repro.engines.transport import Clock
 
@@ -46,11 +45,8 @@ __all__ = [
     "Span",
     "SpanSink",
     "Tracer",
-    "carry_current_span",
     "current_span",
 ]
-
-ResultT = TypeVar("ResultT")
 
 #: The ambient span of the calling context (task- and thread-scoped).
 _current_span: ContextVar["Span | None"] = ContextVar("repro_current_span", default=None)
@@ -277,30 +273,3 @@ class NoopTracer(Tracer):
 
 #: Shared default tracer: tracing disabled.
 NOOP_TRACER = NoopTracer()
-
-
-def carry_current_span(
-    fn: Callable[..., ResultT],
-) -> Callable[..., ResultT]:
-    """Wrap ``fn`` so it runs under the *caller's* current span.
-
-    Thread pools execute work in threads whose context has no ambient span,
-    which would break parenting for any span the work starts.  This helper is
-    called on the submitting thread: it snapshots the current span and
-    returns a wrapper that re-establishes it around every invocation (and
-    restores the worker's previous state after).  When no span is active the
-    original callable is returned unchanged, so the untraced hot path pays a
-    single context-variable read per ``map``.
-    """
-    span = _current_span.get()
-    if span is None:
-        return fn
-
-    def wrapped(*args: object, **kwargs: object) -> ResultT:
-        token = _current_span.set(span)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _current_span.reset(token)
-
-    return wrapped

@@ -23,7 +23,7 @@ import numpy as np
 from repro.batching.base import QuestionBatch
 from repro.core.config import BatcherConfig
 from repro.core.result import RunResult
-from repro.cost.tracker import CostTracker
+from repro.cost.tracker import CostBreakdown, CostTracker
 from repro.data.schema import Dataset, EntityPair, MatchLabel
 from repro.features.engine import FeatureStore
 from repro.llm.base import LLMClient, LLMResponse
@@ -69,6 +69,9 @@ class PipelineContext:
         question_features / pool_features: feature matrices (``Featurize``).
         batches: question batches (``BatchQuestions``).
         selection: per-batch demonstrations (``SelectDemonstrations``).
+        num_newly_labeled: demonstrations this context paid to label, i.e.
+            selected and not in ``prelabeled_pool_indices``
+            (``SelectDemonstrations``).
         prompts: rendered batch prompts, one per batch (``RenderPrompts``).
         responses: LLM responses aligned with ``prompts`` (``Inference``).
         answers: per-question parsed labels, ``None`` where the LLM failed to
@@ -101,6 +104,7 @@ class PipelineContext:
     pool_features: np.ndarray | None = None
     batches: list[QuestionBatch] | None = None
     selection: SelectionResult | None = None
+    num_newly_labeled: int = 0
     prompts: list[Prompt] | None = None
     responses: list[LLMResponse] | None = None
     answers: tuple[MatchLabel | None, ...] | None = None
@@ -241,6 +245,21 @@ class PipelineContext:
                 f"run the {producer!r} stage first"
             )
         return value
+
+    def spend(self) -> CostBreakdown:
+        """What this context's own stages cost: the demonstrations it newly
+        labeled plus its responses' tokens, at the tracker's pricing.
+
+        ``cost.breakdown()`` is cumulative over every context that shares the
+        tracker (a session's resolve calls); this is one context's share.
+        """
+        responses = self.responses or ()
+        return self.cost.price(
+            prompt_tokens=sum(response.prompt_tokens for response in responses),
+            completion_tokens=sum(response.completion_tokens for response in responses),
+            num_llm_calls=len(responses),
+            num_labeled_pairs=self.num_newly_labeled,
+        )
 
     @property
     def num_questions(self) -> int:

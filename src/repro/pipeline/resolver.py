@@ -19,7 +19,8 @@ cheaper than independent runs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.llm.registry import create_llm
 from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.pipeline import Pipeline, StageHook
+from repro.pipeline.stages import RenderPrompts
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,23 @@ class Resolution:
         }
 
 
+@dataclass
+class ResolvePlan:
+    """One resolve call between its two phases (see :meth:`Resolver.plan`).
+
+    Attributes:
+        pairs: the pairs being resolved, in input order.
+        context: the pipeline context, run through ``render-prompts``; once
+            finished it also holds the responses, and
+            :meth:`~repro.pipeline.context.PipelineContext.spend` prices
+            this call alone.
+    """
+
+    pairs: list[EntityPair]
+    context: PipelineContext
+    _scope: ExitStack = field(repr=False)
+
+
 class Resolver:
     """A long-lived entity-resolution session over a persistent pool.
 
@@ -86,8 +105,9 @@ class Resolver:
             config.  Usage accumulates across the whole session.
         executor: optional execution backend for concurrent prompt dispatch.
         hooks: pipeline telemetry hooks applied to every resolve call.
-        tracer: optional span producer; every :meth:`resolve` call opens a
-            ``resolver:resolve`` root span with per-stage children.
+        tracer: optional span producer; every resolve call opens a
+            ``resolver:resolve`` span (a root unless a span is current) with
+            per-stage children, from :meth:`plan` until :meth:`finish`.
     """
 
     def __init__(
@@ -118,6 +138,7 @@ class Resolver:
         self._cost = CostTracker(self.config.model)
         self._cost.attach_usage(self._llm.usage)
         self._num_resolved = 0
+        self._count_lock = threading.Lock()
         if demonstrations:
             self.add_demonstrations(demonstrations)
 
@@ -256,12 +277,36 @@ class Resolver:
     def resolve(self, pairs: Iterable[EntityPair]) -> list[Resolution]:
         """Resolve a batch of pairs and return resolutions in input order.
 
+        Both phases on the calling thread: ``finish(plan(pairs))``.
+
         Raises:
             ValueError: if the session has no demonstrations yet.
         """
         pairs = list(pairs)
         if not pairs:
             return []
+        return self.finish(self.plan(pairs))
+
+    def plan(self, pairs: Iterable[EntityPair]) -> "ResolvePlan":
+        """Run the CPU phase of a resolve: featurize, batch, select and render.
+
+        Selecting demonstrations pays for the ones not labeled before, so the
+        session's labeling order is the order of its ``plan`` calls: a caller
+        that plans one call while an earlier one is still being finished
+        (the service does) pays for exactly what a serial session would.
+        Plans are not thread-safe against each other; serialize them.
+
+        The returned plan holds the call's ``resolver:resolve`` span open, as
+        the current span, until :meth:`finish`.  Finish it in the same
+        :class:`contextvars.Context` (the same thread, or one context entered
+        with ``Context.run`` for both calls) and do not interleave plans
+        within one context.
+
+        Raises:
+            ValueError: if ``pairs`` is empty or the session has no
+                demonstrations yet.
+        """
+        pairs = list(pairs)
         if not self._pool:
             raise ValueError(
                 "resolver session has no demonstrations; call "
@@ -281,23 +326,39 @@ class Resolver:
         context.feature_store = self.feature_store
         context.pool_features = self._pool_features()
         context.tracer = self.tracer
-        try:
-            with self.tracer.span("resolver:resolve") as scope:
-                if self.tracer.enabled:
-                    scope.set_attribute("pairs", len(pairs))
-                self._pipeline.run(context)
-        finally:
-            # Demonstrations are charged to the session tracker the moment
-            # SelectDemonstrations runs; remember them even when a later stage
-            # fails, so a retry never pays for the same demonstration twice.
-            if context.selection is not None:
-                self._labeled_indices.update(context.selection.labeled_pool_indices)
-        self._num_resolved += len(pairs)
+        with ExitStack() as scope:
+            span = scope.enter_context(self.tracer.span("resolver:resolve"))
+            if self.tracer.enabled:
+                span.set_attribute("pairs", len(pairs))
+            try:
+                self._pipeline.run_until(context, RenderPrompts.name)
+            finally:
+                # Demonstrations are charged to the session tracker the moment
+                # SelectDemonstrations runs; remember them even when a later
+                # stage fails, so a retry never pays for the same
+                # demonstration twice.
+                if context.selection is not None:
+                    self._labeled_indices.update(context.selection.labeled_pool_indices)
+            # Planned: the span stays open until finish() (it closed with an
+            # error status if a stage raised).
+            return ResolvePlan(pairs=pairs, context=context, _scope=scope.pop_all())
+
+    def finish(self, plan: "ResolvePlan") -> list[Resolution]:
+        """Run the dispatch phase of a planned resolve: inference and parsing.
+
+        Safe to run for several plans at once (on different threads), and
+        alongside the next :meth:`plan`.  Returns resolutions in input order.
+        """
+        context = plan.context
+        with plan._scope:
+            self._pipeline.run(context)
+        with self._count_lock:
+            self._num_resolved += len(plan.pairs)
         predictions = context.predictions or ()
         answers = context.answers or ()
         return [
             Resolution(pair=pair, label=label, answered=answer is not None)
-            for pair, label, answer in zip(pairs, predictions, answers)
+            for pair, label, answer in zip(plan.pairs, predictions, answers)
         ]
 
     def resolve_iter(

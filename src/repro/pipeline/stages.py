@@ -137,10 +137,10 @@ class SelectDemonstrations(PipelineStage):
             planner=planner,
         )
         context.selection = selection
-        newly_labeled = (
+        context.num_newly_labeled = len(
             selection.labeled_pool_indices - context.prelabeled_pool_indices
         )
-        context.cost.record_labeled_pairs(len(newly_labeled))
+        context.cost.record_labeled_pairs(context.num_newly_labeled)
 
 
 class RenderPrompts(PipelineStage):

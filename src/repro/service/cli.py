@@ -283,7 +283,7 @@ def run_self_test(
     model: str = "gpt-3.5-03",
     max_batch_size: int = 16,
     max_wait_seconds: float = 0.05,
-    num_workers: int = 4,
+    num_workers: int = ServiceConfig.num_workers,
 ) -> dict[str, object]:
     """Run the deterministic serving smoke test and return its report.
 
@@ -471,7 +471,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--max-wait", type=float, default=0.05, help="micro-batch deadline (seconds)"
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="concurrent prompt dispatch threads"
+        "--workers",
+        type=int,
+        default=ServiceConfig.num_workers,
+        help="LLM calls in flight across the service",
     )
     parser.add_argument("--cache-capacity", type=int, default=4096)
     parser.add_argument(

@@ -41,8 +41,11 @@ class ServiceConfig:
         admission_timeout_seconds: how long a producer may block on a full
             queue before :class:`~repro.service.service.ServiceOverloaded` is
             raised.
-        num_workers: thread-pool size used for concurrent prompt dispatch
-            inside each flush (1 = serial dispatch).
+        num_workers: LLM calls in flight across the service: the size of the
+            session's dispatch pool, shared by every flush and bulk chunk
+            (1 = serial dispatch).  Up to two micro-batch flushes are in
+            flight at once, so the default holds both flushes' prompts at
+            the default shape: 2 x (32 pairs / ``batch_size`` 8) = 8.
         cache_capacity: maximum number of entries of the pair-level result
             cache (LRU eviction).
         spill_path: optional JSONL file the cache is warm-started from at
@@ -82,7 +85,7 @@ class ServiceConfig:
     max_wait_seconds: float = DEFAULT_MAX_WAIT_SECONDS
     queue_capacity: int = 256
     admission_timeout_seconds: float = 5.0
-    num_workers: int = 4
+    num_workers: int = 8
     cache_capacity: int = 4096
     spill_path: str | None = None
     cost_budget: float | None = None

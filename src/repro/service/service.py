@@ -21,11 +21,12 @@ self-test and benchmarks use to pin down exact outputs for a fixed seed.
 
 from __future__ import annotations
 
+import contextvars
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from typing import ContextManager, Iterable, Sequence
+from typing import ContextManager, Generator, Iterable, Sequence
 
 from repro.cost.tracker import CostBreakdown
 from repro.data.schema import Dataset, EntityPair
@@ -68,6 +69,24 @@ __all__ = [
 #: Retry-After ceiling for overload responses when no breaker cooldown is
 #: configured to clamp against (seconds).
 DEFAULT_OVERLOAD_RETRY_CAP = 30.0
+
+#: Micro-batch flushes in flight at once: the consumer plans the next flush
+#: while the model answers the last one, and blocks before planning a third.
+MAX_FLUSHES_IN_FLIGHT = 2
+
+#: A resolve split at the model call: a generator that runs its plan phase up
+#: to its one ``yield`` (or to its end, if planning failed) and its dispatch
+#: phase after it, returning the session's error or ``None``.
+TwoPhaseJob = Generator[None, None, "Exception | None"]
+
+
+def _run_to_end(job: TwoPhaseJob) -> Exception | None:
+    """Run whatever phases of ``job`` are left; return what it returned."""
+    try:
+        while True:
+            next(job)
+    except StopIteration as finished:
+        return finished.value
 
 
 @dataclass(frozen=True)
@@ -233,8 +252,8 @@ class ResolutionService:
             cache capacity, cost budget); its ``batcher`` field configures the
             underlying session.
         resolver: optional pre-built session; by default one is created from
-            ``config.batcher`` with a worker pool of ``config.num_workers``
-            threads for concurrent prompt dispatch within each flush.
+            ``config.batcher`` with a pool of ``config.num_workers`` threads
+            for the LLM calls in flight across the service.
         demonstrations: labeled pool for the default-built resolver (ignored
             when ``resolver`` is given).
         attributes: attribute schema for the default-built resolver.
@@ -301,9 +320,16 @@ class ResolutionService:
         # store existed (schema not yet known); seeded once it does.
         self._pending_vectors: dict[str, tuple[list[float], str | None]] = {}
         self._lock = threading.Lock()
-        # Serializes session access between the micro-batch consumer thread
-        # and bulk callers — the Resolver is a shared, stateful session.
+        # Serializes the plan phases (the session's stateful part: feature
+        # store, labeled pool) of flushes and bulk chunks.
         self._resolver_lock = threading.Lock()
+        # Dispatch phases of flushes (model calls, parsing, fan-out) run on
+        # threads of their own, never on the LLM pool: a pool worker waiting
+        # on calls queued behind it in its own pool could deadlock.
+        self._dispatcher = ThreadPoolExecutor(
+            MAX_FLUSHES_IN_FLIGHT, thread_name_prefix="repro-service-dispatch"
+        )
+        self._flush_slots = threading.Semaphore(MAX_FLUSHES_IN_FLIGHT)
         self._started_at: float | None = None
         self._stopped = False
         # Multi-tenant admission: API keys → quota buckets + cost budgets.
@@ -616,6 +642,9 @@ class ResolutionService:
             return
         self._stopped = True
         self._batcher.stop()
+        # The consumer has exited, so no flush is handed off any more; wait
+        # for the ones in flight before the LLM pool goes away.
+        self._dispatcher.shutdown(wait=True)
         for request in self._queue.drain():
             self._fail(request.fingerprint, ServiceClosed("service stopped"))
         # Spill only when this session actually started (and hence
@@ -956,8 +985,10 @@ class ResolutionService:
             self._metric_bulk_served.inc(len(chunk) - len(owned), source="cache")
             if not owned:
                 continue
-            error = self._resolve_owned(
-                owned, dict.fromkeys(owned, tenant.name) if tenant is not None else {}
+            error = _run_to_end(
+                self._resolve_owned(
+                    owned, dict.fromkeys(owned, tenant.name) if tenant is not None else {}
+                )
             )
             if error is not None:
                 raise error
@@ -974,22 +1005,62 @@ class ResolutionService:
     # -- flushing ------------------------------------------------------------
 
     def _flush(self, batch: list[PendingRequest], reason: str) -> None:
-        """Resolve one micro-batch and fan results out to every waiter.
+        """Plan one micro-batch here, then hand its dispatch phase to a
+        dispatch thread, which fans the results out to every waiter.
+
+        Called on the consumer thread, so plans run in FIFO order.  Blocks
+        first while :data:`MAX_FLUSHES_IN_FLIGHT` flushes are in flight.
+        Both phases run in one :class:`contextvars.Context` of the flush's
+        own, so the flush timer, its ``service:flush`` span and its deadline
+        open in the plan phase and close once its last waiter completed.
+        """
+        if not batch:
+            return
+        self._flush_slots.acquire()
+        context = contextvars.copy_context()
+        job = self._flush_job(batch, reason)
+        try:
+            context.run(next, job, None)  # the plan phase, on this thread
+            self._dispatcher.submit(self._dispatch, context, job, batch)
+        except Exception as error:
+            self._fail_batch(batch, error)
+            self._flush_slots.release()
+            raise
+
+    def _dispatch(
+        self, context: contextvars.Context, job: TwoPhaseJob, batch: list[PendingRequest]
+    ) -> None:
+        """Run a planned flush's dispatch phase, then free its slot."""
+        try:
+            context.run(_run_to_end, job)
+        except Exception as error:  # noqa: BLE001 - a dispatch thread must
+            # outlive a bad flush, as the consumer does.
+            self._fail_batch(batch, error)
+        finally:
+            self._flush_slots.release()
+
+    def _fail_batch(self, batch: list[PendingRequest], error: Exception) -> None:
+        """Fail every waiter of a flush that raised outside the resolve core
+        (which fails its own): owners and in-flight joiners alike, so none
+        hangs and no pair stays registered in flight."""
+        for request in batch:
+            self._fail(request.fingerprint, error)
+
+    def _flush_job(self, batch: list[PendingRequest], reason: str) -> TwoPhaseJob:
+        """One micro-batch flush as a two-phase job.
 
         ``reason`` is the micro-batcher's flush trigger; the flush counter
         and the span attribute both record this one value.
         """
-        if not batch:
-            return
         self._metric_flushes.inc(reason=reason)
         with self.metrics.time(self._metric_flush_seconds):
             with self.tracer.span("service:flush") as scope:
                 if self.tracer.enabled:
                     scope.set_attribute("requests", len(batch))
                     scope.set_attribute("reason", reason)
-                self._flush_batch(batch)
+                return (yield from self._flush_batch(batch))
 
-    def _flush_batch(self, batch: list[PendingRequest]) -> None:
+    def _flush_batch(self, batch: list[PendingRequest]) -> TwoPhaseJob:
         # Defensive within-flush dedup: in-flight joining already collapses
         # duplicates, but a representative per fingerprint keeps the pipeline
         # input unique even if a duplicate slips through.
@@ -999,40 +1070,46 @@ class ResolutionService:
             if request.fingerprint not in unique and request.tenant is not None:
                 owners[request.fingerprint] = request.tenant
             unique.setdefault(request.fingerprint, request.pair)
-        self._resolve_owned(unique, owners)
+        return self._resolve_owned(unique, owners)
 
     def _resolve_owned(
         self, unique: dict[str, EntityPair], owners: dict[str, str]
-    ) -> Exception | None:
+    ) -> TwoPhaseJob:
         """Resolve the in-flight pairs a caller owns and complete their waiters.
 
         The one resolve core of both the micro-batch flush and each bulk
-        chunk.  ``unique`` maps every owned fingerprint to the pair to
-        resolve; ``owners`` maps a fingerprint to the name of the tenant that
-        pays for it.  Returns the error the session raised (every owned
-        fingerprint's waiters have then failed with it), else ``None``.
+        chunk, as a two-phase job: the plan phase (under the session lock,
+        so demonstrations are labeled and paid for in plan order) runs up to
+        the ``yield``, the dispatch phase (model calls, parsing, charging,
+        caching, fan-out) after it.  A flush runs the phases on two threads;
+        a bulk chunk runs both on its caller's.  ``unique`` maps every owned
+        fingerprint to the pair to resolve; ``owners`` maps a fingerprint to
+        the name of the tenant that pays for it.  Returns the error the
+        session raised (every owned fingerprint's waiters have then failed
+        with it), else ``None``.
         """
         # First resolutions may establish the attribute schema (and hence the
         # feature store); seed any warm-start vectors that were waiting on it.
         self._drain_pending_vectors()
-        cost_before = self._resolver.cost().total_cost
         try:
             # One flush or chunk is one logical request for deadline purposes:
-            # the budget spans the whole resolve, retry backoff included.
-            with self._resolver_lock, self._deadline():
-                resolutions = self._resolver.resolve(list(unique.values()))
+            # the budget spans both phases, retry backoff included.
+            with self._deadline():
+                with self._resolver_lock:
+                    plan = self._resolver.plan(list(unique.values()))
+                yield
+                resolutions = self._resolver.finish(plan)
         except Exception as error:  # noqa: BLE001 - failures travel via futures
             for fingerprint in unique:
                 self._fail(fingerprint, error)
             return error
-        # Attribute the marginal cost to the tenants whose requests paid it:
-        # each unique pair's *owner* (the request that registered it;
-        # in-flight joiners ride free, matching the cache/join discipline)
-        # is charged an equal share of the cost delta.
+        # Attribute this resolve's own cost to the tenants whose requests paid
+        # it: each unique pair's *owner* (the request that registered it;
+        # in-flight joiners ride free, matching the cache/join discipline) is
+        # charged an equal share.  Priced from this resolve's context, not
+        # the session's running total, which another flush in flight moves.
         if owners:
-            per_pair = (
-                self._resolver.cost().total_cost - cost_before
-            ) / len(unique)
+            per_pair = plan.context.spend().total_cost / len(unique)
             if per_pair > 0:
                 for fingerprint, tenant_name in owners.items():
                     owner = self.tenants.get(tenant_name)

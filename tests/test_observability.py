@@ -25,7 +25,6 @@ from repro.observability import (
     NOOP_TRACER,
     NoopTracer,
     Tracer,
-    carry_current_span,
     current_span,
     read_trace_file,
 )
@@ -133,12 +132,6 @@ class TestTracer:
 
 
 class TestCarryCurrentSpan:
-    def test_without_an_active_span_the_callable_is_returned_unchanged(self):
-        def fn():
-            return 42
-
-        assert carry_current_span(fn) is fn
-
     def test_concurrent_executor_workers_parent_to_the_submitting_span(self):
         tracer = Tracer(clock=FakeClock())
 

@@ -22,6 +22,7 @@ from repro.pipeline import (
     SelectDemonstrations,
     StageHook,
 )
+from repro.resilience import DeadlineBudget, current_deadline, deadline_scope
 
 
 class TestExecutionBackends:
@@ -89,6 +90,18 @@ def concurrent_executor(request):
 
 def test_concurrent_map_of_no_items_is_empty(concurrent_executor):
     assert concurrent_executor.map(lambda x: x, []) == []
+
+
+def test_workers_run_under_the_submitting_threads_deadline(concurrent_executor):
+    """Each task sees the caller's ambient deadline (the retry ladder reads
+    it there), through map and map_settled, and none leaks into a later map."""
+    budget = DeadlineBudget(30.0)
+    with deadline_scope(budget):
+        seen = concurrent_executor.map(lambda _: current_deadline(), range(8))
+        settled = concurrent_executor.map_settled(lambda _: current_deadline(), range(8))
+    assert all(deadline is budget for deadline in seen)
+    assert all(deadline is budget and error is None for deadline, error in settled)
+    assert concurrent_executor.map(lambda _: current_deadline(), range(8)) == [None] * 8
 
 
 class TestMapSettled:

@@ -49,12 +49,13 @@ def _wait_until(predicate, timeout: float = 10.0) -> bool:
 
 
 def _gate_resolve(monkeypatch, service, error: Exception | None = None):
-    """Make the session's ``resolve`` block until released (then raise
-    ``error``, if given).  Returns the fingerprints it was asked to resolve,
-    an event set on entry, and the release event."""
+    """Make the session's plan phase (``Resolver.plan``, which every flush
+    and bulk chunk runs first) block until released (then raise ``error``,
+    if given).  Returns the fingerprints it was asked to resolve, an event
+    set on entry, and the release event."""
     seen: list[str] = []
     entered, release = threading.Event(), threading.Event()
-    resolve = service.resolver.resolve
+    plan = service.resolver.plan
 
     def gated(pairs):
         pairs = list(pairs)
@@ -63,9 +64,9 @@ def _gate_resolve(monkeypatch, service, error: Exception | None = None):
         release.wait(30.0)
         if error is not None:
             raise error
-        return resolve(pairs)
+        return plan(pairs)
 
-    monkeypatch.setattr(service.resolver, "resolve", gated)
+    monkeypatch.setattr(service.resolver, "plan", gated)
     return seen, entered, release
 
 
@@ -753,14 +754,14 @@ class TestBulkResolve:
         service = ResolutionService.from_dataset(beer_dataset, config, breaker=breaker)
         service.start()
         if reason == "degraded":
-            resolve = service.resolver.resolve
+            finish = service.resolver.finish
 
-            def resolve_then_trip(pairs):
-                resolutions = resolve(pairs)
+            def finish_then_trip(plan):
+                resolutions = finish(plan)
                 breaker.record_failure()  # opens: the next chunk is refused
                 return resolutions
 
-            monkeypatch.setattr(service.resolver, "resolve", resolve_then_trip)
+            monkeypatch.setattr(service.resolver, "finish", finish_then_trip)
         expected = CostBudgetExceeded if reason == "budget" else ServiceDegraded
         try:
             with pytest.raises(expected):
