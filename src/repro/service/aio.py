@@ -18,17 +18,23 @@ bodies.  The transport discipline:
   conflicting, non-numeric or negative ``Content-Length`` values 400, a
   ``GET``/``HEAD`` announcing a body 400, and a request cut off mid-head
   400.  Each of these is answered exactly once and the connection closed;
-* **per-request read deadlines** — the request line, each header line and the
-  body are all read under :func:`asyncio.wait_for` timeouts; a slowloris
-  client that stalls mid-body is answered 408 and disconnected;
+* **per-request read deadlines** — the request line is awaited under
+  ``idle_timeout``, then the whole header block under one ``read_timeout``
+  deadline and the body under another; a slowloris client that drips header
+  lines or stalls mid-body is answered 408 and disconnected;
 * **graceful drain** — :meth:`shutdown` stops accepting, cancels idle
   keep-alive connections immediately, and gives in-flight requests
   ``drain_timeout`` seconds to finish before cancelling them.
 
-The service core itself (micro-batcher, cache, breaker, tenant admission) is
-synchronous: routed requests are dispatched to it through
-``loop.run_in_executor`` on a private thread pool, keeping the event loop free
-to multiplex sockets while the resolution work runs on threads.
+A ``POST /resolve`` of up to :data:`LOOP_RESOLVE_MAX_BYTES` is answered on
+the event loop without blocking it:
+:meth:`ServiceRouter.admit <repro.service.http.ServiceRouter.admit>` submits
+each pair (a full queue is refused at once, never waited on), a request whose
+futures are all done — cache hits, finished joins — is answered in the same
+loop pass, and any other request awaits its pending futures on the loop.  The
+micro-batcher resolves the misses on its own threads.  A larger
+``/resolve``, ``POST /bulk`` and the ``GET`` routes, which block or do heavy
+work, run on a private thread pool through ``loop.run_in_executor``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from typing import Mapping
 
 from repro.service.http import (
     MAX_BODY_BYTES,
+    RESOLVE_TIMEOUT_SECONDS,
     RouteResult,
     ServiceRouter,
     _error_result,
@@ -59,6 +66,14 @@ DEFAULT_IDLE_TIMEOUT_SECONDS = 65.0
 
 #: Default grace period for in-flight requests during shutdown.
 DEFAULT_DRAIN_TIMEOUT_SECONDS = 5.0
+
+#: Largest ``POST /resolve`` body admitted on the event loop.  Parsing it
+#: stalls every connection on the loop, and the loop refuses a full queue at
+#: once, so only small requests are served there: 8 KiB is about 25 pairs of
+#: the bundled datasets, and fewer than the default ``queue_capacity`` (256)
+#: of even the smallest valid pairs.  A larger body is admitted on the
+#: thread pool, where ``submit`` may wait for queue space.
+LOOP_RESOLVE_MAX_BYTES = 8 * 1024
 
 #: An RFC 9110 ``token``: the only valid header field name.
 _FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
@@ -109,9 +124,10 @@ class AsyncServiceHTTPServer:
         drain_timeout: seconds :meth:`shutdown` waits for in-flight requests
             before cancelling them.
         verbose: log one line per request to stderr.
-        max_workers: size of the dispatch thread pool bridging the event
-            loop to the synchronous service core (default: ``max_batch_size``
-            of the service config, at least 8).
+        max_workers: size of the thread pool serving ``POST /bulk``, the
+            ``GET``/``HEAD`` routes and any ``POST /resolve`` body larger than
+            :data:`LOOP_RESOLVE_MAX_BYTES` (default: ``max_batch_size`` of the
+            service config, at least 8).
     """
 
     def __init__(
@@ -332,6 +348,23 @@ class AsyncServiceHTTPServer:
     ) -> dict[str, str] | RouteResult:
         """Read one header block, or the error result that must answer it.
 
+        The whole block is read under one ``read_timeout`` deadline, so a
+        client dripping header lines cannot hold the connection for longer.
+        """
+        try:
+            return await asyncio.wait_for(
+                self._parse_headers(reader), self.read_timeout
+            )
+        except (asyncio.TimeoutError, TimeoutError):
+            return _error_result(
+                408, f"request headers stalled for {self.read_timeout:g}s"
+            )
+
+    async def _parse_headers(
+        self, reader: asyncio.StreamReader
+    ) -> dict[str, str] | RouteResult:
+        """Read and check header lines up to the blank line ending the block.
+
         The framing headers are checked line by line, before the dict would
         let a later duplicate overwrite an earlier one: a request whose body
         length is ambiguous is never routed.
@@ -339,7 +372,7 @@ class AsyncServiceHTTPServer:
         headers: dict[str, str] = {}
         try:
             while True:
-                raw = await asyncio.wait_for(reader.readline(), self.read_timeout)
+                raw = await reader.readline()
                 if raw in (b"\r\n", b"\n"):
                     return headers
                 if not raw.endswith(b"\n"):
@@ -365,10 +398,6 @@ class AsyncServiceHTTPServer:
                 headers[name] = value
                 if len(headers) > 128:
                     return _error_result(400, "too many headers")
-        except (asyncio.TimeoutError, TimeoutError):
-            return _error_result(
-                408, f"request headers stalled for {self.read_timeout:g}s"
-            )
         except ValueError:
             return _error_result(400, "header line too long")
 
@@ -436,9 +465,19 @@ class AsyncServiceHTTPServer:
                 f"request body stalled: {length} bytes promised, fewer "
                 f"received within {self.read_timeout:g}s",
             )
-        return await loop.run_in_executor(
-            self._executor, self.router.handle, "POST", path, headers, raw
-        )
+        if path != "/resolve" or length > LOOP_RESOLVE_MAX_BYTES:
+            return await loop.run_in_executor(
+                self._executor, self.router.handle, "POST", path, headers, raw
+            )
+        admission = self.router.admit(path, headers, raw)
+        pending = [
+            asyncio.wrap_future(future)
+            for future in admission.futures
+            if not future.done()
+        ]
+        if pending:
+            await asyncio.wait(pending, timeout=RESOLVE_TIMEOUT_SECONDS)
+        return self.router.finish(admission)
 
     async def _reject(
         self, writer: asyncio.StreamWriter, status: int, message: str

@@ -40,7 +40,10 @@ class ServiceConfig:
             ``admission_timeout_seconds``.
         admission_timeout_seconds: how long a producer may block on a full
             queue before :class:`~repro.service.service.ServiceOverloaded` is
-            raised.
+            raised.  A producer on a thread running an asyncio event loop
+            never blocks: it gets ``ServiceOverloaded`` at once.  HTTP
+            ``POST /resolve`` bodies up to 8 KiB are admitted on the front
+            end's loop, so they get 503 at once when the queue is full.
         num_workers: LLM calls in flight across the service: the size of the
             session's dispatch pool, shared by every flush and bulk chunk
             (1 = serial dispatch).  Up to two micro-batch flushes are in

@@ -5,7 +5,9 @@ headers, body bytes — to a :class:`RouteResult` (status, body, headers,
 whether to close).  It never touches a socket: the asyncio front end
 (:mod:`repro.service.aio`) owns the wire, and in-process callers can invoke
 :meth:`ServiceRouter.handle` directly and get the exact bytes the server
-would send.
+would send.  A ``POST`` is routed in two steps, :meth:`ServiceRouter.admit`
+then :meth:`ServiceRouter.finish`; ``handle`` waits on the admitted futures
+between them, while the front end awaits them on its event loop.
 
 Endpoints:
 
@@ -48,11 +50,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from concurrent.futures import Future, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.data.schema import EntityPair, Record
+from repro.pipeline.resolver import Resolution
 from repro.resilience import CircuitOpenError, DeadlineExceeded
 from repro.service.service import (
     CostBudgetExceeded,
@@ -174,6 +178,25 @@ def _error_result(
     return _json_result(status, {"error": message}, headers=headers, close=True)
 
 
+@dataclass
+class Admission:
+    """One ``POST`` admitted by :meth:`ServiceRouter.admit`, not yet answered.
+
+    Attributes:
+        started: the service clock when admission began (request latency).
+        tenant: name of the authenticated tenant; ``None`` for anonymous or
+            unauthenticated traffic.
+        futures: one per submitted ``/resolve`` pair, in request order.
+        result: the answer admission already settled (an error, or a
+            ``/bulk`` body); ``None`` while the futures decide it.
+    """
+
+    started: float
+    tenant: str | None = None
+    futures: list[Future] = field(default_factory=list)
+    result: RouteResult | None = None
+
+
 class ServiceRouter:
     """Transport-agnostic request routing for one :class:`ResolutionService`.
 
@@ -181,7 +204,7 @@ class ServiceRouter:
     tenant authentication, error mapping and response bodies do not depend
     on the transport.  Per-tenant request metrics
     (``repro_service_requests_total{tenant,status}`` and the latency
-    histogram) are recorded for the POST routes on the way out.
+    histogram) are recorded once per ``POST``, by :meth:`finish`.
     """
 
     def __init__(self, service: ResolutionService) -> None:
@@ -196,6 +219,10 @@ class ServiceRouter:
     ) -> RouteResult:
         """Route one request; never raises (failures become error results).
 
+        A ``POST`` is :meth:`admit`, a wait of at most
+        :data:`RESOLVE_TIMEOUT_SECONDS` on the admitted futures, then
+        :meth:`finish`.
+
         Args:
             method: ``GET``, ``HEAD`` or ``POST`` (anything else → 501).
             path: request path.
@@ -205,20 +232,63 @@ class ServiceRouter:
         if method in ("GET", "HEAD"):
             return self._handle_get(path)
         if method == "POST":
-            clock = self.service.metrics.clock
-            started = clock.monotonic()
-            tenant_label: str | None = None
-            try:
-                tenant = self.service.authenticate(headers.get("x-api-key"))
-                tenant_label = tenant.name if tenant is not None else None
-                result = self._handle_post(path, body if body is not None else b"", tenant)
-            except UnknownTenant as error:
-                result = _error_result(401, str(error))
-            self.service.observe_request(
-                tenant_label, result.status, clock.monotonic() - started
-            )
-            return result
+            admission = self.admit(path, headers, body if body is not None else b"")
+            wait(admission.futures, timeout=RESOLVE_TIMEOUT_SECONDS)
+            return self.finish(admission)
         return _error_result(501, f"unsupported method {method!r}")
+
+    def admit(self, path: str, headers: Mapping[str, str], body: bytes) -> Admission:
+        """Authenticate, parse and submit one ``POST``; never raises.
+
+        A ``/resolve`` request never waits here: each pair is submitted
+        (cache hits and finished joins come back done) and its future kept
+        for :meth:`finish`; a full queue is refused at once on an event-loop
+        thread (see :meth:`ResolutionService.submit`).  A ``/bulk`` request
+        is resolved here, so its caller blocks until it is done.
+        """
+        service = self.service
+        admission = Admission(started=service.metrics.clock.monotonic())
+        try:
+            tenant = service.authenticate(headers.get("x-api-key"))
+            admission.tenant = tenant.name if tenant is not None else None
+            if path not in ("/resolve", "/bulk"):
+                admission.result = _error_result(404, f"unknown path {path!r}")
+                return admission
+            try:
+                pairs = pairs_from_json(json.loads(body.decode("utf-8")))
+            except (BadRequest, UnicodeDecodeError, json.JSONDecodeError) as error:
+                admission.result = _error_result(400, str(error))
+                return admission
+            if path == "/bulk":
+                admission.result = _resolutions_result(
+                    service.resolve_bulk(pairs, tenant=tenant)
+                )
+            else:
+                admission.futures = [service.submit(pair, tenant) for pair in pairs]
+        except Exception as error:  # noqa: BLE001 - mapped to a response
+            admission.result = self._failure_result(error)
+        return admission
+
+    def finish(self, admission: Admission) -> RouteResult:
+        """Answer an admitted ``POST`` and record it in the request metrics.
+
+        A future still pending here has outlived the caller's wait: the
+        request is answered 503 (resolution timed out).
+        """
+        result = admission.result
+        if result is None:
+            try:
+                result = _resolutions_result(
+                    [future.result(timeout=0) for future in admission.futures]
+                )
+            except Exception as error:  # noqa: BLE001 - mapped to a response
+                result = self._failure_result(error)
+        self.service.observe_request(
+            admission.tenant,
+            result.status,
+            self.service.metrics.clock.monotonic() - admission.started,
+        )
+        return result
 
     # -- GET/HEAD routes -----------------------------------------------------
 
@@ -262,33 +332,21 @@ class ServiceRouter:
             )
         return _error_result(404, f"unknown path {path!r}")
 
-    # -- POST routes ---------------------------------------------------------
+    # -- POST errors ---------------------------------------------------------
 
-    def _handle_post(self, path: str, raw: bytes, tenant) -> RouteResult:
-        if path not in ("/resolve", "/bulk"):
-            return _error_result(404, f"unknown path {path!r}")
-        try:
-            body = json.loads(raw.decode("utf-8"))
-            pairs = pairs_from_json(body)
-        except (BadRequest, UnicodeDecodeError, json.JSONDecodeError) as error:
-            return _error_result(400, str(error))
-        service = self.service
-        try:
-            if path == "/bulk":
-                resolutions = service.resolve_bulk(pairs, tenant=tenant)
-            else:
-                resolutions = service.resolve_many(
-                    pairs, timeout=RESOLVE_TIMEOUT_SECONDS, tenant=tenant
-                )
-        except TenantQuotaExceeded as error:
+    def _failure_result(self, error: Exception) -> RouteResult:
+        """The response for a ``POST`` that admission or resolution refused."""
+        if isinstance(error, UnknownTenant):
+            return _error_result(401, str(error))
+        if isinstance(error, TenantQuotaExceeded):
             return _error_result(
                 429,
                 str(error),
                 (("Retry-After", _retry_after_header(error.retry_after)),),
             )
-        except (TenantBudgetExceeded, CostBudgetExceeded) as error:
+        if isinstance(error, (TenantBudgetExceeded, CostBudgetExceeded)):
             return _error_result(429, str(error))
-        except (ServiceDegraded, CircuitOpenError) as error:
+        if isinstance(error, (ServiceDegraded, CircuitOpenError)):
             # Degraded mode: the breaker refused new LLM-bound work, either
             # at admission (ServiceDegraded) or deep in the transport
             # (CircuitOpenError surfacing through a failed flush future).
@@ -296,30 +354,26 @@ class ServiceRouter:
             return _error_result(
                 503, str(error), (("Retry-After", _retry_after_header(retry_after)),)
             )
-        except ServiceOverloaded as error:
+        if isinstance(error, ServiceOverloaded):
             # Backpressure: tell the client when the backlog should have
             # drained instead of a flat "come back in a second".
+            retry_after = self.service.overload_retry_after()
             return _error_result(
-                503,
-                str(error),
-                (
-                    (
-                        "Retry-After",
-                        _retry_after_header(service.overload_retry_after()),
-                    ),
-                ),
+                503, str(error), (("Retry-After", _retry_after_header(retry_after)),)
             )
-        except ServiceClosed as error:
+        if isinstance(error, ServiceClosed):
             return _error_result(503, str(error), (("Retry-After", "1"),))
-        except DeadlineExceeded as error:
+        if isinstance(error, DeadlineExceeded):
             return _error_result(504, str(error))
         # concurrent.futures.TimeoutError is only an alias of the builtin
-        # from Python 3.11; catch both to stay correct on 3.10.
-        except (TimeoutError, FutureTimeoutError):
+        # from Python 3.11; check both to stay correct on 3.10.
+        if isinstance(error, (TimeoutError, FutureTimeoutError)):
             return _error_result(503, "resolution timed out", (("Retry-After", "1"),))
-        except Exception as error:  # noqa: BLE001 - a failed flush must not
-            # drop the connection without a response.
-            return _error_result(500, f"resolution failed: {error}")
-        return _json_result(
-            200, {"resolutions": [resolution.to_dict() for resolution in resolutions]}
-        )
+        # A failed flush must not drop the connection without a response.
+        return _error_result(500, f"resolution failed: {error}")
+
+
+def _resolutions_result(resolutions: list[Resolution]) -> RouteResult:
+    return _json_result(
+        200, {"resolutions": [resolution.to_dict() for resolution in resolutions]}
+    )

@@ -110,8 +110,8 @@ class RequestQueue:
                 )
                 if remaining is not None and remaining <= 0:
                     raise ServiceOverloaded(
-                        f"request queue full ({self.capacity} pending) for "
-                        f"{timeout:.3f}s; retry later or raise queue_capacity"
+                        f"request queue full ({self.capacity} pending); "
+                        "retry later or raise queue_capacity"
                     )
                 self._condition.wait(remaining)
             self._items.append(request)

@@ -22,6 +22,7 @@ self-test and benchmarks use to pin down exact outputs for a fixed seed.
 from __future__ import annotations
 
 import contextvars
+import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -78,6 +79,20 @@ MAX_FLUSHES_IN_FLIGHT = 2
 #: to its one ``yield`` (or to its end, if planning failed) and its dispatch
 #: phase after it, returning the session's error or ``None``.
 TwoPhaseJob = Generator[None, None, "Exception | None"]
+
+
+def _on_event_loop() -> bool:
+    """Whether the calling thread is running an asyncio event loop."""
+    # No loop runs before asyncio is imported, and importing it here would
+    # cost memory in every process that never serves HTTP.
+    asyncio = sys.modules.get("asyncio")
+    if asyncio is None:
+        return False
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
 
 
 def _run_to_end(job: TwoPhaseJob) -> Exception | None:
@@ -750,7 +765,8 @@ class ResolutionService:
             CostBudgetExceeded: if the session cost budget is exhausted and
                 the pair is not cached.
             ServiceOverloaded: if the queue stays full past the admission
-                timeout.
+                timeout — or is full at all when called on a thread running
+                an asyncio event loop, which must never block.
         """
         if self._stopped:
             raise ServiceClosed("service has been stopped")
@@ -784,8 +800,11 @@ class ResolutionService:
             enqueued_at=self._clock.monotonic(),
             tenant=tenant.name if tenant is not None else None,
         )
+        # An event loop never parks on a full queue: every connection it
+        # serves would stall behind one producer.  It is refused at once.
+        timeout = 0.0 if _on_event_loop() else self.config.admission_timeout_seconds
         try:
-            self._queue.put(request, timeout=self.config.admission_timeout_seconds)
+            self._queue.put(request, timeout=timeout)
         except ServiceOverloaded as error:
             self._metric_rejected.inc(reason="overload")
             self._fail(fingerprint, error)  # joined duplicates must not hang

@@ -6,6 +6,7 @@ request framing, per-request read deadlines (slowloris), connection
 bounding, graceful drain, and byte-identity of wire and routed bodies.
 """
 
+import asyncio
 import http.client
 import json
 import re
@@ -283,6 +284,43 @@ class TestTransport:
         finally:
             server.shutdown()
 
+    def test_dripped_header_lines_answered_408_within_one_deadline(self, aio_service):
+        # Every header line arrives well inside read_timeout, but the block
+        # as a whole does not: one deadline covers the whole head, so the
+        # client is cut off once, not granted read_timeout per line.
+        server = AsyncServiceHTTPServer(
+            aio_service, port=0, read_timeout=0.6
+        ).serve_in_background()
+        try:
+            with socket.create_connection(_host_port(server), timeout=5) as sock:
+                answered = threading.Event()
+
+                def drip():
+                    for index in range(10):  # 4 s of header lines at most
+                        if answered.wait(0.4):
+                            return
+                        try:
+                            sock.sendall(b"X-Drip-%d: 1\r\n" % index)
+                        except OSError:
+                            return
+
+                started = time.monotonic()
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                dripper = threading.Thread(target=drip)
+                dripper.start()
+                try:
+                    reply = sock.recv(65536)
+                except socket.timeout:
+                    reply = b""
+                elapsed = time.monotonic() - started
+                answered.set()
+                dripper.join(timeout=5)
+            assert reply.startswith(b"HTTP/1.1 408"), reply
+            assert b"stalled" in reply
+            assert elapsed < 2.0
+        finally:
+            server.shutdown()
+
     def test_malformed_request_line_400(self, aio_server):
         host, port = _host_port(aio_server)
         with socket.create_connection((host, port), timeout=10) as sock:
@@ -358,11 +396,55 @@ class TestLifecycle:
             server.shutdown()
 
 
+def _resolve_body(name, pair_id):
+    return json.dumps(
+        {"pairs": [{"pair_id": pair_id, "left": {"name": name}, "right": {"name": name}}]}
+    ).encode("utf-8")
+
+
+def _wire_post(server, body, headers=()):
+    """POST ``body`` to ``/resolve``; returns status, Retry-After and body."""
+    connection = http.client.HTTPConnection(*_host_port(server), timeout=30)
+    try:
+        connection.request(
+            "POST", "/resolve", body=body,
+            headers={"Content-Type": "application/json", **dict(headers)},
+        )
+        response = connection.getresponse()
+        return response.status, response.getheader("Retry-After"), response.read()
+    finally:
+        connection.close()
+
+
+def _routed_post(service, body, headers=()):
+    """The same request through ``ServiceRouter.handle`` in-process."""
+    from repro.service.http import ServiceRouter
+
+    result = ServiceRouter(service).handle(
+        "POST",
+        "/resolve",
+        {"content-type": "application/json", **{k.lower(): v for k, v in headers}},
+        body,
+    )
+    return result.status, dict(result.headers).get("Retry-After"), result.body
+
+
+def _request_counts(service):
+    """``repro_service_requests_total`` as ``{(tenant, status): count}``."""
+    family = service.metrics.snapshot()["repro_service_requests_total"]
+    return {
+        (sample["labels"]["tenant"], sample["labels"]["status"]): sample["value"]
+        for sample in family["series"]
+    }
+
+
 class TestFrontendIdentity:
-    def test_wire_bodies_byte_identical_to_router(self, aio_service):
+    def test_wire_bodies_byte_identical_to_router(self, aio_service, beer_dataset):
         # The self-test helper drives a cached POST over HTTP and through
         # ServiceRouter.handle in-process, and byte-compares the bodies;
         # reuse it as the unit-level oracle.
+        from repro.engines.faults import FakeClock
+        from repro.service import TenantConfig
         from repro.service.cli import _frontend_checks
 
         checks = _frontend_checks(aio_service)
@@ -370,6 +452,218 @@ class TestFrontendIdentity:
             "wire_body_byte_identical_to_router": True,
             "head_healthz_answered_without_body": True,
         }
+
+        # Every /resolve outcome: the event-loop path and handle() must send
+        # the same status, Retry-After and body bytes.  A frozen clock keeps
+        # the quota refusal's "retry in" figure equal on both.
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1),
+            max_batch_size=1,
+            tenants=(
+                TenantConfig(
+                    name="metered", api_key="k-metered",
+                    requests_per_second=1.0, burst=1.0,
+                ),
+            ),
+        )
+        service = ResolutionService.from_dataset(
+            beer_dataset, config, clock=FakeClock()
+        ).start()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+        before = _request_counts(service)
+        metered = (("X-API-Key", "k-metered"),)
+        try:
+            # A miss on the wire against a hit through the router...
+            body = _resolve_body("wire-first", "wire-first")
+            cases = [(_wire_post(server, body), _routed_post(service, body))]
+            # ...a miss through the router against a hit on the wire...
+            body = _resolve_body("router-first", "router-first")
+            routed = _routed_post(service, body)
+            cases.append((_wire_post(server, body), routed))
+            # ...and a hit on both.
+            hit = _resolve_body("wire-first", "again")
+            cases.append((_wire_post(server, hit), _routed_post(service, hit)))
+            for body, headers in (
+                (b"not json", ()),  # 400
+                (hit, (("X-API-Key", "k-wrong"),)),  # 401
+            ):
+                cases.append(
+                    (_wire_post(server, body, headers), _routed_post(service, body, headers))
+                )
+            assert _wire_post(server, hit, metered)[0] == 200  # spends the burst
+            cases.append(  # 429, with the quota's Retry-After
+                (_wire_post(server, hit, metered), _routed_post(service, hit, metered))
+            )
+        finally:
+            server.shutdown()
+            service.stop()
+        statuses = [wire[0] for wire, _ in cases]
+        assert statuses == [200, 200, 200, 400, 401, 429]
+        for wire, routed in cases:
+            assert wire == routed
+        assert cases[-1][0][1] == "1"
+        after = _request_counts(service)
+        counted = {key: after[key] - before.get(key, 0) for key in after}
+        assert {key: value for key, value in counted.items() if value} == {
+            ("anonymous", "200"): 6,
+            ("anonymous", "400"): 2,
+            ("anonymous", "401"): 2,
+            ("metered", "200"): 1,
+            ("metered", "429"): 2,
+        }
+
+        # 503 overload: a never-started consumer and a one-slot queue.  The
+        # loop refuses at once; handle() waits out the admission timeout.
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1), queue_capacity=1,
+            admission_timeout_seconds=0.05,
+        )
+        service = ResolutionService.from_dataset(beer_dataset, config)
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+        try:
+            service.submit(beer_dataset.splits.test[0].without_label())
+            body = _resolve_body("overload", "overload")
+            wire, routed = _wire_post(server, body), _routed_post(service, body)
+        finally:
+            server.shutdown()
+            service.stop()
+        assert wire[0] == 503 and wire[1] is not None
+        assert wire == routed
+        assert _request_counts(service)[("anonymous", "503")] == 2
+
+
+class TestEventLoopAdmission:
+    def test_loop_never_waits_for_queue_space(self, beer_dataset):
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1),
+            max_batch_size=1,
+            queue_capacity=1,
+            admission_timeout_seconds=5.0,
+        )
+        service = ResolutionService.from_dataset(beer_dataset, config).start()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+        questions = [pair.without_label() for pair in beer_dataset.splits.test]
+        llm = service.resolver.llm
+        complete, gate = llm.complete, threading.Event()
+
+        def gated_complete(*args, **kwargs):
+            gate.wait(30)
+            return complete(*args, **kwargs)
+
+        def payload(pair):
+            entry = {"left": dict(pair.left.values), "right": dict(pair.right.values)}
+            return {"pairs": [{"pair_id": pair.pair_id, **entry}]}
+
+        try:
+            [cached] = service.resolve_many([questions[0]])
+            llm.complete = gated_complete
+            # Two flushes wait on the model, the consumer holds a third
+            # (no flush slot is free), and the fourth fills the queue.
+            held = [service.submit(pair) for pair in questions[1:5]]
+            assert service.queue_depth == 1
+
+            outcomes = {}
+
+            def call(name, request):
+                started = time.monotonic()
+                try:
+                    outcomes[name] = request()
+                except urllib.error.HTTPError as error:
+                    outcomes[name] = (error.code, error.headers.get("Retry-After"))
+                outcomes[name] += (time.monotonic() - started,)
+
+            calls = {
+                "miss": lambda: _post(server, "/resolve", payload(questions[5])),
+                "healthz": lambda: _get(server, "/healthz"),
+                "hit": lambda: _post(server, "/resolve", payload(questions[0])),
+            }
+            threads = [
+                threading.Thread(target=call, args=item) for item in calls.items()
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=15)
+            assert not any(held_future.done() for held_future in held)
+        finally:
+            gate.set()
+            server.shutdown()
+        try:
+            status, retry_after, seconds = outcomes["miss"]
+            assert status == 503 and int(retry_after) >= 1
+            assert seconds < 1.0  # well within admission_timeout_seconds
+            assert outcomes["healthz"][0] == 200
+            status, body, _ = outcomes["hit"]
+            assert status == 200
+            assert body["resolutions"][0]["label"] == cached.label
+            assert service.stats().rejected_overload == 1
+            for future in held:  # the gated flushes complete once released
+                future.result(timeout=30)
+        finally:
+            service.stop()
+
+    def test_large_resolve_on_an_idle_server_waits_for_queue_space(self, beer_dataset):
+        # More new pairs than the queue holds: submitted one by one on the
+        # loop, the queue would refuse them before the consumer could take
+        # any.  A body this size is admitted on the pool, where submit waits
+        # for the consumer to drain, so an idle server answers it.
+        from repro.service.aio import LOOP_RESOLVE_MAX_BYTES
+
+        config = ServiceConfig(batcher=BatcherConfig(seed=1), queue_capacity=8)
+        service = ResolutionService.from_dataset(beer_dataset, config).start()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+        questions = list(beer_dataset.splits.test)[:40]
+        payload = {
+            "pairs": [
+                {
+                    "pair_id": pair.pair_id,
+                    "left": dict(pair.left.values),
+                    "right": dict(pair.right.values),
+                }
+                for pair in questions
+            ]
+        }
+        assert len(json.dumps(payload)) > LOOP_RESOLVE_MAX_BYTES
+        try:
+            status, body = _post(server, "/resolve", payload)
+            assert status == 200
+            assert [item["pair_id"] for item in body["resolutions"]] == [
+                pair.pair_id for pair in questions
+            ]
+            assert service.stats().rejected_overload == 0
+        finally:
+            server.shutdown()
+            service.stop()
+
+    def test_submit_from_a_coroutine_never_waits_for_queue_space(self, beer_dataset):
+        # The no-wait rule is the service's, not the HTTP front end's: any
+        # caller on a thread running an event loop is refused at once, while
+        # a plain thread waits out admission_timeout_seconds first.
+        from repro.service.service import ServiceOverloaded
+
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1), queue_capacity=1,
+            admission_timeout_seconds=0.5,
+        )
+        service = ResolutionService.from_dataset(beer_dataset, config)  # no consumer
+        questions = [pair.without_label() for pair in beer_dataset.splits.test]
+        service.submit(questions[0])  # fills the one-slot queue
+
+        async def in_a_coroutine():
+            started = time.monotonic()
+            with pytest.raises(ServiceOverloaded):
+                service.resolve_many([questions[1]])
+            return time.monotonic() - started
+
+        try:
+            assert asyncio.run(in_a_coroutine()) < 0.25
+            started = time.monotonic()
+            with pytest.raises(ServiceOverloaded):
+                service.resolve_many([questions[2]])
+            assert time.monotonic() - started >= 0.5
+            assert service.stats().rejected_overload == 2
+        finally:
+            service.stop()
 
 
 def _post_head(*framing):
