@@ -65,6 +65,39 @@ class TestPairFingerprint:
         assert len(fingerprint) == 32
         assert all(c in "0123456789abcdef" for c in fingerprint)
 
+    @pytest.mark.parametrize(
+        "left, right, expected",
+        [
+            (
+                {"name": "Hop Stoopid", "abv": "8.00%", "style": "American IPA"},
+                {"name": "Hop Stoopid Ale", "abv": "8%"},
+                "7f275566a008c2a7e97cb17feb8ca8d2",
+            ),
+            (
+                {"name": "Ærøskøbing Ølbryggeri", "style": "Brüt IPA ☕"},
+                {"name": "青島ビール", "style": "Lager 🍺"},
+                "eb29a2833fc95d890b74a13f3c01b62e",
+            ),
+            (
+                {"name": "x", "abv": None, "style": None},
+                {"name": None, "abv": "5"},
+                "b030d7197e95e2d2d21739c62ba29ac1",
+            ),
+            ({}, {"name": "only right"}, "4f2f7e6b6b2086208687650fc0618f02"),
+            ({}, {}, "340b220392444ede26dfbfaab4fd2162"),
+            (
+                {"a:b": "c;d", ";": ":", "1:": ";2"},
+                {"name;": "v:1;", ":": ""},
+                "74abe0d48c40da87de2033ea20d835a3",
+            ),
+        ],
+        ids=["ascii", "unicode", "none-values", "empty-record", "both-empty", "separators"],
+    )
+    def test_golden_digests(self, left, right, expected):
+        # Spill files and feature stores key on these digests, so any change
+        # to the encoding or the hashing must leave them unchanged.
+        assert pair_fingerprint(_pair("p", left, right)) == expected
+
 
 class TestResultCache:
     def test_get_put_roundtrip(self):
