@@ -131,6 +131,14 @@ echo "== service throughput benchmark (BENCH_service.json) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
   benchmarks/bench_service_throughput.py > /dev/null
 
+echo "== end-to-end benchmark smoke (benchmarks/e2e) =="
+# The benchmark's own tests: `run.py --small` on all four workloads, untraced
+# and traced, with every output check, plus its stats and speed helpers.  The
+# only step that drives the served flush path (micro-batch plan, dispatch on
+# the LLM pool, fan-out) end to end, over HTTP too.  About 16 s.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
+  benchmarks/e2e > /dev/null
+
 echo "== examples (examples/*.py) =="
 # Every example is hermetic (simulated engine, in-process fake provider,
 # temporary checkpoint directories), so each runs to completion offline; a

@@ -28,17 +28,16 @@ def pair_fingerprint(pair: EntityPair) -> str:
     arbitrary attribute names and values (no separator byte a hostile client
     string could collide with).
     """
-    digest = hashlib.blake2b(digest_size=16)
+    parts = []
     for record in (pair.left, pair.right):
         present = [
-            (name, value)
+            (name.encode("utf-8"), value.encode("utf-8"))
             for name, value in sorted(record.values.items())
             if value is not None
         ]
-        digest.update(f"{len(present)};".encode("ascii"))
-        for name, value in present:
-            for text in (name, value):
-                encoded = text.encode("utf-8")
-                digest.update(f"{len(encoded)}:".encode("ascii"))
-                digest.update(encoded)
-    return digest.hexdigest()
+        parts.append(b"%d;" % len(present))
+        parts.extend(
+            b"%d:%s%d:%s" % (len(name), name, len(value), value)
+            for name, value in present
+        )
+    return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()

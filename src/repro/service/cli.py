@@ -474,7 +474,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--workers",
         type=int,
         default=ServiceConfig.num_workers,
-        help="LLM calls in flight across the service",
+        help="LLM calls in flight across the service (also sets how many "
+        "micro-batch flushes are in flight)",
     )
     parser.add_argument("--cache-capacity", type=int, default=4096)
     parser.add_argument(

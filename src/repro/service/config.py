@@ -46,9 +46,12 @@ class ServiceConfig:
             end's loop, so they get 503 at once when the queue is full.
         num_workers: LLM calls in flight across the service: the size of the
             session's dispatch pool, shared by every flush and bulk chunk
-            (1 = serial dispatch).  Up to two micro-batch flushes are in
-            flight at once, so the default holds both flushes' prompts at
-            the default shape: 2 x (32 pairs / ``batch_size`` 8) = 8.
+            (1 = serial dispatch).  It also sets how many micro-batch
+            flushes are in flight: twice the number of full flushes whose
+            prompts the pool runs at once, at least 2
+            (:func:`~repro.service.service.max_flushes_in_flight`).  The
+            default 8 workers run the 4 prompts (32 pairs / ``batch_size``
+            8) of 2 flushes at once, so 4 flushes are in flight.
         cache_capacity: maximum number of entries of the pair-level result
             cache (LRU eviction).
         spill_path: optional JSONL file the cache is warm-started from at
@@ -61,7 +64,8 @@ class ServiceConfig:
             to a cache, it does not go dark.  Admission checks *recorded*
             cost, so the budget can be overshot by at most the cost of the
             requests already queued or in flight when it is crossed (bounded
-            by ``queue_capacity``); size the budget with that headroom in
+            by ``queue_capacity`` plus the flushes in flight times
+            ``max_batch_size`` pairs); size the budget with that headroom in
             mind.
         breaker: optional :class:`~repro.resilience.BreakerConfig` enabling
             the circuit breaker around the LLM backend.  When the breaker is
@@ -72,7 +76,9 @@ class ServiceConfig:
         deadline_budget_seconds: optional total wall-clock budget per flush
             (threaded down through the retry ladder as the ambient
             :func:`~repro.resilience.current_deadline`); ``None`` disables
-            deadline budgets.
+            deadline budgets.  It opens when the flush is planned, so it
+            also covers the time the flush's prompts wait in the pool behind
+            the wave of flushes ahead of it.
         tenants: declared serving tenants
             (:class:`~repro.service.tenants.TenantConfig`): API keys mapping
             to per-tenant requests-per-second quotas and cost budgets.  Empty

@@ -65,15 +65,28 @@ __all__ = [
     "ServiceDegraded",
     "ServiceOverloaded",
     "ServiceStats",
+    "max_flushes_in_flight",
 ]
 
 #: Retry-After ceiling for overload responses when no breaker cooldown is
 #: configured to clamp against (seconds).
 DEFAULT_OVERLOAD_RETRY_CAP = 30.0
 
-#: Micro-batch flushes in flight at once: the consumer plans the next flush
-#: while the model answers the last one, and blocks before planning a third.
-MAX_FLUSHES_IN_FLIGHT = 2
+
+def max_flushes_in_flight(config: ServiceConfig) -> int:
+    """Micro-batch flushes the service keeps in flight at once.
+
+    Twice the number of full flushes whose prompts the LLM pool of
+    ``config.num_workers`` threads runs at once (at least one): while one
+    wave of flushes is at the model, the next is already planned and queued
+    in the pool, so a freed worker starts the next call at once.  The
+    consumer blocks before planning one more.  At the default shape (8
+    workers, 32-pair flushes, 8 questions per prompt) that is 4; with one
+    worker it is 2.
+    """
+    prompts_per_flush = -(-config.max_batch_size // config.batcher.batch_size)
+    return 2 * max(1, config.num_workers // prompts_per_flush)
+
 
 #: A resolve split at the model call: a generator that runs its plan phase up
 #: to its one ``yield`` (or to its end, if planning failed) and its dispatch
@@ -341,10 +354,11 @@ class ResolutionService:
         # Dispatch phases of flushes (model calls, parsing, fan-out) run on
         # threads of their own, never on the LLM pool: a pool worker waiting
         # on calls queued behind it in its own pool could deadlock.
+        flushes_in_flight = max_flushes_in_flight(self.config)
         self._dispatcher = ThreadPoolExecutor(
-            MAX_FLUSHES_IN_FLIGHT, thread_name_prefix="repro-service-dispatch"
+            flushes_in_flight, thread_name_prefix="repro-service-dispatch"
         )
-        self._flush_slots = threading.Semaphore(MAX_FLUSHES_IN_FLIGHT)
+        self._flush_slots = threading.Semaphore(flushes_in_flight)
         self._started_at: float | None = None
         self._stopped = False
         # Multi-tenant admission: API keys → quota buckets + cost budgets.
@@ -1028,7 +1042,7 @@ class ResolutionService:
         dispatch thread, which fans the results out to every waiter.
 
         Called on the consumer thread, so plans run in FIFO order.  Blocks
-        first while :data:`MAX_FLUSHES_IN_FLIGHT` flushes are in flight.
+        first while :func:`max_flushes_in_flight` flushes are in flight.
         Both phases run in one :class:`contextvars.Context` of the flush's
         own, so the flush timer, its ``service:flush`` span and its deadline
         open in the plan phase and close once its last waiter completed.

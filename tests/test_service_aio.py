@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.config import BatcherConfig
 from repro.service import ResolutionService, ServiceConfig
 from repro.service.aio import AsyncServiceHTTPServer
+from repro.service.service import max_flushes_in_flight
 
 
 @pytest.fixture(scope="module")
@@ -554,12 +555,14 @@ class TestEventLoopAdmission:
             entry = {"left": dict(pair.left.values), "right": dict(pair.right.values)}
             return {"pairs": [{"pair_id": pair.pair_id, **entry}]}
 
+        # Every flush slot holds a flush waiting on the model, the consumer
+        # holds one more (no slot is free), and the next fills the queue.
+        bound = max_flushes_in_flight(config)
+        held_pairs, missed = questions[1 : bound + 3], questions[bound + 3]
         try:
             [cached] = service.resolve_many([questions[0]])
             llm.complete = gated_complete
-            # Two flushes wait on the model, the consumer holds a third
-            # (no flush slot is free), and the fourth fills the queue.
-            held = [service.submit(pair) for pair in questions[1:5]]
+            held = [service.submit(pair) for pair in held_pairs]
             assert service.queue_depth == 1
 
             outcomes = {}
@@ -573,7 +576,7 @@ class TestEventLoopAdmission:
                 outcomes[name] += (time.monotonic() - started,)
 
             calls = {
-                "miss": lambda: _post(server, "/resolve", payload(questions[5])),
+                "miss": lambda: _post(server, "/resolve", payload(missed)),
                 "healthz": lambda: _get(server, "/healthz"),
                 "hit": lambda: _post(server, "/resolve", payload(questions[0])),
             }

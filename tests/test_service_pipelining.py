@@ -2,9 +2,11 @@
 
 The consumer thread plans a flush (featurize, batch, select, render) under
 the session lock, then hands its dispatch phase (model calls, parsing,
-charging, fan-out) to one of two dispatch threads, so the next flush is
-planned while the model answers the last.  These tests pin what that must
-not change (labels, costs, deadlines, traces) and the bound on overlap.
+charging, fan-out) to a dispatch thread, so later flushes are planned while
+the model answers earlier ones.  Up to ``max_flushes_in_flight(config)``
+flushes are in flight: twice the flushes whose prompts the LLM pool runs at
+once.  These tests pin what that must not change (labels, costs, deadlines,
+traces) and the bound on overlap.
 """
 
 import sys
@@ -19,25 +21,41 @@ from repro.observability.tracing import Tracer
 from repro.pipeline import Resolver
 from repro.resilience import DeadlineBudget, current_deadline
 from repro.service import ResolutionService, ServiceConfig, TenantConfig
-from repro.service.service import MAX_FLUSHES_IN_FLIGHT
+from repro.service.service import max_flushes_in_flight
 
-#: Pairs per flush in these tests: three flushes of 16 from 48 questions.
+#: Pairs per flush in these tests: two prompts of the default batch size.
 FLUSH = 16
+
+#: LLM pool size: it runs two flushes' prompts at once.
+WORKERS = 4
+
+
+def _config(**overrides) -> ServiceConfig:
+    return ServiceConfig(
+        **{
+            "batcher": BatcherConfig(seed=1),
+            "max_batch_size": FLUSH,
+            "max_wait_seconds": 0.1,
+            "num_workers": WORKERS,
+            **overrides,
+        }
+    )
+
+
+#: Flushes in flight at once in these tests (4).
+BOUND = max_flushes_in_flight(_config())
 
 
 @pytest.fixture()
 def questions(beer_dataset):
-    return [pair.without_label() for pair in list(beer_dataset.splits.test)[:48]]
+    """One flush more than the service keeps in flight."""
+    test = [pair.without_label() for pair in beer_dataset.splits.test]
+    assert len(test) >= FLUSH * (BOUND + 1)
+    return test[: FLUSH * (BOUND + 1)]
 
 
 def _service(beer_dataset, **overrides) -> ResolutionService:
-    config = ServiceConfig(
-        batcher=BatcherConfig(seed=1),
-        max_batch_size=FLUSH,
-        max_wait_seconds=0.1,
-        **overrides,
-    )
-    return ResolutionService.from_dataset(beer_dataset, config)
+    return ResolutionService.from_dataset(beer_dataset, _config(**overrides))
 
 
 def _wait_until(predicate, timeout: float = 10.0) -> bool:
@@ -86,45 +104,62 @@ def _serial_oracle(beer_dataset, groups):
     return labels, oracle
 
 
+class TestBound:
+    @pytest.mark.parametrize(
+        "max_batch_size, num_workers, expected",
+        [
+            # The default flush: 32 pairs in 4 prompts of 8 questions.
+            (32, 1, 2), (32, 2, 2), (32, 4, 2), (32, 8, 4), (32, 16, 8),
+            # 20 pairs need 3 prompts (the last holds 4 questions).
+            (20, 1, 2), (20, 2, 2), (20, 4, 2), (20, 8, 4), (20, 16, 10),
+        ],
+    )
+    def test_twice_the_flushes_the_pool_runs_at_once(
+        self, max_batch_size, num_workers, expected
+    ):
+        config = ServiceConfig(max_batch_size=max_batch_size, num_workers=num_workers)
+        assert max_flushes_in_flight(config) == expected
+
+
 class TestOverlap:
     def test_next_flush_plans_while_the_model_answers_the_last(
         self, beer_dataset, questions, monkeypatch
     ):
-        """With flush 1's model calls held, flush 2 plans to completion and
-        flush 3 does not start planning until a flush finishes."""
+        """With every model call held, ``BOUND`` flushes plan to completion
+        and the next does not start planning until a flush finishes."""
         service = _service(beer_dataset)
         release = _gate_model_calls(monkeypatch, service)
         started, finished = _track_plans(monkeypatch, service)
         futures = [service.submit(pair) for pair in questions]
         service.start()
         try:
-            assert _wait_until(lambda: len(finished) == MAX_FLUSHES_IN_FLIGHT)
+            assert _wait_until(lambda: len(finished) == BOUND)
             assert not any(future.done() for future in futures)
-            # The consumer now holds flush 3 and waits for a free slot; give
-            # it the chance to (wrongly) start planning it.
+            # The consumer now holds the last flush and waits for a free
+            # slot; give it the chance to (wrongly) start planning it.
             time.sleep(0.2)
-            assert started == [FLUSH, FLUSH]
+            assert started == [FLUSH] * BOUND
         finally:
             release.set()
         try:
             for future in futures:
                 future.result(timeout=30.0)
-            assert started == finished == [FLUSH, FLUSH, FLUSH]
+            assert started == finished == [FLUSH] * (BOUND + 1)
         finally:
             service.stop()
 
     def test_overlapping_flushes_match_a_serial_session(
         self, beer_dataset, questions, monkeypatch
     ):
-        """Plans run in FIFO order, so two flushes in flight label and pay
-        for exactly what resolving the same groups serially does."""
+        """Plans run in FIFO order, so ``BOUND`` flushes in flight label and
+        pay for exactly what resolving the same groups serially does."""
         service = _service(beer_dataset)
         release = _gate_model_calls(monkeypatch, service)
         _, finished = _track_plans(monkeypatch, service)
         futures = [service.submit(pair) for pair in questions]
         service.start()
         try:
-            assert _wait_until(lambda: len(finished) == MAX_FLUSHES_IN_FLIGHT)
+            assert _wait_until(lambda: len(finished) == BOUND)
         finally:
             release.set()
         try:
@@ -143,8 +178,9 @@ class TestStopAndFailure:
     def test_stop_with_flushes_in_flight_settles_every_future(
         self, beer_dataset, questions, monkeypatch
     ):
-        """stop() waits for both flushes in flight (and drains the third),
-        and joins the dispatch threads before the LLM pool shuts down."""
+        """stop() waits for the ``BOUND`` flushes in flight (and drains the
+        next), and joins the dispatch threads before the LLM pool shuts
+        down."""
         service = _service(beer_dataset)
         release = _gate_model_calls(monkeypatch, service)
         _, finished = _track_plans(monkeypatch, service)
@@ -166,7 +202,7 @@ class TestStopAndFailure:
         service.start()
         stopper = threading.Thread(target=service.stop)
         try:
-            assert _wait_until(lambda: len(finished) == MAX_FLUSHES_IN_FLIGHT)
+            assert _wait_until(lambda: len(finished) == BOUND)
             stopper.start()
             assert _wait_until(lambda: service._queue.closed)
         finally:
