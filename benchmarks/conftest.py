@@ -27,14 +27,19 @@ BENCH_MAX_QUESTIONS = (
 )
 
 
-@pytest.fixture(scope="session")
-def bench_settings() -> ExperimentSettings:
-    """Experiment settings shared by all benchmarks."""
+def default_bench_settings() -> ExperimentSettings:
+    """Experiment settings shared by all benchmarks (also for standalone runs)."""
     return ExperimentSettings(
         scale=BENCH_SCALE,
         max_questions=BENCH_MAX_QUESTIONS,
         seeds=(1, 2),
     )
+
+
+@pytest.fixture(scope="session")
+def bench_settings() -> ExperimentSettings:
+    """Experiment settings shared by all benchmarks."""
+    return default_bench_settings()
 
 
 def print_rows(title: str, rows: list[dict[str, object]]) -> None:

@@ -1,38 +1,31 @@
-"""End-to-end ER pipeline: blocking -> streaming resolution -> evaluation.
+"""End-to-end ER pipeline: candidate pairs -> streaming resolution -> evaluation.
 
-The paper treats blocking as a given upstream component.  This example shows
-the full serving pipeline a practitioner would run on two raw tables:
+As in the paper, blocking is an upstream step: each dataset already comes as
+a blocked candidate-pair set over its two tables.  This example shows the
+serving pipeline a practitioner would run on such a set:
 
-1. generate two dirty product tables (Walmart-Amazon style),
-2. run a token-overlap blocker over the raw tables and measure its pair recall
-   and reduction ratio,
-3. stream the surviving candidate pairs through a :class:`repro.Resolver`
+1. generate two dirty product tables (Walmart-Amazon style) with their
+   labeled candidate pairs,
+2. stream the test split's candidate pairs through a :class:`repro.Resolver`
    session (persistent demonstration pool, concurrent LLM dispatch) — the
-   candidates carry no gold labels, exactly like production traffic,
-4. report accuracy against the hidden gold labels, plus monetary cost.
+   pairs carry no gold labels, exactly like production traffic,
+3. report accuracy against the hidden gold labels, plus monetary cost.
 
 Run with:  python examples/end_to_end_pipeline.py
 """
 
 from repro import BatcherConfig, ConcurrentExecutor, Resolver, load_dataset
-from repro.blocking import TokenOverlapBlocker, evaluate_blocking
 from repro.data.schema import MatchLabel
 from repro.evaluation.metrics import evaluate_predictions
 
 
 def main() -> None:
     dataset = load_dataset("wa", seed=7, scale=0.05)
-    print(f"Tables: {len(dataset.table_a)} records (Walmart side), "
-          f"{len(dataset.table_b)} records (Amazon side)")
-
-    blocker = TokenOverlapBlocker(attributes=("title", "brand", "modelno"), min_overlap=2)
-    blocking = blocker.block(dataset.table_a, dataset.table_b)
-    quality = evaluate_blocking(blocking, dataset.candidate_pairs)
+    candidates = dataset.candidate_pairs
     print(
-        f"Blocking kept {len(blocking.candidates)} of "
-        f"{blocking.total_possible_pairs} possible pairs "
-        f"(reduction ratio {quality['reduction_ratio']:.3f}, "
-        f"pair recall {quality['pair_recall']:.3f})"
+        f"Tables: {len(dataset.table_a)} records (Walmart side), "
+        f"{len(dataset.table_b)} records (Amazon side); "
+        f"{len(candidates)} candidate pairs, {candidates.match_count()} matches"
     )
 
     # Serve the labeled candidate set as an unlabeled stream: the resolver

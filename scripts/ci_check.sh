@@ -5,6 +5,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Checksums of the tracked benchmark reports, checked again at the end: a CI
+# run must never rewrite them with this machine's numbers.
+BENCH_SUMS="$(mktemp)"
+git ls-files -z 'BENCH_*.json' | xargs -0 sha256sum > "$BENCH_SUMS"
+
 echo "== compileall =="
 python -m compileall -q src
 
@@ -126,10 +131,10 @@ echo "== service throughput benchmark (BENCH_service.json) =="
 # The cross-caller amortization claim, gated: micro-batched serving makes
 # fewer LLM calls than per-pair serial resolution and is at least 2x its
 # pairs/s, and a repeat pass of the same pairs makes zero new LLM calls
-# (served by the result cache, faster still).  About 2.5 s; it rewrites the
-# tracked BENCH_service.json with this machine's numbers.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
-  benchmarks/bench_service_throughput.py > /dev/null
+# (served by the result cache, faster still).  About 2.5 s.  The report goes
+# to a scratch file so it never overwrites the tracked BENCH_service.json.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_service_throughput.py \
+  --report "$(mktemp)" > /dev/null
 
 echo "== end-to-end benchmark smoke (benchmarks/e2e) =="
 # The benchmark's own tests: `run.py --small` on all four workloads, untraced
@@ -147,5 +152,9 @@ for example in examples/*.py; do
   echo "-- $example"
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python "$example" > /dev/null
 done
+
+echo "== tracked benchmark reports unchanged (BENCH_*.json) =="
+sha256sum --check --quiet "$BENCH_SUMS"
+rm -f "$BENCH_SUMS"
 
 echo "== OK =="

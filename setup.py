@@ -1,7 +1,7 @@
 """Packaging metadata for the BatchER reproduction.
 
 Installs the ``repro`` package from ``src/`` plus console entry points for the
-developer tuning harness and the experiment report runner.
+experiment report runner, the resolution server and the trace renderer.
 """
 
 from pathlib import Path
@@ -31,7 +31,6 @@ setup(
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={
         "console_scripts": [
-            "repro-tune-check=repro.experiments.tune_check:main",
             "repro-experiments=repro.experiments.runner:main",
             "repro-serve=repro.service.cli:main",
             "repro-trace=repro.observability.cli:main",

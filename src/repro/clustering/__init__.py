@@ -1,8 +1,7 @@
 """Clustering substrate used by the question batching module.
 
 The paper clusters questions with DBSCAN (Section III, footnote on clustering
-choice); K-Means is provided as an alternative so the clustering choice itself
-can be ablated.  Both are implemented from scratch on top of numpy.
+choice), implemented here from scratch on top of numpy.
 """
 
 from repro.clustering.distance import (
@@ -11,7 +10,6 @@ from repro.clustering.distance import (
     pairwise_distances,
 )
 from repro.clustering.dbscan import DBSCAN, DBSCANResult
-from repro.clustering.kmeans import KMeans, KMeansResult
 from repro.clustering.neighbors import (
     NeighborGraph,
     NeighborPlanner,
@@ -25,8 +23,6 @@ from repro.clustering.neighbors import (
 __all__ = [
     "DBSCAN",
     "DBSCANResult",
-    "KMeans",
-    "KMeansResult",
     "NeighborGraph",
     "NeighborPlanner",
     "build_cross_neighbor_graph",

@@ -9,8 +9,8 @@ per-attribute string similarities.  Two functions are named explicitly:
 
 Beyond those, this module ships the usual record-linkage similarity toolbox
 (Jaro, Jaro-Winkler, Monge-Elkan, overlap coefficient, token cosine) so that the
-feature extractor and the blocker can be configured with alternatives, and so
-that ablations over the similarity function are possible.
+feature extractor can be configured with alternatives, and so that ablations
+over the similarity function are possible.
 
 All functions accept plain strings, treat ``None``/empty values as empty
 strings, and return a float in ``[0, 1]`` (except ``levenshtein_distance``,
@@ -246,7 +246,7 @@ SIMILARITY_FUNCTIONS = {
     "jaro_winkler": jaro_winkler_similarity,
     "monge_elkan": monge_elkan_similarity,
 }
-"""Registry of named similarity functions usable by feature extractors and blockers."""
+"""Registry of named similarity functions usable by feature extractors."""
 
 
 @lru_cache(maxsize=1)

@@ -1,4 +1,4 @@
-"""Tests for the distance utilities, DBSCAN and K-Means."""
+"""Tests for the distance utilities and DBSCAN."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro.clustering.distance import (
     get_distance_function,
     pairwise_distances,
 )
-from repro.clustering.kmeans import KMeans
 
 
 def two_blobs(num_per_blob=20, separation=5.0, seed=0):
@@ -150,54 +149,3 @@ class TestDBSCAN:
         dense = DBSCAN(eps=eps, min_samples=3, planner=DensePlanner()).fit(data)
         assert np.array_equal(planned.labels, dense.labels)
 
-
-class TestKMeans:
-    def test_two_blobs_found(self):
-        data = two_blobs()
-        result = KMeans(num_clusters=2, seed=0).fit(data)
-        assert len(set(result.labels[:20])) == 1
-        assert len(set(result.labels[20:])) == 1
-        assert result.labels[0] != result.labels[-1]
-
-    def test_k_clamped_to_num_points(self):
-        data = two_blobs(2)  # 4 points
-        result = KMeans(num_clusters=10, seed=0).fit(data)
-        assert result.centroids.shape[0] <= 4
-
-    def test_clusters_partition_points(self):
-        data = two_blobs(10)
-        result = KMeans(num_clusters=3, seed=1).fit(data)
-        flattened = sorted(index for cluster in result.clusters() for index in cluster)
-        assert flattened == list(range(len(data)))
-
-    def test_deterministic_given_seed(self):
-        data = two_blobs(15)
-        first = KMeans(num_clusters=4, seed=5).fit(data)
-        second = KMeans(num_clusters=4, seed=5).fit(data)
-        assert np.array_equal(first.labels, second.labels)
-
-    def test_inertia_decreases_with_more_clusters(self):
-        data = two_blobs(15)
-        one = KMeans(num_clusters=1, seed=0).fit(data)
-        four = KMeans(num_clusters=4, seed=0).fit(data)
-        assert four.inertia <= one.inertia
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            KMeans(num_clusters=0)
-        with pytest.raises(ValueError):
-            KMeans(max_iterations=0)
-
-    def test_empty_input(self):
-        result = KMeans(num_clusters=3).fit(np.zeros((0, 2)))
-        assert result.labels.size == 0
-
-    def test_far_from_origin_blobs(self):
-        # The expanded-norm assignment centres the data first, so clusters
-        # separated by ~1 unit are still resolved at a ~1e7 common offset
-        # (|x|^2 + |c|^2 would otherwise swallow the cross term).
-        data = two_blobs(15, separation=5.0) + 1e7
-        result = KMeans(num_clusters=2, seed=0).fit(data)
-        assert len(set(result.labels[:15])) == 1
-        assert len(set(result.labels[15:])) == 1
-        assert result.labels[0] != result.labels[-1]
