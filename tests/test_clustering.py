@@ -142,6 +142,58 @@ class TestDBSCAN:
         with pytest.raises(ValueError):
             DBSCAN(eps_percentile=0.0)
 
+    def test_proper_clusters_leave_noise_out(self):
+        data = np.vstack([two_blobs(), [[100.0, 100.0]]])
+        result = DBSCAN(eps=1.0, min_samples=3).fit(data)
+        clusters = result.clusters(include_noise_as_singletons=False)
+        assert len(clusters) == result.num_clusters == 2
+        assert sorted(index for cluster in clusters for index in cluster) == list(range(40))
+
+    def test_deterministic_across_fits(self):
+        data = two_blobs(15)
+        first = DBSCAN(min_samples=3).fit(data)
+        second = DBSCAN(min_samples=3).fit(data)
+        assert np.array_equal(first.labels, second.labels)
+        assert np.array_equal(first.core_point_mask, second.core_point_mask)
+
+    def test_min_samples_one_leaves_no_noise(self):
+        data = np.vstack([two_blobs(5), [[100.0, 100.0]]])
+        result = DBSCAN(eps=1.0, min_samples=1).fit(data)
+        assert result.core_point_mask.all()
+        assert NOISE_LABEL not in result.labels
+        assert result.num_clusters == 3
+
+    def test_radius_below_every_gap_makes_everything_noise(self):
+        data = np.arange(12, dtype=float).reshape(6, 2)
+        result = DBSCAN(eps=0.5, min_samples=2).fit(data)
+        assert result.num_clusters == 0
+        assert (result.labels == NOISE_LABEL).all()
+        assert not result.core_point_mask.any()
+
+    def test_cosine_metric_groups_by_direction(self):
+        # Two rays at right angles; magnitudes differ along each ray, which
+        # Euclidean distance would split but cosine distance ignores.
+        scales = np.array([1.0, 10.0, 100.0, 1000.0])[:, None]
+        data = np.vstack([scales * [1.0, 0.01], scales * [0.01, 1.0]])
+        result = DBSCAN(eps=0.1, min_samples=2, metric="cosine").fit(data)
+        assert result.num_clusters == 2
+        assert len(set(result.labels[:4])) == 1
+        assert len(set(result.labels[4:])) == 1
+
+    def test_euclidean_labels_are_translation_invariant(self):
+        # Euclidean DBSCAN sees only differences between points, so a common
+        # offset (kept small enough for the |x|^2 + |y|^2 - 2x.y expansion to
+        # stay exact at this scale) changes no label.
+        data = two_blobs(15)
+        near = DBSCAN(eps=1.0, min_samples=3).fit(data)
+        far = DBSCAN(eps=1.0, min_samples=3).fit(data + 1e4)
+        assert far.num_clusters == 2
+        assert np.array_equal(far.labels, near.labels)
+
+    def test_rejects_non_matrix_input(self):
+        with pytest.raises(ValueError, match="2-D"):
+            DBSCAN().fit(np.arange(5, dtype=float))
+
     @pytest.mark.parametrize("eps", [1.0, None])
     def test_labels_match_dense_matrix_oracle(self, eps):
         data = two_blobs(8)

@@ -234,12 +234,75 @@ class TestOtherSimilarities:
         value = monge_elkan_similarity("samsung galaxy tab", "galaxy tab samsung")
         assert value > 0.9
 
+    def test_overlap_coefficient_divides_by_the_smaller_set(self):
+        assert overlap_coefficient("a b c", "a b d e") == pytest.approx(2 / 3)
+
+    def test_overlap_coefficient_one_side_empty_is_zero(self):
+        assert overlap_coefficient("", "samsung tv") == 0.0
+
+    def test_cosine_counts_repeated_tokens(self):
+        # Token multisets, not sets: "a a b" is (2, 1) against (1, 1).
+        assert cosine_token_similarity("a a b", "a b") == pytest.approx(3 / 10**0.5)
+
+    def test_cosine_one_side_empty_is_zero(self):
+        assert cosine_token_similarity("a b", None) == 0.0
+
+    def test_jaro_second_known_value(self):
+        assert jaro_similarity("dwayne", "duane") == pytest.approx(0.8222, abs=1e-3)
+
+    def test_jaro_without_common_characters_is_zero(self):
+        assert jaro_similarity("abc", "xyz") == 0.0
+
+    def test_jaro_winkler_known_values(self):
+        assert jaro_winkler_similarity("martha", "marhta") == pytest.approx(0.9611, abs=1e-3)
+        assert jaro_winkler_similarity("dixon", "dicksonx") == pytest.approx(0.8133, abs=1e-3)
+
+    def test_jaro_winkler_prefix_bonus_stops_at_four_characters(self):
+        # Jaro is 5/6 and the common prefix is six characters long; only four count.
+        jaro = jaro_similarity("abcdefgh", "abcdefxy")
+        assert jaro == pytest.approx(5 / 6)
+        assert jaro_winkler_similarity("abcdefgh", "abcdefxy") == pytest.approx(
+            jaro + 4 * 0.1 * (1.0 - jaro)
+        )
+
+    def test_monge_elkan_averages_over_the_left_tokens(self):
+        assert monge_elkan_similarity("apple", "apple pie crust") == 1.0
+        assert monge_elkan_similarity("apple pie crust", "apple") < 1.0
+
+    def test_monge_elkan_one_side_empty_is_zero(self):
+        assert monge_elkan_similarity("apple", "") == 0.0
+
     @given(short_text, short_text)
     @settings(max_examples=40, deadline=None)
     def test_all_registered_functions_bounded(self, left, right):
         for name in available_similarity_functions():
             value = SIMILARITY_FUNCTIONS[name](left, right)
             assert 0.0 <= value <= 1.0 + 1e-9, name
+
+
+SYMMETRIC_FUNCTIONS = sorted(set(SIMILARITY_FUNCTIONS) - {"monge_elkan"})
+
+
+class TestRegisteredFunctionConventions:
+    """Rules the module docstring promises for every registered function."""
+
+    @pytest.mark.parametrize("name", sorted(SIMILARITY_FUNCTIONS))
+    def test_identical_values_score_one(self, name):
+        value = SIMILARITY_FUNCTIONS[name]("Samsung Galaxy Tab 10.1", "samsung galaxy tab 10.1")
+        assert value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", sorted(SIMILARITY_FUNCTIONS))
+    def test_none_is_read_as_the_empty_string(self, name):
+        function = SIMILARITY_FUNCTIONS[name]
+        assert function(None, None) == function("", "") == 1.0
+        assert function(None, "stone ipa") == function("", "stone ipa")
+
+    @pytest.mark.parametrize("name", SYMMETRIC_FUNCTIONS)
+    @given(short_text, short_text)
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric(self, name, left, right):
+        function = SIMILARITY_FUNCTIONS[name]
+        assert function(left, right) == pytest.approx(function(right, left))
 
 
 class TestRegistry:
