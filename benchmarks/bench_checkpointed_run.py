@@ -35,8 +35,8 @@ from repro.core.batcher import BatchER
 from repro.core.config import BatcherConfig
 from repro.data.registry import load_dataset
 from repro.engine import CrashingLLM, InjectedFault
+from repro.engines.registry import create_engine
 from repro.llm.executors import ConcurrentExecutor
-from repro.llm.registry import create_llm
 from repro.pipeline import Pipeline, PipelineContext
 
 #: Where the headline numbers land (repository root).
@@ -90,7 +90,12 @@ def run_engine_bench(
     crash_at = max(1, total_calls // 2)
     with tempfile.TemporaryDirectory() as tmp:
         llm = CrashingLLM(
-            create_llm(config.model, seed=config.seed, temperature=config.temperature),
+            create_engine(
+                config.engine,
+                model=config.model,
+                seed=config.seed,
+                temperature=config.temperature,
+            ),
             fail_at_call=crash_at,
         )
         engine = BatchER(config, llm=llm).build_engine(checkpoint_dir=tmp)

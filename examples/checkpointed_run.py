@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro import BatchER, BatcherConfig, ConcurrentExecutor, load_dataset
 from repro.engine import CrashingLLM, InjectedFault
-from repro.llm.registry import create_llm
+from repro.engines.registry import create_engine
 
 
 def main() -> None:
@@ -44,7 +44,12 @@ def main() -> None:
         # 3. Kill the run at LLM call k, then resume from the checkpoint.
         crash_at = total_calls // 2
         llm = CrashingLLM(
-            create_llm(config.model, seed=config.seed, temperature=config.temperature),
+            create_engine(
+                config.engine,
+                model=config.model,
+                seed=config.seed,
+                temperature=config.temperature,
+            ),
             fail_at_call=crash_at,
         )
         engine = BatchER(config, llm=llm).build_engine(checkpoint_dir=checkpoint_dir)

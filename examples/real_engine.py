@@ -1,7 +1,7 @@
 """Real LLM backends: pick an engine, keep the whole framework unchanged.
 
-The :mod:`repro.engines` registry makes the LLM backend a configuration
-knob: the same ``BatcherConfig`` / ``BatchER`` / ``Resolver`` code runs
+One factory, :func:`repro.engines.create_engine`, makes the LLM backend a
+configuration knob: the same ``BatcherConfig`` / ``BatchER`` / ``Resolver`` code runs
 against the hermetic simulated model (default), OpenAI, any OpenAI-compatible
 server (vLLM, llama.cpp, LM Studio, ...) or Anthropic.  This example shows
 all of it offline — the "real" engine talks to an in-process fake provider —

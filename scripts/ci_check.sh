@@ -18,6 +18,13 @@ echo "== tier-1 tests =="
 # caught in review, not discovered months later.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q --durations=15 "$@"
 
+echo "== paper, ablation and component benches import (benchmarks/bench_*.py) =="
+# Default collection finds only benchmarks/e2e, and these benches run only on
+# manual invocations, so a public name one of them imports could vanish
+# unnoticed; collecting them imports every one without running it (~2 s).
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest --collect-only -q -p no:cacheprovider \
+  benchmarks/bench_*.py > /dev/null
+
 echo "== service smoke test (repro-serve --self-test) =="
 # The self-test also validates the observability surface end to end: it runs
 # one traced pass and one untraced pass (equal labels prove instrumentation

@@ -16,9 +16,9 @@ from repro.core.config import BatcherConfig
 from repro.core.result import RunResult
 from repro.cost.tracker import CostTracker
 from repro.data.schema import Dataset, EntityPair, MatchLabel
+from repro.engines.registry import create_engine
 from repro.evaluation.metrics import evaluate_predictions
 from repro.llm.base import LLMClient
-from repro.llm.registry import create_llm
 from repro.prompting.parser import parse_standard_answer
 from repro.prompting.standard import StandardPromptBuilder
 
@@ -69,11 +69,11 @@ class StandardPromptingER:
         if self._llm is not None:
             self._llm.reset_usage()
             return self._llm
-        return create_llm(
-            self.config.model,
+        return create_engine(
+            self.config.engine,
+            model=self.config.model,
             seed=self.config.seed,
             temperature=self.config.temperature,
-            engine=self.config.engine,
         )
 
     def run(self, dataset: Dataset) -> RunResult:

@@ -1,19 +1,16 @@
-"""``repro.engines`` — pluggable LLM engine registry with a shared transport.
+"""``repro.engines`` — the LLM client factory and the HTTP backends behind it.
 
 The subsystem that connects the framework to *real* LLM backends without
-giving up the hermetic simulated path tier-1 depends on:
+giving up the hermetic simulated path tier-1 depends on.  Every backend is
+an :class:`~repro.llm.base.LLMClient` built by one factory:
 
-* :mod:`repro.engines.base` — the :class:`Engine` interface (an
-  :class:`~repro.llm.base.LLMClient` plus capability flags, structured
-  output and an operational snapshot);
-* :mod:`repro.engines.registry` — config dataclasses, ``register_engine`` /
-  ``create_engine`` and environment resolution (``REPRO_ENGINE`` & friends);
+* :mod:`repro.engines.registry` — config dataclasses, :func:`create_engine`
+  (the one factory) and environment resolution (``REPRO_ENGINE`` & friends);
+  its ``simulated`` backend is :class:`~repro.llm.simulated.SimulatedLLM`;
 * :mod:`repro.engines.transport` — retry/backoff, token-bucket rate limiting
   and the urllib transport shared by every HTTP backend;
 * :mod:`repro.engines.http` — OpenAI, OpenAI-compatible and Anthropic
   dialects with optional provider-enforced JSON-schema output;
-* :mod:`repro.engines.simulated` — the behavioural simulation registered as
-  just another backend, byte-identical to ``SimulatedLLM``;
 * :mod:`repro.engines.faults` — fake clock and scripted/flaky/simulated
   backend transports for instant, deterministic transport tests.
 
@@ -22,7 +19,6 @@ This package deliberately imports nothing from ``repro.core`` or
 engines through configuration without an import cycle.
 """
 
-from repro.engines.base import Engine
 from repro.engines.faults import (
     FakeClock,
     FlakyTransport,
@@ -44,14 +40,10 @@ from repro.engines.registry import (
     HttpEngineConfig,
     OpenAICompatibleEngineConfig,
     OpenAIEngineConfig,
-    SimulatedEngineConfig,
     available_engines,
     create_engine,
     engine_config_from_env,
-    engine_from_env,
-    register_engine,
 )
-from repro.engines.simulated import SimulatedEngine
 from repro.engines.transport import (
     Clock,
     RateLimiter,
@@ -73,7 +65,6 @@ __all__ = [
     "BATCH_ANSWERS_SCHEMA",
     "Clock",
     "DEFAULT_ENGINE",
-    "Engine",
     "EngineConfig",
     "FakeClock",
     "FlakyTransport",
@@ -89,8 +80,6 @@ __all__ = [
     "RetryingTransport",
     "ScriptedTransport",
     "SimulatedBackendTransport",
-    "SimulatedEngine",
-    "SimulatedEngineConfig",
     "TerminalTransportError",
     "TokenBucket",
     "Transport",
@@ -101,7 +90,5 @@ __all__ = [
     "available_engines",
     "create_engine",
     "engine_config_from_env",
-    "engine_from_env",
-    "register_engine",
     "render_structured_answers",
 ]

@@ -23,14 +23,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import replace
-from typing import ClassVar, Mapping
+from typing import TYPE_CHECKING, ClassVar, Mapping
 
-from repro.engines.base import Engine
-from repro.engines.registry import (
-    ANTHROPIC_MODEL_ALIASES,
-    OPENAI_MODEL_ALIASES,
-    HttpEngineConfig,
-)
 from repro.engines.transport import (
     Clock,
     RateLimiter,
@@ -40,9 +34,11 @@ from repro.engines.transport import (
     TransportRequest,
     UrllibTransport,
 )
+from repro.llm.base import LLMClient, LLMResponse, UsageRecord
 from repro.resilience.breaker import CircuitBreaker
-from repro.llm.base import LLMResponse, UsageRecord
-from repro.llm.profiles import available_models
+
+if TYPE_CHECKING:  # pragma: no cover - registry.py imports this module
+    from repro.engines.registry import HttpEngineConfig
 
 __all__ = [
     "AnthropicEngine",
@@ -118,13 +114,15 @@ def render_structured_answers(document_text: str) -> str:
     return "\n".join(lines)
 
 
-class HttpEngine(Engine):
+class HttpEngine(LLMClient):
     """Shared plumbing of the HTTP-backed engines.
 
     Subclasses define the provider dialect through :meth:`build_request` and
-    :meth:`parse_response` plus the class-level alias table and auth
-    requirements; everything else — transport stack assembly, usage
-    accounting, structured-mode rendering — lives here.
+    :meth:`parse_response` plus the class-level alias table, auth
+    requirements and schema capability; everything else — transport stack
+    assembly, usage accounting, structured-mode rendering — lives here.
+    Build them through :func:`~repro.engines.registry.create_engine`, which
+    validates the logical model name.
 
     Args:
         config: the engine's :class:`~repro.engines.registry.HttpEngineConfig`
@@ -137,7 +135,8 @@ class HttpEngine(Engine):
             retry stack (see :mod:`repro.resilience`).
     """
 
-    requires_network: ClassVar[bool] = True
+    #: Whether the backend offers a provider-side JSON-schema output mode.
+    supports_json_schema: ClassVar[bool] = False
     #: Logical model name -> provider model identifier.
     model_aliases: ClassVar[Mapping[str, str]] = {}
     #: Whether a missing API key is a configuration error.
@@ -150,11 +149,7 @@ class HttpEngine(Engine):
         clock: Clock | None = None,
         breaker: "CircuitBreaker | None" = None,
     ) -> None:
-        key = config.model.strip().lower()
-        if key not in available_models():
-            known = ", ".join(available_models())
-            raise ValueError(f"unknown model {config.model!r}; expected one of: {known}")
-        super().__init__(model_name=key)
+        super().__init__(model_name=config.model)
         self.config = config
         self._clock = clock or Clock()
         limiter = (
@@ -276,14 +271,21 @@ class HttpEngine(Engine):
     def structured_complete(
         self, prompt_text: str, schema: Mapping[str, object]
     ) -> LLMResponse:
-        """Complete with provider-enforced JSON output (the raw document)."""
+        """Complete with provider-enforced JSON output (the raw document).
+
+        Raises:
+            NotImplementedError: when the backend has no structured mode.
+        """
         if not self.supports_json_schema:
-            return super().structured_complete(prompt_text, schema)
+            raise NotImplementedError(
+                f"engine {self.engine_name!r} does not support JSON-schema output"
+            )
         text, prompt_tokens, completion_tokens = self._send(prompt_text, schema)
         return self._record(prompt_text, text, prompt_tokens, completion_tokens)
 
     def describe(self) -> dict[str, object]:
         snapshot = super().describe()
+        snapshot["supports_json_schema"] = self.supports_json_schema
         snapshot["provider_model"] = self.provider_model
         snapshot["base_url"] = self.config.base_url
         snapshot["json_schema_mode"] = self.config.json_schema_mode
@@ -296,7 +298,11 @@ class OpenAIEngine(HttpEngine):
 
     engine_name: ClassVar[str] = "openai"
     supports_json_schema: ClassVar[bool] = True
-    model_aliases: ClassVar[Mapping[str, str]] = OPENAI_MODEL_ALIASES
+    model_aliases: ClassVar[Mapping[str, str]] = {
+        "gpt-3.5-03": "gpt-3.5-turbo-0301",
+        "gpt-3.5-06": "gpt-3.5-turbo-0613",
+        "gpt-4": "gpt-4",
+    }
 
     def build_request(
         self, prompt_text: str, schema: Mapping[str, object] | None = None
@@ -377,7 +383,13 @@ class AnthropicEngine(HttpEngine):
 
     engine_name: ClassVar[str] = "anthropic"
     supports_json_schema: ClassVar[bool] = True
-    model_aliases: ClassVar[Mapping[str, str]] = ANTHROPIC_MODEL_ALIASES
+    #: The paper's models have no Anthropic equivalents; these are
+    #: capability-tier stand-ins.
+    model_aliases: ClassVar[Mapping[str, str]] = {
+        "gpt-3.5-03": "claude-3-5-haiku-latest",
+        "gpt-3.5-06": "claude-3-5-haiku-latest",
+        "gpt-4": "claude-sonnet-4-20250514",
+    }
 
     _API_VERSION: ClassVar[str] = "2023-06-01"
     _TOOL_NAME: ClassVar[str] = "record_batch_answers"

@@ -1,9 +1,9 @@
-"""Config-dataclass registry of LLM engines.
+"""The one LLM client factory: backend names, config dataclasses, environment.
 
-Every backend is described by a frozen config dataclass and registered under
-a short name; :func:`create_engine` turns either the name (plus field
-overrides) or a ready config into a live :class:`~repro.engines.base.Engine`.
-The registry ships four backends:
+Every backend is described by a frozen config dataclass and listed under a
+short name; :func:`create_engine` turns either the name (plus field
+overrides) or a ready config into a live :class:`~repro.llm.base.LLMClient`.
+The four backends:
 
 ========================  =====================================================
 ``simulated``             the hermetic behavioural model (tier-1's backend)
@@ -13,18 +13,19 @@ The registry ships four backends:
 ``anthropic``             Anthropic messages API (``ANTHROPIC_API_KEY``)
 ========================  =====================================================
 
-:func:`engine_config_from_env` resolves the whole selection from environment
-variables (``REPRO_ENGINE`` picks the backend; ``REPRO_ENGINE_BASE_URL``,
-``REPRO_ENGINE_MODEL``, ``REPRO_ENGINE_RPS``, ``REPRO_ENGINE_TPM``, ... tune
-it), so a deployment swaps providers without touching code — the pattern the
-related repos use for their env-switched multi-provider wrappers.
+Built from a name, an HTTP backend takes its deployment fields from
+environment variables (``REPRO_ENGINE_BASE_URL``, ``REPRO_ENGINE_MODEL``,
+``REPRO_ENGINE_RPS``, ``REPRO_ENGINE_TPM``, ...; explicit overrides win), and
+``REPRO_ENGINE`` picks the backend when no name is given — so a deployment
+swaps providers without touching code, the pattern the related repos use for
+their env-switched multi-provider wrappers.
 
 Model naming: the framework keeps reasoning in the paper's *logical* model
 names (``gpt-3.5-03``, ``gpt-4``, ...), which drive profiles and the pricing
 table.  HTTP configs carry a separate ``provider_model`` — the identifier the
-provider's API expects — defaulting through a small translation table, so
-cost accounting stays comparable across backends while the wire speaks each
-provider's dialect.
+provider's API expects — defaulting through each backend's translation
+table, so cost accounting stays comparable across backends while the wire
+speaks each provider's dialect.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping
 
-from repro.engines.base import Engine
+from repro.engines.http import AnthropicEngine, OpenAICompatibleEngine, OpenAIEngine
 from repro.engines.transport import Clock, RetryPolicy, Transport
+from repro.llm.base import LLMClient
 from repro.llm.profiles import available_models
+from repro.llm.simulated import SimulatedLLM
 from repro.resilience.breaker import CircuitBreaker
 
 __all__ = [
@@ -45,36 +48,18 @@ __all__ = [
     "HttpEngineConfig",
     "OpenAICompatibleEngineConfig",
     "OpenAIEngineConfig",
-    "SimulatedEngineConfig",
     "available_engines",
     "create_engine",
     "engine_config_from_env",
-    "engine_from_env",
-    "register_engine",
 ]
 
 #: Engine used when nothing is configured — the hermetic simulated backend.
 DEFAULT_ENGINE = "simulated"
 
-#: Logical model name -> OpenAI API model identifier.
-OPENAI_MODEL_ALIASES: dict[str, str] = {
-    "gpt-3.5-03": "gpt-3.5-turbo-0301",
-    "gpt-3.5-06": "gpt-3.5-turbo-0613",
-    "gpt-4": "gpt-4",
-}
-
-#: Logical model name -> Anthropic API model identifier.  The paper's models
-#: have no Anthropic equivalents; these are capability-tier stand-ins.
-ANTHROPIC_MODEL_ALIASES: dict[str, str] = {
-    "gpt-3.5-03": "claude-3-5-haiku-latest",
-    "gpt-3.5-06": "claude-3-5-haiku-latest",
-    "gpt-4": "claude-sonnet-4-20250514",
-}
-
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Fields shared by every engine backend.
+    """Fields shared by every engine backend, and the simulated backend's config.
 
     Attributes:
         model: *logical* model name (one of the registered profiles); drives
@@ -87,17 +72,6 @@ class EngineConfig:
     model: str = "gpt-3.5-03"
     seed: int = 0
     temperature: float = 0.01
-
-
-@dataclass(frozen=True)
-class SimulatedEngineConfig(EngineConfig):
-    """Configuration of the hermetic simulated backend.
-
-    Attributes:
-        latency_seconds: synthetic per-call latency (benchmarking only).
-    """
-
-    latency_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -178,183 +152,46 @@ class AnthropicEngineConfig(HttpEngineConfig):
     base_url: str = "https://api.anthropic.com"
 
 
-#: Factory signature: build a live engine from its config.  ``transport`` and
-#: ``clock`` are injection points for tests and hermetic benchmarks.
-EngineFactory = Callable[..., Engine]
+#: Backend name -> (config dataclass, client class).  A ready config's type
+#: selects its backend, so each backend has a config class of its own.
+_ENGINES: Mapping[str, tuple[type[EngineConfig], type[LLMClient]]] = {
+    "simulated": (EngineConfig, SimulatedLLM),
+    "openai": (OpenAIEngineConfig, OpenAIEngine),
+    "openai_compatible": (OpenAICompatibleEngineConfig, OpenAICompatibleEngine),
+    "anthropic": (AnthropicEngineConfig, AnthropicEngine),
+}
 
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registry entry: name, config dataclass and factory."""
-
-    name: str
-    config_cls: type[EngineConfig]
-    factory: EngineFactory
-
-
-def _simulated_factory(
-    config: EngineConfig,
-    *,
-    transport: Transport | None = None,
-    clock: Clock | None = None,
-    breaker: "CircuitBreaker | None" = None,
-) -> Engine:
-    from repro.engines.simulated import SimulatedEngine
-
-    if transport is not None:
-        raise ValueError("the simulated engine has no transport to inject")
-    if breaker is not None:
-        raise ValueError("the simulated engine has no transport to gate")
-    key = config.model.strip().lower()
-    if key not in available_models():
-        known = ", ".join(available_models())
-        raise ValueError(f"unknown model {config.model!r}; expected one of: {known}")
-    latency = config.latency_seconds if isinstance(config, SimulatedEngineConfig) else 0.0
-    return SimulatedEngine(
-        model_name=key,
-        seed=config.seed,
-        temperature=config.temperature,
-        latency_seconds=latency,
-    )
-
-
-def _http_factory(engine_attr: str) -> EngineFactory:
-    def factory(
-        config: EngineConfig,
-        *,
-        transport: Transport | None = None,
-        clock: Clock | None = None,
-        breaker: "CircuitBreaker | None" = None,
-    ) -> Engine:
-        from repro.engines import http
-
-        engine_cls = getattr(http, engine_attr)
-        return engine_cls(config, transport=transport, clock=clock, breaker=breaker)
-
-    return factory
-
-
-_REGISTRY: dict[str, EngineSpec] = {}
-
-
-def register_engine(
-    name: str,
-    config_cls: type[EngineConfig],
-    factory: EngineFactory,
-    replace_existing: bool = False,
-) -> None:
-    """Register (or, explicitly, replace) an engine backend.
-
-    Raises:
-        ValueError: when ``name`` is taken and ``replace_existing`` is false.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise ValueError("engine name must be non-empty")
-    if key in _REGISTRY and not replace_existing:
-        raise ValueError(f"engine {name!r} is already registered")
-    _REGISTRY[key] = EngineSpec(name=key, config_cls=config_cls, factory=factory)
-
-
-register_engine("simulated", SimulatedEngineConfig, _simulated_factory)
-register_engine("openai", OpenAIEngineConfig, _http_factory("OpenAIEngine"))
-register_engine(
-    "openai_compatible",
-    OpenAICompatibleEngineConfig,
-    _http_factory("OpenAICompatibleEngine"),
-)
-register_engine("anthropic", AnthropicEngineConfig, _http_factory("AnthropicEngine"))
+#: Environment variable -> (HTTP config field, parser).
+_ENV_FIELDS: Mapping[str, tuple[str, Callable[[str], object]]] = {
+    "REPRO_ENGINE_MODEL": ("provider_model", str),
+    "REPRO_ENGINE_BASE_URL": ("base_url", str),
+    "REPRO_ENGINE_RPS": ("requests_per_second", float),
+    "REPRO_ENGINE_TPM": ("tokens_per_minute", float),
+    "REPRO_ENGINE_MAX_ATTEMPTS": ("max_attempts", int),
+    "REPRO_ENGINE_TIMEOUT": ("timeout_seconds", float),
+    "REPRO_ENGINE_JSON_SCHEMA": (
+        "json_schema_mode",
+        lambda value: value.strip().lower() in ("1", "true", "yes", "on"),
+    ),
+}
 
 
 def available_engines() -> tuple[str, ...]:
-    """Names of all registered engine backends, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_engine_spec(name: str) -> EngineSpec:
-    """Look up a registry entry.
-
-    Raises:
-        ValueError: for unknown engine names (same error type as the model
-            checks in :func:`repro.llm.registry.create_llm` and
-            :class:`~repro.core.config.BatcherConfig`, so misconfiguration
-            fails uniformly).
-    """
-    key = name.strip().lower()
-    if key not in _REGISTRY:
-        known = ", ".join(available_engines())
-        raise ValueError(f"unknown engine {name!r}; expected one of: {known}")
-    return _REGISTRY[key]
-
-
-def _spec_for_config(config: EngineConfig) -> EngineSpec:
-    for spec in _REGISTRY.values():
-        if type(config) is spec.config_cls:
-            return spec
-    raise ValueError(
-        f"no engine registered for config type {type(config).__name__!r}"
-    )
-
-
-def build_config(engine: str, **overrides: object) -> EngineConfig:
-    """Build an engine's config dataclass with field overrides.
-
-    Raises:
-        ValueError: for unknown engines or override fields.
-    """
-    spec = get_engine_spec(engine)
-    known = {config_field.name for config_field in fields(spec.config_cls)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ValueError(
-            f"unknown {spec.name!r} engine config fields {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}"
-        )
-    return spec.config_cls(**overrides)  # type: ignore[arg-type]
-
-
-def create_engine(
-    engine: str | EngineConfig = DEFAULT_ENGINE,
-    *,
-    transport: Transport | None = None,
-    clock: Clock | None = None,
-    breaker: "CircuitBreaker | None" = None,
-    **overrides: object,
-) -> Engine:
-    """Build a live engine from a registered name or a ready config.
-
-    Args:
-        engine: registry name (``"simulated"``, ``"openai"``, ...) or an
-            :class:`EngineConfig` instance (its type selects the backend).
-        transport: optional transport injection (HTTP backends only) — the
-            hook the scripted/flaky test transports use.
-        clock: optional time source for the backend's retry/rate-limit stack.
-        breaker: optional per-engine circuit breaker gating the backend
-            (HTTP backends only; see :mod:`repro.resilience`).
-        **overrides: config field overrides applied on top of the defaults
-            (or on top of the given config instance).
-
-    Raises:
-        ValueError: for unknown engines, unknown override fields, or an
-            unknown logical model on the simulated backend.
-    """
-    if isinstance(engine, EngineConfig):
-        spec = _spec_for_config(engine)
-        config = replace(engine, **overrides) if overrides else engine
-    else:
-        spec = get_engine_spec(engine)
-        config = build_config(spec.name, **overrides)
-    return spec.factory(config, transport=transport, clock=clock, breaker=breaker)
+    """Names of all engine backends, sorted."""
+    return tuple(sorted(_ENGINES))
 
 
 def engine_config_from_env(
-    env: Mapping[str, str] | None = None, **overrides: object
+    env: Mapping[str, str] | None = None,
+    engine: str | None = None,
+    **overrides: object,
 ) -> EngineConfig:
-    """Resolve the engine configuration from environment variables.
+    """Resolve an engine configuration: defaults, then environment, then overrides.
 
-    Recognised variables (all optional):
+    ``engine`` names the backend; when it is ``None``, ``REPRO_ENGINE`` picks
+    it (default ``"simulated"``).  An HTTP backend's fields are then read from
+    these variables (all optional):
 
-    * ``REPRO_ENGINE`` — backend name (default ``"simulated"``);
     * ``REPRO_ENGINE_MODEL`` — provider model identifier override;
     * ``REPRO_ENGINE_BASE_URL`` — API root override (local servers, proxies);
     * ``REPRO_ENGINE_RPS`` / ``REPRO_ENGINE_TPM`` — rate caps;
@@ -365,35 +202,82 @@ def engine_config_from_env(
     API keys are *not* copied into the config: engines read ``api_key_env``
     (``OPENAI_API_KEY`` / ``ANTHROPIC_API_KEY``) at request time, so configs
     stay safe to log and serialize.
+
+    Args:
+        env: the environment to read (default ``os.environ``).
+
+    Raises:
+        ValueError: for unknown engines or override fields (same error type
+            as :class:`~repro.core.config.BatcherConfig`'s checks, so
+            misconfiguration fails uniformly).
     """
-    environment = env if env is not None else os.environ
-    name = environment.get("REPRO_ENGINE", DEFAULT_ENGINE).strip().lower()
-    spec = get_engine_spec(name)
+    environment = os.environ if env is None else env
+    name = engine if engine is not None else environment.get("REPRO_ENGINE", DEFAULT_ENGINE)
+    key = name.strip().lower()
+    if key not in _ENGINES:
+        known = ", ".join(available_engines())
+        raise ValueError(f"unknown engine {name!r}; expected one of: {known}")
+    config_cls = _ENGINES[key][0]
+    known_fields = {config_field.name for config_field in fields(config_cls)}
+    unknown = set(overrides) - known_fields
+    if unknown:
+        raise ValueError(
+            f"unknown {key!r} engine config fields {sorted(unknown)}; "
+            f"expected a subset of {sorted(known_fields)}"
+        )
     resolved: dict[str, object] = {}
-    if issubclass(spec.config_cls, HttpEngineConfig):
-        if environment.get("REPRO_ENGINE_MODEL"):
-            resolved["provider_model"] = environment["REPRO_ENGINE_MODEL"]
-        if environment.get("REPRO_ENGINE_BASE_URL"):
-            resolved["base_url"] = environment["REPRO_ENGINE_BASE_URL"]
-        if environment.get("REPRO_ENGINE_RPS"):
-            resolved["requests_per_second"] = float(environment["REPRO_ENGINE_RPS"])
-        if environment.get("REPRO_ENGINE_TPM"):
-            resolved["tokens_per_minute"] = float(environment["REPRO_ENGINE_TPM"])
-        if environment.get("REPRO_ENGINE_MAX_ATTEMPTS"):
-            resolved["max_attempts"] = int(environment["REPRO_ENGINE_MAX_ATTEMPTS"])
-        if environment.get("REPRO_ENGINE_TIMEOUT"):
-            resolved["timeout_seconds"] = float(environment["REPRO_ENGINE_TIMEOUT"])
-        if environment.get("REPRO_ENGINE_JSON_SCHEMA"):
-            resolved["json_schema_mode"] = environment[
-                "REPRO_ENGINE_JSON_SCHEMA"
-            ].strip().lower() in ("1", "true", "yes", "on")
+    if issubclass(config_cls, HttpEngineConfig):
+        for variable, (field_name, parse) in _ENV_FIELDS.items():
+            if environment.get(variable):
+                resolved[field_name] = parse(environment[variable])
     resolved.update(overrides)
-    return build_config(name, **resolved)
+    return config_cls(**resolved)  # type: ignore[arg-type]
 
 
-def engine_from_env(
-    env: Mapping[str, str] | None = None, **overrides: object
-) -> Engine:
-    """Build the engine the environment selects (see
-    :func:`engine_config_from_env`)."""
-    return create_engine(engine_config_from_env(env, **overrides))
+def create_engine(
+    engine: str | EngineConfig | None = None,
+    *,
+    transport: Transport | None = None,
+    clock: Clock | None = None,
+    breaker: CircuitBreaker | None = None,
+    **overrides: object,
+) -> LLMClient:
+    """Build a live LLM client — the one factory every call site uses.
+
+    Args:
+        engine: backend name (``"simulated"``, ``"openai"``, ...), an
+            :class:`EngineConfig` instance (its type selects the backend and
+            the environment is not read), or ``None`` for the backend
+            ``REPRO_ENGINE`` names (see :func:`engine_config_from_env`).
+        transport: optional transport injection (HTTP backends only) — the
+            hook the scripted/flaky test transports use.
+        clock: optional time source for the backend's retry/rate-limit stack.
+        breaker: optional per-engine circuit breaker gating the backend
+            (HTTP backends only; see :mod:`repro.resilience`).
+        **overrides: config field overrides, applied over the defaults and
+            the environment (or over the given config instance).
+
+    Raises:
+        ValueError: for unknown engines, unknown override fields, an unknown
+            logical model, or a transport/breaker given to the simulated
+            backend.
+    """
+    if isinstance(engine, EngineConfig):
+        config = replace(engine, **overrides)
+    else:
+        config = engine_config_from_env(engine=engine, **overrides)
+    model = config.model.strip().lower()
+    if model not in available_models():
+        known = ", ".join(available_models())
+        raise ValueError(f"unknown model {config.model!r}; expected one of: {known}")
+    config = replace(config, model=model)
+    for config_cls, client_cls in _ENGINES.values():
+        if type(config) is config_cls:
+            break
+    else:
+        raise ValueError(f"no engine registered for config type {type(config).__name__!r}")
+    if client_cls is SimulatedLLM:
+        if transport is not None or breaker is not None:
+            raise ValueError("the simulated engine has no transport to inject or gate")
+        return SimulatedLLM(model_name=model, seed=config.seed, temperature=config.temperature)
+    return client_cls(config, transport=transport, clock=clock, breaker=breaker)  # type: ignore[call-arg]

@@ -10,8 +10,9 @@ answers in natural language that must be parsed back.  Model profiles differ in
 perception noise, calibration skill, batch competence and pricing — see
 DESIGN.md for why this substitution preserves the experiments' shape.
 
-All clients honour the same :class:`repro.llm.base.LLMClient` interface, so a
-real API-backed client could be dropped in without touching the framework.
+Every client, simulated or API-backed, is an :class:`repro.llm.base.LLMClient`
+built by one factory, :func:`repro.engines.registry.create_engine`; its
+``simulated`` backend is :class:`~repro.llm.simulated.SimulatedLLM`.
 Independent prompts can be dispatched through
 :meth:`~repro.llm.base.LLMClient.complete_many` with an execution backend
 (:mod:`repro.llm.executors`) — serial by default, thread-pooled when a
@@ -28,7 +29,6 @@ from repro.llm.executors import (
 from repro.llm.pricing import ModelPricing, get_pricing, prompt_cost
 from repro.llm.profiles import ModelProfile, get_profile, available_models
 from repro.llm.simulated import SimulatedLLM
-from repro.llm.registry import create_llm
 
 __all__ = [
     "ConcurrentExecutor",
@@ -43,7 +43,6 @@ __all__ = [
     "UsageTracker",
     "available_models",
     "create_executor",
-    "create_llm",
     "get_pricing",
     "get_profile",
     "prompt_cost",

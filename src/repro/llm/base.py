@@ -6,7 +6,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from repro.text.tokenizer import ApproxTokenizer
 
@@ -113,8 +113,13 @@ class LLMClient(ABC):
 
     Subclasses implement :meth:`_generate`; the public :meth:`complete` wraps it
     with token counting and usage tracking so that every client, simulated or
-    real, is priced identically.
+    real, is priced identically.  The built-in backends are built by
+    :func:`repro.engines.registry.create_engine`.
     """
+
+    #: Backend name: the ``create_engine`` key of the built-in clients, and
+    #: the ``engine`` label of the service's LLM latency metric.
+    engine_name: ClassVar[str] = "custom"
 
     def __init__(self, model_name: str, tokenizer: ApproxTokenizer | None = None) -> None:
         self.model_name = model_name
@@ -193,3 +198,18 @@ class LLMClient(ABC):
     def reset_usage(self) -> None:
         """Clear the accumulated usage (e.g. between experiment runs)."""
         self.usage.reset()
+
+    def describe(self) -> dict[str, object]:
+        """JSON-serializable operational snapshot (the service's ``/stats``).
+
+        HTTP backends extend it with their schema capability and transport
+        counters; every other client has no schema mode.
+        """
+        return {
+            "engine": self.engine_name,
+            "model": self.model_name,
+            "supports_json_schema": False,
+            "requests": self.usage.num_calls,
+            "prompt_tokens": self.usage.prompt_tokens,
+            "completion_tokens": self.usage.completion_tokens,
+        }

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import time
 
 import numpy as np
 
@@ -90,7 +91,15 @@ class SimulatedLLM(LLMClient):
         temperature: kept for API fidelity; higher temperatures add a small
             amount of extra decision noise.
         profile: explicit profile override (useful for tests and ablations).
+
+    Attributes:
+        latency_seconds: synthetic per-call latency, slept inside generation.
+            The end-to-end benchmark sets it to model a remote API's round
+            trip; the default of ``0.0`` keeps tests instant.
     """
+
+    engine_name = "simulated"
+    latency_seconds: float = 0.0
 
     def __init__(
         self,
@@ -269,6 +278,8 @@ class SimulatedLLM(LLMClient):
         return "\n".join(lines)
 
     def _generate(self, prompt_text: str) -> str:
+        if self.latency_seconds:
+            time.sleep(self.latency_seconds)
         parsed = read_prompt(prompt_text)
         if not parsed.questions:
             return "I could not find any question to answer in the prompt."

@@ -25,9 +25,9 @@ from repro.core.config import BatcherConfig
 from repro.core.result import RunResult
 from repro.cost.tracker import CostBreakdown, CostTracker
 from repro.data.schema import Dataset, EntityPair, MatchLabel
+from repro.engines.registry import create_engine
 from repro.features.engine import FeatureStore
 from repro.llm.base import LLMClient, LLMResponse
-from repro.llm.registry import create_llm
 from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.prompting.prompt import Prompt
 from repro.selection.base import SelectionResult
@@ -206,11 +206,11 @@ class PipelineContext:
         reset_usage: bool = True,
     ) -> "PipelineContext":
         if llm is None:
-            llm = create_llm(
-                config.model,
+            llm = create_engine(
+                config.engine,
+                model=config.model,
                 seed=config.seed,
                 temperature=config.temperature,
-                engine=config.engine,
             )
         elif reset_usage:
             llm.reset_usage()

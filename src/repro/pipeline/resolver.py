@@ -28,10 +28,10 @@ import numpy as np
 from repro.core.config import BatcherConfig
 from repro.cost.tracker import CostBreakdown, CostTracker
 from repro.data.schema import Dataset, EntityPair, MatchLabel
+from repro.engines.registry import create_engine
 from repro.features.engine import FeatureStore, create_feature_store
 from repro.llm.base import LLMClient, UsageTracker
 from repro.llm.executors import ExecutionBackend
-from repro.llm.registry import create_llm
 from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.pipeline import Pipeline, StageHook
@@ -123,11 +123,11 @@ class Resolver:
         self.config = config or BatcherConfig()
         self.attributes = attributes
         self.tracer = tracer or NOOP_TRACER
-        self._llm = llm or create_llm(
-            self.config.model,
+        self._llm = llm or create_engine(
+            self.config.engine,
+            model=self.config.model,
             seed=self.config.seed,
             temperature=self.config.temperature,
-            engine=self.config.engine,
         )
         self._pipeline = Pipeline.default(executor=executor, evaluate=False, hooks=hooks)
         self._pool: list[EntityPair] = []

@@ -31,7 +31,6 @@ from typing import ContextManager, Generator, Iterable, Sequence
 
 from repro.cost.tracker import CostBreakdown
 from repro.data.schema import Dataset, EntityPair
-from repro.engines.base import Engine as EngineBackend
 from repro.engines.transport import Clock, RetryingTransport
 from repro.features.engine import FeatureStoreStats
 from repro.llm.executors import ConcurrentExecutor, ExecutionBackend, SerialExecutor
@@ -193,11 +192,10 @@ class ServiceStats:
         cost: cumulative session :class:`CostBreakdown`.
         engine: counters of the bulk path
             (:meth:`ResolutionService.resolve_bulk`).
-        llm_engine: operational snapshot of the session's LLM engine backend
-            (name, model, capability flags, request/token counters and — for
-            HTTP backends — retry and rate-limit counters), from
-            :meth:`repro.engines.base.Engine.describe`; ``None`` when the
-            session's LLM is not a registered engine.
+        llm_engine: operational snapshot of the session's LLM client (name,
+            model, schema capability, request/token counters and — for HTTP
+            backends — retry and rate-limit counters), from
+            :meth:`repro.llm.base.LLMClient.describe`.
         feature_store: snapshot of the session's columnar feature-vector
             store (size, hit rate, evictions, and the ``planning``
             counters of its sparse-neighbor-graph planner); ``None`` before
@@ -228,7 +226,7 @@ class ServiceStats:
     num_labeled: int
     cost: CostBreakdown
     engine: EngineStats
-    llm_engine: dict | None
+    llm_engine: dict
     feature_store: FeatureStoreStats | None
     uptime_seconds: float
     throughput_pairs_per_second: float
@@ -372,11 +370,10 @@ class ResolutionService:
         # transport both consults and feeds it.
         self.breaker: CircuitBreaker | None = breaker
         if self.breaker is None and self.config.breaker is not None:
-            llm = self._resolver.llm
             self.breaker = CircuitBreaker(
                 self.config.breaker,
                 clock=self._clock,
-                name=getattr(llm, "engine_name", type(llm).__name__),
+                name=self._resolver.llm.engine_name,
             )
         transport = getattr(self._resolver.llm, "transport", None)
         if isinstance(transport, RetryingTransport):
@@ -429,7 +426,7 @@ class ResolutionService:
             labels=("engine", "model"),
         )
         llm = self._resolver.llm
-        engine_label = getattr(llm, "engine_name", type(llm).__name__)
+        engine_label = llm.engine_name
 
         def observe_completion(response, seconds: float) -> None:
             self._metric_llm_latency.observe(
@@ -1236,8 +1233,6 @@ class ResolutionService:
             self._clock.monotonic() - self._started_at if self._started_at is not None else 0.0
         )
         store = self._resolver.feature_store
-        llm = self._resolver.llm
-        llm_engine = llm.describe() if isinstance(llm, EngineBackend) else None
         return ServiceStats(
             submitted=int(self._metric_submitted.value()),
             resolved=resolved,
@@ -1255,7 +1250,7 @@ class ResolutionService:
             num_labeled=self._resolver.num_labeled,
             cost=self._resolver.cost(),
             engine=engine,
-            llm_engine=llm_engine,
+            llm_engine=self._resolver.llm.describe(),
             feature_store=store.stats() if store is not None else None,
             uptime_seconds=uptime,
             throughput_pairs_per_second=(resolved / uptime if uptime > 0 else 0.0),

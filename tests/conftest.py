@@ -10,8 +10,27 @@ import pytest
 
 from repro.data.registry import load_dataset
 from repro.engine.faults import CrashingLLM
+from repro.engines.registry import create_engine
 from repro.features.structure_aware import StructureAwareExtractor
-from repro.llm.registry import create_llm
+
+#: Every variable ``create_engine`` reads from the environment.
+ENGINE_VARIABLES = (
+    "REPRO_ENGINE",
+    "REPRO_ENGINE_MODEL",
+    "REPRO_ENGINE_BASE_URL",
+    "REPRO_ENGINE_RPS",
+    "REPRO_ENGINE_TPM",
+    "REPRO_ENGINE_MAX_ATTEMPTS",
+    "REPRO_ENGINE_TIMEOUT",
+    "REPRO_ENGINE_JSON_SCHEMA",
+)
+
+
+@pytest.fixture(autouse=True)
+def clean_engine_env(monkeypatch):
+    """Keep every test hermetic: no engine selection leaks in from the shell."""
+    for variable in ENGINE_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
 
 
 @pytest.fixture(scope="session")
@@ -73,8 +92,11 @@ def make_crashing_llm():
     """
 
     def factory(config, fail_at_call: int) -> CrashingLLM:
-        inner = create_llm(
-            config.model, seed=config.seed, temperature=config.temperature
+        inner = create_engine(
+            config.engine,
+            model=config.model,
+            seed=config.seed,
+            temperature=config.temperature,
         )
         return CrashingLLM(inner, fail_at_call=fail_at_call)
 

@@ -35,9 +35,9 @@ from repro.engine import (
     batch_fingerprint,
     config_fingerprint,
 )
+from repro.engines.registry import create_engine
 from repro.llm.base import LLMClient
 from repro.llm.executors import ConcurrentExecutor
-from repro.llm.registry import create_llm
 from repro.observability.tracing import Tracer
 from repro.pipeline import Pipeline, PipelineContext, StageHook
 from repro.pipeline.stages import DEFAULT_STAGES, RenderPrompts
@@ -103,7 +103,12 @@ class _InnerLLM(LLMClient):
     """Delegates to the client the pipeline would build for ``config``."""
 
     def __init__(self, config) -> None:
-        inner = create_llm(config.model, seed=config.seed, temperature=config.temperature)
+        inner = create_engine(
+            config.engine,
+            model=config.model,
+            seed=config.seed,
+            temperature=config.temperature,
+        )
         super().__init__(model_name=inner.model_name, tokenizer=inner.tokenizer)
         self.inner = inner
         self._lock = threading.Lock()

@@ -200,8 +200,8 @@ class TestStructuredOutput:
 
     def test_simulated_engine_has_no_structured_mode(self):
         engine = create_engine("simulated")
-        with pytest.raises(NotImplementedError, match="simulated"):
-            engine.structured_complete(PROMPT, BATCH_ANSWERS_SCHEMA)
+        assert not hasattr(engine, "structured_complete")
+        assert engine.describe()["supports_json_schema"] is False
 
 
 class TestSimulatedBackendTransport:

@@ -1,4 +1,7 @@
-"""Engine registry tests: configs, factories, env resolution, create_llm contract."""
+"""Engine factory tests: configs, ``create_engine``, env resolution, the simulated backend."""
+
+import json
+import time
 
 import pytest
 
@@ -6,21 +9,17 @@ from repro.core.config import BatcherConfig
 from repro.engines import (
     AnthropicEngine,
     AnthropicEngineConfig,
-    Engine,
+    EngineConfig,
     OpenAICompatibleEngine,
     OpenAIEngine,
     OpenAIEngineConfig,
-    SimulatedEngine,
-    SimulatedEngineConfig,
     available_engines,
     create_engine,
     engine_config_from_env,
-    engine_from_env,
-    register_engine,
 )
-from repro.engines.registry import build_config
-from repro.llm.registry import create_llm
+from repro.llm.base import LLMClient
 from repro.llm.simulated import SimulatedLLM
+from repro.pipeline import Resolver
 
 
 class TestRegistry:
@@ -38,16 +37,12 @@ class TestRegistry:
 
     def test_unknown_config_field_raises(self):
         with pytest.raises(ValueError, match="unknown 'simulated' engine config fields"):
-            build_config("simulated", base_url="http://x")
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine("simulated", SimulatedEngineConfig, lambda *a, **k: None)
+            create_engine("simulated", base_url="http://x")
 
     @pytest.mark.parametrize(
         ("name", "engine_cls"),
         [
-            ("simulated", SimulatedEngine),
+            ("simulated", SimulatedLLM),
             ("openai", OpenAIEngine),
             ("openai_compatible", OpenAICompatibleEngine),
             ("anthropic", AnthropicEngine),
@@ -56,8 +51,8 @@ class TestRegistry:
     def test_create_engine_builds_offline(self, name, engine_cls):
         # Construction must never touch the network; only sends do.
         engine = create_engine(name, model="gpt-3.5-03", seed=1)
-        assert isinstance(engine, engine_cls)
-        assert isinstance(engine, Engine)
+        assert type(engine) is engine_cls
+        assert isinstance(engine, LLMClient)
         assert engine.engine_name == name
         assert engine.model_name == "gpt-3.5-03"
 
@@ -70,9 +65,31 @@ class TestRegistry:
         patched = create_engine(config, provider_model="gpt-4o")
         assert patched.provider_model == "gpt-4o"
 
+    def test_simulated_backend_config_is_the_base_config(self):
+        engine = create_engine(EngineConfig(model="gpt-4", seed=5))
+        assert type(engine) is SimulatedLLM
+        assert (engine.model_name, engine.seed) == ("gpt-4", 5)
+
     def test_simulated_unknown_model_raises(self):
         with pytest.raises(ValueError, match="unknown model.*expected one of"):
             create_engine("simulated", model="claude-opus")
+
+    @pytest.mark.parametrize("name", ["openai", "openai_compatible", "anthropic"])
+    def test_http_unknown_model_raises(self, name):
+        with pytest.raises(ValueError, match="unknown model.*expected one of"):
+            create_engine(name, model="claude-opus")
+
+    def test_model_name_is_normalised(self):
+        assert create_engine("simulated", model=" GPT-4 ").model_name == "gpt-4"
+        engine = create_engine("openai", model="GPT-3.5-03")
+        assert engine.model_name == "gpt-3.5-03"
+        assert engine.provider_model == "gpt-3.5-turbo-0301"
+
+    def test_simulated_backend_rejects_a_transport(self):
+        from repro.engines.faults import ScriptedTransport
+
+        with pytest.raises(ValueError, match="no transport"):
+            create_engine("simulated", transport=ScriptedTransport([]))
 
     def test_simulated_engine_is_byte_identical_to_simulated_llm(self):
         prompts = [f"Q{i}: are these the same entity? Answer Yes or No." for i in range(8)]
@@ -85,19 +102,38 @@ class TestRegistry:
         assert engine.usage.completion_tokens == raw.usage.completion_tokens
 
     def test_capability_flags(self):
-        assert not create_engine("simulated").requires_network
-        assert create_engine("openai").requires_network
+        assert create_engine("simulated").describe()["supports_json_schema"] is False
         assert create_engine("openai").supports_json_schema
         assert not create_engine("openai_compatible").supports_json_schema
         assert create_engine("anthropic").supports_json_schema
 
     def test_describe_is_json_serializable(self):
-        import json
-
         snapshot = create_engine("openai", model="gpt-4").describe()
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert snapshot["engine"] == "openai"
+        assert snapshot["supports_json_schema"] is True
         assert snapshot["provider_model"] == "gpt-4"
+
+
+class TestSimulatedLatency:
+    PROMPT = (
+        "Q1: Entity A: [name: ale] Entity B: [name: ale]\n"
+        "Answer each question with 'A<i>: Yes' or 'A<i>: No'."
+    )
+
+    def test_latency_is_slept_and_leaves_the_completion_unchanged(self):
+        instant = create_engine("simulated", seed=2)
+        slow = create_engine("simulated", seed=2)
+        assert slow.latency_seconds == 0.0
+        slow.latency_seconds = 0.05
+        started = time.perf_counter()
+        response = slow.complete(self.PROMPT)
+        assert time.perf_counter() - started >= 0.05
+        assert response == instant.complete(self.PROMPT)
+        assert (slow.usage.prompt_tokens, slow.usage.completion_tokens) == (
+            instant.usage.prompt_tokens,
+            instant.usage.completion_tokens,
+        )
 
 
 class TestProviderModelResolution:
@@ -118,9 +154,8 @@ class TestProviderModelResolution:
 class TestEnvResolution:
     def test_defaults_to_simulated(self):
         config = engine_config_from_env(env={})
-        assert isinstance(config, SimulatedEngineConfig)
-        engine = engine_from_env(env={})
-        assert isinstance(engine, SimulatedEngine)
+        assert type(config) is EngineConfig
+        assert type(create_engine()) is SimulatedLLM
 
     def test_selects_and_tunes_http_backend(self):
         env = {
@@ -159,12 +194,41 @@ class TestEnvResolution:
         with pytest.raises(ValueError, match="unknown engine"):
             engine_config_from_env(env={"REPRO_ENGINE": "palm"})
 
+    def test_a_given_name_beats_repro_engine(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "anthropic")
+        assert type(create_engine("openai")) is OpenAIEngine
+        assert type(create_engine()) is AnthropicEngine
 
-class TestCreateLlmContract:
+    def test_named_http_backend_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_MODEL", "from-env")
+        monkeypatch.setenv("REPRO_ENGINE_TIMEOUT", "9")
+        engine = create_engine("openai", provider_model="explicit")
+        assert engine.provider_model == "explicit"
+        assert engine.config.timeout_seconds == 9.0
+
+    def test_a_ready_config_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_BASE_URL", "http://from-env/v1")
+        engine = create_engine(OpenAIEngineConfig())
+        assert engine.config.base_url == "https://api.openai.com/v1"
+
+    def test_environment_reaches_the_pipeline_client(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_MODEL", "llama-3.1-8b-instruct")
+        monkeypatch.setenv("REPRO_ENGINE_RPS", "8")
+        monkeypatch.setenv("REPRO_ENGINE_BASE_URL", "http://10.0.0.5:9000/v1")
+        llm = Resolver(BatcherConfig(engine="openai_compatible"), attributes=("name",)).llm
+        assert isinstance(llm, OpenAICompatibleEngine)
+        request = llm.build_request("Q1: same entity?")
+        assert request.url == "http://10.0.0.5:9000/v1/chat/completions"
+        assert request.payload["model"] == "llama-3.1-8b-instruct"
+        assert llm.config.requests_per_second == 8.0
+        assert llm.transport.limiter is not None
+
+
+class TestFactoryDefaults:
     def test_default_is_simulated_llm(self):
-        llm = create_llm("gpt-4", seed=3)
-        assert isinstance(llm, SimulatedLLM)
-        assert isinstance(llm, SimulatedEngine)
+        llm = create_engine(model="gpt-4", seed=3)
+        assert type(llm) is SimulatedLLM
+        assert (llm.model_name, llm.seed) == ("gpt-4", 3)
 
     def test_unknown_model_message_unchanged(self):
         with pytest.raises(
@@ -174,15 +238,7 @@ class TestCreateLlmContract:
                 r"gpt-3\.5-03, gpt-3\.5-06, gpt-4, llama2-70b"
             ),
         ):
-            create_llm("claude-opus")
-
-    def test_engine_kwarg_routes_to_registry(self):
-        llm = create_llm("gpt-3.5-03", engine="openai_compatible")
-        assert isinstance(llm, OpenAICompatibleEngine)
-
-    def test_unknown_engine_kwarg_raises(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            create_llm("gpt-3.5-03", engine="palm")
+            create_engine("simulated", model="claude-opus")
 
 
 class TestBatcherConfigEngineField:

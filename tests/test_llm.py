@@ -3,12 +3,12 @@
 import pytest
 
 from repro.data.schema import MatchLabel
+from repro.engines.registry import create_engine
 from repro.llm import (
     SimulatedLLM,
     UsageRecord,
     UsageTracker,
     available_models,
-    create_llm,
     get_pricing,
     get_profile,
     prompt_cost,
@@ -83,14 +83,14 @@ class TestProfiles:
 
 class TestRegistry:
     def test_create_known_model(self):
-        llm = create_llm("gpt-4", seed=3)
+        llm = create_engine("simulated", model="gpt-4", seed=3)
         assert isinstance(llm, SimulatedLLM)
         assert llm.model_name == "gpt-4"
 
     def test_create_unknown_model_raises_value_error(self):
         # Same error type and message shape as BatcherConfig's model check.
         with pytest.raises(ValueError, match="unknown model.*expected one of"):
-            create_llm("claude-opus")
+            create_engine("simulated", model="claude-opus")
 
 
 class TestSimulatedLLM:

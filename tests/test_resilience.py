@@ -26,6 +26,7 @@ from repro.core.config import BatcherConfig
 from repro.data.schema import EntityPair, Record
 from repro.engine import RunEngine
 from repro.engines.faults import FakeClock, ScriptedTransport
+from repro.engines.registry import create_engine
 from repro.engines.transport import (
     RetryPolicy,
     RetryableTransportError,
@@ -35,7 +36,6 @@ from repro.engines.transport import (
 )
 from repro.llm.base import LLMClient
 from repro.llm.executors import ConcurrentExecutor
-from repro.llm.registry import create_llm
 from repro.resilience import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
@@ -510,7 +510,12 @@ class TestEnginePauseResume:
         total_calls = oracle.cost.num_llm_calls
         for k in range(1, total_calls + 1):
             llm = _BreakerOpenLLM(
-                create_llm(config.model, seed=config.seed, temperature=config.temperature),
+                create_engine(
+                    config.engine,
+                    model=config.model,
+                    seed=config.seed,
+                    temperature=config.temperature,
+                ),
                 fail_at_call=k,
             )
             engine = RunEngine(

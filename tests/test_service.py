@@ -1109,3 +1109,48 @@ class TestOneSourceOfCounters:
             "failures": family("failures"),
         } == {"requests": 2, "attempts": 4, "retries": 2, "failures": 0}
         assert family("retries", reason="5xx") == family("retries", reason="429") == 1
+
+
+class TestLLMEngineSurfaces:
+    """``/stats`` and ``/metrics`` describe any client through its own
+    ``engine_name`` and ``describe()``."""
+
+    def test_default_snapshot_keys(self, beer_dataset, service_config):
+        service = ResolutionService.from_dataset(beer_dataset, service_config)
+        snapshot = service.stats().llm_engine
+        assert list(snapshot) == [
+            "engine",
+            "model",
+            "supports_json_schema",
+            "requests",
+            "prompt_tokens",
+            "completion_tokens",
+        ]
+        assert snapshot["engine"] == service.resolver.llm.engine_name == "simulated"
+
+    def test_injected_client_describes_itself(self, beer_dataset, service_config, questions):
+        from repro.llm.simulated import SimulatedLLM
+        from repro.service.http import ServiceRouter
+
+        class ProbeLLM(SimulatedLLM):
+            engine_name = "probe"
+
+        resolver = Resolver(
+            config=service_config.batcher,
+            demonstrations=list(beer_dataset.splits.train),
+            attributes=beer_dataset.attributes,
+            llm=ProbeLLM("gpt-3.5-03", seed=1),
+        )
+        service = ResolutionService(config=service_config, resolver=resolver).start()
+        try:
+            service.resolve_many(questions[:4])
+        finally:
+            service.stop()
+        router = ServiceRouter(service)
+        snapshot = json.loads(router.handle("GET", "/stats", {}).body)["llm_engine"]
+        assert snapshot["engine"] == "probe"
+        assert snapshot["model"] == "gpt-3.5-03"
+        assert snapshot["requests"] == service.stats().llm_calls > 0
+        exposition = router.handle("GET", "/metrics", {}).body.decode("utf-8")
+        count = 'repro_llm_latency_seconds_count{engine="probe",model="gpt-3.5-03"}'
+        assert _exposition_value(exposition, count) == snapshot["requests"]
