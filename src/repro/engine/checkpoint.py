@@ -11,7 +11,8 @@ serial execution — and nothing that was already paid for.
 File layout (one file per run, ``<run key>.jsonl``, format version 2)::
 
     {"type": "header", "version": 2, "dataset": ..., "config": <fp>,
-     "batches": <fp>, "num_batches": N, "model": ...}
+     "batches": <fp>, "num_batches": N, "model": ...,
+     "provider_model": ..., "base_url": ...}
     {"type": "batch", "batch_id": 0, "fingerprint": <fp>, "text": ...,
      "model": ..., "prompt_tokens": 812, "completion_tokens": 9}
 
@@ -21,8 +22,11 @@ the LLM returned it; resume replays the response and the stock
 ``ParseAnswers`` stage parses it again.  The header pins the run identity: a
 file whose header does not match the current dataset / config / batch plan /
 model — a version-1 file included — is stale and is rewritten, not resumed
-from.  A truncated tail (the classic kill-mid-write artifact) is tolerated:
-complete leading records are kept, the torn tail is discarded.
+from.  An HTTP client's provider model and endpoint are part of the model:
+``provider_model`` and ``base_url`` are written only for such a client, so a
+simulated run's header has neither.  A truncated tail (the classic
+kill-mid-write artifact) is tolerated: complete leading records are kept, the
+torn tail is discarded.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ class RunHeader:
         batches_fingerprint: content fingerprint of the run's batch plan.
         num_batches: number of batches (= LLM calls) the run completes.
         model: LLM profile the answers were produced by.
+        provider_model / base_url: the provider model and endpoint of an
+            HTTP client (``None`` for a simulated one), from its
+            :meth:`~repro.llm.base.LLMClient.describe`.
     """
 
     dataset: str
@@ -56,10 +63,12 @@ class RunHeader:
     batches_fingerprint: str
     num_batches: int
     model: str
+    provider_model: str | None = None
+    base_url: str | None = None
 
     def to_dict(self) -> dict[str, object]:
         """The header's JSONL representation."""
-        return {
+        header: dict[str, object] = {
             "type": "header",
             "version": CHECKPOINT_VERSION,
             "dataset": self.dataset,
@@ -68,6 +77,10 @@ class RunHeader:
             "num_batches": self.num_batches,
             "model": self.model,
         }
+        for key in ("provider_model", "base_url"):
+            if getattr(self, key) is not None:
+                header[key] = getattr(self, key)
+        return header
 
     def matches(self, entry: dict[str, object]) -> bool:
         """Whether a parsed header line identifies the same run."""

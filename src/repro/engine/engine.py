@@ -150,12 +150,20 @@ class CheckpointedInference(PipelineStage):
         writer = None
         if self.store is not None:
             fingerprints = [batch_fingerprint(batch) for batch in batches]
+            # Answers replayed under another provider model or endpoint
+            # would be the wrong model's: the header pins both.
+            described = context.llm.describe()
             header = RunHeader(
                 dataset=context.dataset_name,
                 config_fingerprint=config_fingerprint(context.config),
                 batches_fingerprint=_plan_fingerprint(fingerprints),
                 num_batches=len(batches),
                 model=context.config.model,
+                **{
+                    key: str(described[key])
+                    for key in ("provider_model", "base_url")
+                    if described.get(key) is not None
+                },
             )
             completed, writer = self.store.open(_run_key(context), header)
             for batch_id, record in completed.items():

@@ -181,6 +181,18 @@ def available_engines() -> tuple[str, ...]:
     return tuple(sorted(_ENGINES))
 
 
+def _check_overrides(
+    name: str, config_cls: type[EngineConfig], overrides: Mapping[str, object]
+) -> None:
+    known_fields = {config_field.name for config_field in fields(config_cls)}
+    unknown = set(overrides) - known_fields
+    if unknown:
+        raise ValueError(
+            f"unknown {name!r} engine config fields {sorted(unknown)}; "
+            f"expected a subset of {sorted(known_fields)}"
+        )
+
+
 def engine_config_from_env(
     env: Mapping[str, str] | None = None,
     engine: str | None = None,
@@ -218,13 +230,7 @@ def engine_config_from_env(
         known = ", ".join(available_engines())
         raise ValueError(f"unknown engine {name!r}; expected one of: {known}")
     config_cls = _ENGINES[key][0]
-    known_fields = {config_field.name for config_field in fields(config_cls)}
-    unknown = set(overrides) - known_fields
-    if unknown:
-        raise ValueError(
-            f"unknown {key!r} engine config fields {sorted(unknown)}; "
-            f"expected a subset of {sorted(known_fields)}"
-        )
+    _check_overrides(key, config_cls, overrides)
     resolved: dict[str, object] = {}
     if issubclass(config_cls, HttpEngineConfig):
         for variable, (field_name, parse) in _ENV_FIELDS.items():
@@ -263,6 +269,11 @@ def create_engine(
             backend.
     """
     if isinstance(engine, EngineConfig):
+        name = next(
+            (key for key, (cls, _) in _ENGINES.items() if cls is type(engine)),
+            type(engine).__name__,
+        )
+        _check_overrides(name, type(engine), overrides)
         config = replace(engine, **overrides)
     else:
         config = engine_config_from_env(engine=engine, **overrides)

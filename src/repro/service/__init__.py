@@ -33,10 +33,12 @@ Layers:
   routes, tenant authentication, error mapping and JSON codecs
   (``POST /resolve``, ``POST /bulk``, ``GET /stats``, ``GET /healthz``;
   every GET route answers HEAD).
-* :mod:`repro.service.aio` — the stdlib asyncio HTTP/1.1 front end that
-  owns the wire (keep-alive, strict ``Content-Length`` framing, read
+* :mod:`repro.service.aio` — the stdlib asyncio HTTP/1.1 front end, one
+  ``asyncio.Protocol`` per connection, that owns the wire (keep-alive, read
   deadlines, graceful drain) and hands each request to the router; exposed
   via the ``repro-serve`` console script (:mod:`repro.service.cli`).
+* :mod:`repro.service.wire` — the front end's strict HTTP/1.1 framing as
+  pure functions: request-head parsing and response encoding.
 """
 
 from repro.service.cache import CachedResult, ResultCache, pair_fingerprint

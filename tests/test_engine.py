@@ -450,6 +450,43 @@ class TestCrashResume:
         assert engine.last_report.batches_resumed == 0
         assert llm.successful_calls == result.cost.num_llm_calls
 
+    @pytest.mark.parametrize(
+        "changed",
+        [{"provider_model": "other-model"}, {"base_url": "http://other.invalid"}],
+        ids=["provider_model", "base_url"],
+    )
+    def test_checkpoint_of_another_provider_is_not_replayed(
+        self, beer_dataset, checkpoint_dir, changed
+    ):
+        """The header pins an HTTP client's provider model and endpoint: a
+        run resumed against another one asks it, instead of replaying the
+        first provider's answers."""
+        from repro.engines.faults import SimulatedBackendTransport
+        from repro.llm.simulated import SimulatedLLM
+
+        def run(**fields):
+            backend = SimulatedBackendTransport(SimulatedLLM(seed=SMALL_CONFIG.seed))
+            llm = create_engine(
+                "openai",
+                model=SMALL_CONFIG.model,
+                transport=backend,
+                api_key="sk-test",
+                **{"provider_model": "first-model", "base_url": "http://first.invalid", **fields},
+            )
+            engine = RunEngine(config=SMALL_CONFIG, llm=llm, checkpoint_dir=checkpoint_dir)
+            result = engine.run(beer_dataset)
+            return backend.calls, engine.last_report, result
+
+        calls, report, _ = run()
+        assert calls == report.num_batches > 0
+        assert run()[0] == 0  # the same provider resumes every batch
+        calls, report, result = run(**changed)
+        assert report.batches_resumed == 0
+        assert calls == report.num_batches == result.cost.num_llm_calls
+        (path,) = checkpoint_dir.iterdir()
+        header = json.loads(path.read_text().splitlines()[0])
+        assert {key: header[key] for key in changed} == changed
+
     @pytest.mark.parametrize("field", ["fingerprint", "batch_id"])
     def test_tampered_record_is_rejected(self, beer_dataset, checkpoint_dir, field):
         """A record whose fingerprint differs from its planned batch, or whose

@@ -65,6 +65,21 @@ class TestRegistry:
         patched = create_engine(config, provider_model="gpt-4o")
         assert patched.provider_model == "gpt-4o"
 
+    @pytest.mark.parametrize(
+        ("config", "name"),
+        [(OpenAIEngineConfig(), "openai"), (EngineConfig(), "simulated")],
+    )
+    def test_unknown_override_of_a_config_instance_raises_like_by_name(
+        self, config, name
+    ):
+        # The same ValueError, naming the known fields, as the by-name path.
+        with pytest.raises(ValueError) as by_name:
+            create_engine(name, foo=1)
+        with pytest.raises(ValueError) as by_config:
+            create_engine(config, foo=1)
+        assert str(by_config.value) == str(by_name.value)
+        assert "expected a subset of" in str(by_config.value)
+
     def test_simulated_backend_config_is_the_base_config(self):
         engine = create_engine(EngineConfig(model="gpt-4", seed=5))
         assert type(engine) is SimulatedLLM

@@ -23,7 +23,15 @@ from hypothesis import strategies as st
 from repro.core.config import BatcherConfig
 from repro.service import ResolutionService, ServiceConfig
 from repro.service.aio import AsyncServiceHTTPServer
+from repro.service.http import RouteResult
 from repro.service.service import max_flushes_in_flight
+from repro.service.wire import (
+    HEAD_END,
+    blank_prefix,
+    body_error,
+    is_head_request,
+    parse_head,
+)
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +338,107 @@ class TestTransport:
             response = sock.recv(65536).decode("latin-1")
         assert response.startswith("HTTP/1.1 400")
 
+    def test_request_sent_one_byte_at_a_time_is_served(self, framing_server):
+        # Head and body both trickle in, well inside one read_timeout each.
+        request = _post_head(b"Content-Length: " + _LENGTH, b"Connection: close")
+        with socket.create_connection(_host_port(framing_server), timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in request + RESOLVE_BODY:
+                sock.sendall(bytes([byte]))
+                time.sleep(0.002)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        [(status, headers, body)] = _responses(b"".join(chunks))
+        assert status == 200 and headers["connection"] == "close"
+        assert json.loads(body)["resolutions"][0]["pair_id"] == "framing"
+
+    def test_pipelined_requests_answered_once_each_in_order(self, framing_server):
+        # Five requests in one send: misses that wait on the micro-batcher
+        # and routes served on the pool, answered strictly in order.
+        names = [f"pipelined-{index}" for index in range(3)]
+        bodies = [_resolve_body(name, name) for name in names]
+        healthz = b"GET /healthz HTTP/1.1\r\nHost: p\r\n\r\n"
+        data = b"".join(
+            [
+                _post_head(b"Content-Length: %d" % len(bodies[0])) + bodies[0],
+                healthz,
+                _post_head(b"Content-Length: %d" % len(bodies[1])) + bodies[1],
+                _post_head(b"Content-Length: %d" % len(bodies[2])) + bodies[2],
+                FOLLOW_UP,
+            ]
+        )
+        raw, _ = _exchange(framing_server, data)
+        responses = _responses(raw)
+        assert [status for status, _, _ in responses] == [200] * 5
+        assert [headers["connection"] for _, headers, _ in responses] == (
+            ["keep-alive"] * 4 + ["close"]
+        )
+        payloads = [json.loads(body) for _, _, body in responses]
+        assert [payloads[i]["resolutions"][0]["pair_id"] for i in (0, 2, 3)] == names
+        assert payloads[1]["status"] == payloads[4]["status"] == "ok"
+
+    def test_full_write_buffer_holds_back_pipelined_requests(self, aio_service):
+        # Cache hits are answered inside data_received; while the transport
+        # reports its write buffer full, the next pipelined one must wait.
+        from repro.service.aio import _Connection
+
+        names = [f"backpressure-{index}" for index in range(3)]
+        bodies = [_resolve_body(name, name) for name in names]
+        server = AsyncServiceHTTPServer(aio_service, port=0)
+        for body in bodies:  # warm the cache
+            assert server.router.handle("POST", "/resolve", {}, body).status == 200
+        data = b"".join(
+            _post_head(b"Content-Length: %d" % len(body)) + body for body in bodies
+        )
+
+        class FullAfterEachWrite:
+            def __init__(self):
+                self.written = []
+
+            def write(self, payload):
+                self.written.append(payload)
+                connection.pause_writing()  # the buffer is over its mark
+
+            def is_closing(self):
+                return False
+
+            def close(self):
+                pass
+
+        async def drive():
+            nonlocal connection
+            connection = _Connection(server)
+            transport = FullAfterEachWrite()
+            connection.connection_made(transport)
+            connection.data_received(data)
+            counts = [len(transport.written)]
+            for _ in names:
+                connection.resume_writing()
+                counts.append(len(transport.written))
+            return counts, transport.written
+
+        connection = None
+        try:
+            counts, written = asyncio.run(drive())
+        finally:
+            server.shutdown()
+        assert counts == [1, 2, 3, 3]
+        pair_ids = [
+            json.loads(body)["resolutions"][0]["pair_id"]
+            for _, _, body in _responses(b"".join(written))
+        ]
+        assert pair_ids == names
+
+    def test_header_line_over_64_kib_answered_400_and_closed(self, framing_server):
+        long_line = b"X-Long: " + b"a" * (70 * 1024)
+        raw, _ = _exchange(
+            framing_server,
+            b"GET /healthz HTTP/1.1\r\n" + long_line + b"\r\n\r\n" + FOLLOW_UP,
+        )
+        _assert_one_response_then_close(raw, 400)
+        assert b"header line too long" in raw
+
     def test_bounded_connections_still_serve_excess_clients(self, aio_service):
         server = AsyncServiceHTTPServer(
             aio_service, port=0, max_connections=2
@@ -386,6 +495,48 @@ class TestLifecycle:
             AsyncServiceHTTPServer(aio_service, read_timeout=0.0)
         with pytest.raises(ValueError, match="drain_timeout"):
             AsyncServiceHTTPServer(aio_service, drain_timeout=-1.0)
+
+    def test_shutdown_closes_idle_connections_and_drains_busy_ones(self, beer_dataset):
+        config = ServiceConfig(batcher=BatcherConfig(seed=1), max_batch_size=1)
+        service = ResolutionService.from_dataset(beer_dataset, config).start()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+        llm = service.resolver.llm
+        complete, entered, gate = llm.complete, threading.Event(), threading.Event()
+
+        def gated_complete(*args, **kwargs):
+            entered.set()
+            gate.wait(10)
+            return complete(*args, **kwargs)
+
+        llm.complete = gated_complete
+        body = _resolve_body("drained", "drained")
+        try:
+            with socket.create_connection(_host_port(server), timeout=10) as idle, \
+                    socket.create_connection(_host_port(server), timeout=10) as busy:
+                # One answered request proves the idle connection was accepted.
+                idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: i\r\n\r\n")
+                reply = b""
+                while not reply.endswith(b"}"):
+                    chunk = idle.recv(65536)
+                    assert chunk, reply
+                    reply += chunk
+                busy.sendall(_post_head(b"Content-Length: %d" % len(body)) + body)
+                assert entered.wait(10)
+                stopper = threading.Thread(target=server.shutdown)
+                stopper.start()
+                assert idle.recv(1) == b""  # closed at once, unanswered
+                gate.set()
+                chunks = []
+                while chunk := busy.recv(65536):
+                    chunks.append(chunk)
+                stopper.join(10)
+        finally:
+            gate.set()
+            server.shutdown()
+            service.stop()
+        [(status, headers, payload)] = _responses(b"".join(chunks))
+        assert status == 200 and headers["connection"] == "close"
+        assert json.loads(payload)["resolutions"][0]["pair_id"] == "drained"
 
     def test_requests_served_counter(self, aio_service):
         server = AsyncServiceHTTPServer(aio_service, port=0).serve_in_background()
@@ -679,89 +830,90 @@ _SMUGGLED = b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n"
 _LENGTH = str(len(RESOLVE_BODY)).encode()
 
 
+#: ``(request, status, head)``: a request whose framing is ambiguous, the
+#: status that answers it, and whether that answer is a ``HEAD`` one.
+_AMBIGUOUS_FRAMING = [
+    pytest.param(
+        _post_head(b"Content-Length: 5", b"Content-Length: " + _LENGTH)
+        + RESOLVE_BODY,
+        400,
+        False,
+        id="conflicting-duplicate-content-length",
+    ),
+    pytest.param(
+        _post_head(b"Content-Length: 5, " + _LENGTH) + RESOLVE_BODY,
+        400,
+        False,
+        id="conflicting-content-length-list",
+    ),
+    pytest.param(
+        _post_head(b"Content-Length: +" + _LENGTH) + RESOLVE_BODY,
+        400,
+        False,
+        id="signed-content-length",
+    ),
+    pytest.param(
+        _post_head(b"Content-Length: " + b"9" * 5000) + RESOLVE_BODY,
+        400,
+        False,
+        id="content-length-beyond-int-conversion",
+    ),
+    pytest.param(
+        _post_head(b"Content-Length : " + _LENGTH) + RESOLVE_BODY,
+        400,
+        False,
+        id="space-before-colon",
+    ),
+    pytest.param(
+        _post_head(b"Content-Length: " + _LENGTH, b"Transfer-Encoding: chunked")
+        + RESOLVE_BODY
+        + _SMUGGLED,
+        501,
+        False,
+        id="transfer-encoding-with-smuggled-request",
+    ),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 31\r\n\r\n"
+        + _SMUGGLED,
+        400,
+        False,
+        id="get-with-body",
+    ),
+    pytest.param(
+        b"HEAD /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 31\r\n\r\n"
+        + _SMUGGLED,
+        400,
+        True,
+        id="head-with-body",
+    ),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\nHost: t",
+        400,
+        False,
+        id="truncated-head",
+    ),
+]
+
+#: Framings whose ``Content-Length`` values agree.
+_AGREEING_FRAMING = [
+    pytest.param([b"Content-Length: " + _LENGTH, b"Content-Length: " + _LENGTH], id="repeated"),
+    pytest.param([b"Content-Length: " + _LENGTH + b", " + _LENGTH], id="listed"),
+    pytest.param([b"Content-Length: 00" + _LENGTH], id="leading-zeros"),
+]
+
+
 class TestFraming:
     """RFC 9112 §6.3: a request whose body length is ambiguous is answered
     exactly once and the connection closed — never read as two requests."""
 
-    @pytest.mark.parametrize(
-        ("request_bytes", "status", "head"),
-        [
-            pytest.param(
-                _post_head(b"Content-Length: 5", b"Content-Length: " + _LENGTH)
-                + RESOLVE_BODY,
-                400,
-                False,
-                id="conflicting-duplicate-content-length",
-            ),
-            pytest.param(
-                _post_head(b"Content-Length: 5, " + _LENGTH) + RESOLVE_BODY,
-                400,
-                False,
-                id="conflicting-content-length-list",
-            ),
-            pytest.param(
-                _post_head(b"Content-Length: +" + _LENGTH) + RESOLVE_BODY,
-                400,
-                False,
-                id="signed-content-length",
-            ),
-            pytest.param(
-                _post_head(b"Content-Length: " + b"9" * 5000) + RESOLVE_BODY,
-                400,
-                False,
-                id="content-length-beyond-int-conversion",
-            ),
-            pytest.param(
-                _post_head(b"Content-Length : " + _LENGTH) + RESOLVE_BODY,
-                400,
-                False,
-                id="space-before-colon",
-            ),
-            pytest.param(
-                _post_head(b"Content-Length: " + _LENGTH, b"Transfer-Encoding: chunked")
-                + RESOLVE_BODY
-                + _SMUGGLED,
-                501,
-                False,
-                id="transfer-encoding-with-smuggled-request",
-            ),
-            pytest.param(
-                b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 31\r\n\r\n"
-                + _SMUGGLED,
-                400,
-                False,
-                id="get-with-body",
-            ),
-            pytest.param(
-                b"HEAD /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 31\r\n\r\n"
-                + _SMUGGLED,
-                400,
-                True,
-                id="head-with-body",
-            ),
-            pytest.param(
-                b"GET /healthz HTTP/1.1\r\nHost: t",
-                400,
-                False,
-                id="truncated-head",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize(("request_bytes", "status", "head"), _AMBIGUOUS_FRAMING)
     def test_ambiguous_framing_answered_once_then_closed(
         self, framing_server, request_bytes, status, head
     ):
         raw, _ = _exchange(framing_server, request_bytes)
         _assert_one_response_then_close(raw, status, head_first=head)
 
-    @pytest.mark.parametrize(
-        "framing",
-        [
-            [b"Content-Length: " + _LENGTH, b"Content-Length: " + _LENGTH],
-            [b"Content-Length: " + _LENGTH + b", " + _LENGTH],
-            [b"Content-Length: 00" + _LENGTH],
-        ],
-        ids=["repeated", "listed", "leading-zeros"],
-    )
+    @pytest.mark.parametrize("framing", _AGREEING_FRAMING)
     def test_agreeing_content_lengths_frame_the_body(self, framing_server, framing):
         raw, _ = _exchange(
             framing_server, _post_head(*framing) + RESOLVE_BODY + FOLLOW_UP
@@ -774,6 +926,55 @@ class TestFraming:
             b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n" + FOLLOW_UP,
         )
         _assert_keep_alive_then_follow_up(raw, 200)
+
+
+def _parsed_status(request_bytes):
+    """What the pure parser makes of a whole request: the status of the
+    error that answers its head, or 200 when the head frames cleanly."""
+    parsed = parse_head(request_bytes[: HEAD_END.search(request_bytes).start()])
+    if isinstance(parsed, RouteResult):
+        return parsed.status
+    method, _, _, headers = parsed
+    error = body_error(method, int(headers.get("content-length", "0")))
+    return 200 if error is None else error.status
+
+
+class TestHeadParser:
+    """The pure head parser over TestFraming's table: the status it gives
+    each request is the one the wire answers."""
+
+    @pytest.mark.parametrize(("request_bytes", "status", "head"), _AMBIGUOUS_FRAMING)
+    def test_ambiguous_framing(self, request_bytes, status, head):
+        if HEAD_END.search(request_bytes) is None:
+            return  # a head cut off never reaches the parser
+        assert _parsed_status(request_bytes) == status
+        assert is_head_request(request_bytes) == head
+
+    @pytest.mark.parametrize("framing", _AGREEING_FRAMING)
+    def test_agreeing_content_lengths(self, framing):
+        request = _post_head(*framing) + RESOLVE_BODY
+        assert _parsed_status(request) == 200
+        *_, headers = parse_head(request[: HEAD_END.search(request).start()])
+        assert headers["content-length"] == str(len(RESOLVE_BODY))
+
+    def test_bare_lf_and_stray_blank_lines(self):
+        crlf = b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n"
+        bare = crlf.replace(b"\r\n", b"\n")
+        assert [HEAD_END.search(data).end() for data in (crlf, bare)] == [
+            len(crlf), len(bare)
+        ]
+        assert parse_head(crlf[: HEAD_END.search(crlf).start()]) == parse_head(
+            bare[: HEAD_END.search(bare).start()]
+        ) == ("GET", "/healthz", "HTTP/1.1", {"host": "t", "content-length": "0"})
+        assert blank_prefix(b"\r\n\n \r\n" + crlf) == 6
+        assert blank_prefix(crlf) == 0
+
+    def test_line_and_header_caps(self):
+        long_value = b"a" * (64 * 1024)
+        assert parse_head(b"GET / HTTP/1.1\r\nX: " + long_value).status == 400
+        many = b"".join(b"\r\nX-%d: 1" % index for index in range(129))
+        assert parse_head(b"GET / HTTP/1.1" + many).status == 400
+        assert isinstance(parse_head(b"GET / HTTP/1.1" + many[:-9]), tuple)
 
 
 _REQUEST_LINES = (

@@ -1,5 +1,7 @@
 """Tests for the approximate LLM tokenizer."""
 
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,24 @@ class TestApproxTokenizer:
     def test_longer_text_never_cheaper(self):
         base = "brand: Sony, model: XB-100"
         assert self.tokenizer.count(base + " extra words here") > self.tokenizer.count(base)
+
+    @given(
+        st.text(max_size=200)
+        | st.lists(
+            st.one_of(
+                st.text(alphabet=string.ascii_letters, min_size=1, max_size=12),
+                st.text(alphabet="0123456789٣٤५", min_size=1, max_size=10),
+                st.text(alphabet=" \t\n", min_size=1, max_size=2),
+                st.characters(),  # punctuation, non-ASCII letters, symbols
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_count_equals_the_tokenized_count(self, text):
+        # count() takes the match-count shortcut; tokenize() is the
+        # reference it must agree with, on non-ASCII letters and digits too.
+        assert self.tokenizer.count(text) == self.tokenizer.tokenize(text).token_count
 
     @given(st.text(max_size=200))
     @settings(max_examples=60, deadline=None)
