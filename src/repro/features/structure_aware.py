@@ -8,24 +8,27 @@ the token Jaccard similarity (BatchER-JAC) between ``a.attr_i`` and
 attribute contributes 0 similarity, and missing-vs-missing contributes a
 neutral 0.5 (the pair gives no evidence either way on that attribute).
 
-:meth:`StructureAwareExtractor.extract_matrix` is the columnar primary path:
-each attribute column is processed at once — the column's distinct value
-pairs are computed a single time and the column is filled in one vectorized
-assignment — with results memoized across calls (ER attribute columns are
-highly repetitive: brewery names, genres, manufacturers — so the
-Levenshtein kernel runs only on distinct value pairs; the string similarity
-itself is inherently scalar).  The scalar
+:meth:`StructureAwareExtractor.extract_matrix` is the columnar primary path.
+It collects the distinct value pairs of every attribute column, computes
+those not memoized from earlier calls (ER attribute columns are highly
+repetitive: brewery names, genres, manufacturers), and gathers the matrix
+from them in one indexing step.  For BatchER-LR the uncached pairs of all
+columns go to :func:`~repro.text.similarity.levenshtein_ratios` in one call,
+which runs the bit-parallel kernel over blocks of pairs at once; other
+similarity functions run pair by pair.  The scalar
 :meth:`~StructureAwareExtractor.extract` remains the equivalence oracle: both
 paths produce bit-identical vectors.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from repro.data.schema import EntityPair
 from repro.features.base import FeatureExtractor
-from repro.text.similarity import get_similarity_function
+from repro.text.similarity import get_similarity_function, levenshtein_ratios
 
 #: Similarity assigned when both attribute values are missing.
 BOTH_MISSING_SIMILARITY = 0.5
@@ -68,24 +71,46 @@ class StructureAwareExtractor(FeatureExtractor):
 
     def attribute_similarity(self, left: str | None, right: str | None) -> float:
         """Similarity of one attribute value pair, with explicit missing handling."""
-        left_missing = left is None or str(left).strip() == ""
-        right_missing = right is None or str(right).strip() == ""
-        if left_missing and right_missing:
-            return BOTH_MISSING_SIMILARITY
-        if left_missing or right_missing:
-            return 0.0
+        fixed = _missing_similarity(left, right)
+        if fixed is not None:
+            return fixed
         return float(self._similarity(left, right))
 
-    def _cached_similarity(self, left: str | None, right: str | None) -> float:
-        """Memoized :meth:`attribute_similarity` over raw value pairs."""
-        key = (left, right)
-        cached = self._value_cache.get(key)
-        if cached is None:
-            cached = self.attribute_similarity(left, right)
-            if len(self._value_cache) >= DEFAULT_VALUE_CACHE_SIZE:
+    def _attribute_similarities(
+        self, keys: list[tuple[str | None, str | None]]
+    ) -> list[float]:
+        """:meth:`attribute_similarity` of every ``(left, right)`` key."""
+        fixed = [_missing_similarity(left, right) for left, right in keys]
+        lefts = [left for (left, _), value in zip(keys, fixed) if value is None]
+        rights = [right for (_, right), value in zip(keys, fixed) if value is None]
+        if self.similarity_name == "levenshtein_ratio":
+            computed = levenshtein_ratios(lefts, rights).tolist()
+        else:
+            computed = [
+                float(self._similarity(left, right)) for left, right in zip(lefts, rights)
+            ]
+        return _filled(fixed, computed)
+
+    def _memoized_similarities(
+        self, keys: list[tuple[str | None, str | None]]
+    ) -> np.ndarray:
+        """Similarity of every key, computing only the uncached ones.
+
+        The new values enter the value cache together; when they would push
+        it past ``DEFAULT_VALUE_CACHE_SIZE`` it is cleared first, and at most
+        that many of them are kept.
+        """
+        similarities = [self._value_cache.get(key) for key in keys]
+        missing = [key for key, value in zip(keys, similarities) if value is None]
+        if missing:
+            computed = self._attribute_similarities(missing)
+            if len(self._value_cache) + len(missing) > DEFAULT_VALUE_CACHE_SIZE:
                 self._value_cache.clear()
-            self._value_cache[key] = cached
-        return cached
+            self._value_cache.update(
+                islice(zip(missing, computed), DEFAULT_VALUE_CACHE_SIZE)
+            )
+            similarities = _filled(similarities, computed)
+        return np.array(similarities, dtype=float)
 
     def extract(self, pair: EntityPair) -> np.ndarray:
         vector = np.empty(self.dimension, dtype=float)
@@ -98,24 +123,43 @@ class StructureAwareExtractor(FeatureExtractor):
     def extract_matrix(self, pairs) -> np.ndarray:
         """Columnar featurization: one similarity column per attribute.
 
-        Each attribute column is processed as a whole: the column's *distinct*
-        value pairs are computed once (memoized across calls and columns, so
-        the underlying string similarity — inherently a scalar computation —
-        runs once per distinct value pair instead of once per entity pair),
-        then the column is filled in a single vectorized assignment.
+        The *distinct* value pairs of all columns are computed once (memoized
+        across calls and columns; for BatchER-LR the uncached ones in one
+        lane-parallel :func:`~repro.text.similarity.levenshtein_ratios`
+        call), then the matrix is gathered from them in one indexing step.
         Bit-identical to the scalar :meth:`extract` loop.
         """
         pairs = list(pairs)
         if not pairs:
             return np.zeros((0, self.dimension), dtype=float)
-        matrix = np.empty((len(pairs), self.dimension), dtype=float)
+        # Each cell's index into the distinct keys, in first-seen order.
+        distinct: dict[tuple[str | None, str | None], int] = {}
+        cells = np.empty((len(pairs), self.dimension), dtype=np.intp)
         for column, attribute in enumerate(self.attributes):
-            keys = [
-                (pair.left.value(attribute), pair.right.value(attribute))
+            cells[:, column] = [
+                distinct.setdefault(
+                    (pair.left.value(attribute), pair.right.value(attribute)),
+                    len(distinct),
+                )
                 for pair in pairs
             ]
-            similarities = {
-                key: self._cached_similarity(*key) for key in dict.fromkeys(keys)
-            }
-            matrix[:, column] = [similarities[key] for key in keys]
-        return matrix
+        keys = list(distinct)
+        del distinct  # only the keys are needed from here on
+        return self._memoized_similarities(keys)[cells]
+
+
+def _filled(values: list[float | None], fills: list[float]) -> list[float]:
+    """``values`` with each ``None`` replaced by the next of ``fills``."""
+    remaining = iter(fills)
+    return [next(remaining) if value is None else value for value in values]
+
+
+def _missing_similarity(left: str | None, right: str | None) -> float | None:
+    """The fixed similarity of a pair with a missing side, else ``None``."""
+    left_missing = left is None or str(left).strip() == ""
+    right_missing = right is None or str(right).strip() == ""
+    if left_missing and right_missing:
+        return BOTH_MISSING_SIMILARITY
+    if left_missing or right_missing:
+        return 0.0
+    return None

@@ -20,7 +20,9 @@ from repro.text.similarity import (
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
+    levenshtein_distances,
     levenshtein_ratio,
+    levenshtein_ratios,
     monge_elkan_similarity,
     overlap_coefficient,
     tokenize_value,
@@ -36,7 +38,9 @@ __all__ = [
     "jaro_similarity",
     "jaro_winkler_similarity",
     "levenshtein_distance",
+    "levenshtein_distances",
     "levenshtein_ratio",
+    "levenshtein_ratios",
     "monge_elkan_similarity",
     "overlap_coefficient",
     "tokenize_value",

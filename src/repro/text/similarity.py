@@ -14,16 +14,50 @@ over the similarity function are possible.
 
 All functions accept plain strings, treat ``None``/empty values as empty
 strings, and return a float in ``[0, 1]`` (except ``levenshtein_distance``,
-which returns a non-negative integer).
+which returns a non-negative integer); ``levenshtein_distances`` and
+``levenshtein_ratios`` take two equally long sequences and return numpy
+arrays of the same values.
+
+The Levenshtein kernel comes in two forms that compute the same integers.
+The scalar one (``levenshtein_distance``/``levenshtein_ratio``) runs one pair
+at a time on Python ints.  The lane-parallel one
+(``levenshtein_distances``/``levenshtein_ratios``) runs the same recurrence
+over a whole list of pairs at once, one pair per lane of ``uint64`` numpy
+arrays, so each step costs one fixed chain of array operations for up to
+1,024 pairs instead of one chain per pair; the feature extractor featurizes
+through it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
+
+#: Bits per word of a lane; a pattern of ``m`` characters takes
+#: ``ceil(m / 64)`` words.
+_WORD_BITS = 64
+
+#: Pairs the lane kernel normalises and runs together: bounds its working
+#: memory.
+_LANE_BLOCK = 1024
+
+#: A lane step costs about as much as the scalar kernel's step on this many
+#: pairs (2-vCPU x86 VM, numpy 2.4: 20-28 us against 0.7-1.0 us).
+_LANE_STEP_COST = 30
+
+_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
+
+_ONE = np.uint64(1)
+_ZERO = np.uint64(0)
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_TOP_BIT = np.uint64(_WORD_BITS - 1)
 
 
 def _normalise(value: str | None) -> str:
@@ -87,6 +121,157 @@ def _edit_distance(a: str, b: str) -> int:
     return distance
 
 
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per lane of a C-contiguous ``(words, lanes)`` ``uint64`` array."""
+    per_byte = _BYTE_POPCOUNT[words.view(np.uint8)]
+    return per_byte.reshape(words.shape[0], words.shape[1], 8).sum(axis=(0, 2))
+
+
+def _lane_block(
+    patterns: list[str],
+    texts: list[str],
+    pattern_lengths: np.ndarray,
+    text_lengths: np.ndarray,
+    words: int,
+) -> np.ndarray:
+    """:func:`_edit_distance` of ``(patterns[i], texts[i])`` for every lane ``i``.
+
+    The recurrence of :func:`_edit_distance`, one pair per lane: ``pv``,
+    ``mv`` and the horizontal vectors are ``(words, lanes)`` ``uint64``
+    arrays, and the addition's carries and the shifts move bits from word
+    ``w`` to word ``w + 1``.  Every pattern is non-empty, at least as long as
+    its text and at most ``64 * words`` characters long; texts are non-empty
+    and sorted longest first, so the lanes still running at step ``j`` are a
+    prefix.  Every operation moves information only towards higher bits, so
+    the bits above a pattern's end, left unmasked, never reach the bits
+    below it.  A lane's last column holds the vertical deltas of its whole
+    pattern, so its distance is the text length plus the ``+1`` deltas minus
+    the ``-1`` deltas, counted once at the end instead of at every step.
+    """
+    lanes = len(patterns)
+    width = words * _WORD_BITS
+    steps = int(text_lengths[0])
+    codes = np.frombuffer(
+        "".join(patterns + texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    )
+    # Dense symbol ids 1..S over the code points present; id 0 pads the
+    # patterns and is never a text character.  The tables are zeroed lazily
+    # by the allocator, so only their pages that hold a symbol are touched.
+    present = np.zeros(int(codes.max()) + 1, dtype=bool)
+    present[codes] = True
+    symbols = np.flatnonzero(present)
+    alphabet = len(symbols) + 1
+    symbol_ids = np.zeros(len(present), dtype=np.int32)
+    symbol_ids[symbols] = np.arange(1, alphabet, dtype=np.int32)
+    ids = symbol_ids[codes]
+    split = int(pattern_lengths.sum())
+    pattern_ids = np.zeros((lanes, width), dtype=np.int32)
+    pattern_ids[np.arange(width) < pattern_lengths[:, None]] = ids[:split]
+    # peq[w, lane * alphabet + s]: bit k set where the lane's pattern has
+    # symbol s at position 64 * w + k.
+    offsets = np.arange(lanes, dtype=np.intp) * alphabet
+    peq = np.zeros((words, lanes * alphabet), dtype=np.uint64)
+    for position in range(int(pattern_lengths.max())):
+        word, bit = divmod(position, _WORD_BITS)
+        peq[word, offsets + pattern_ids[:, position]] |= np.uint64(1 << bit)
+    del pattern_ids
+    # peq_rows[j, lane]: the peq column of the lane's j-th text character.
+    peq_rows = np.zeros((steps, lanes), dtype=np.intp)
+    peq_rows.T[np.arange(steps) < text_lengths[:, None]] = ids[split:]
+    peq_rows += offsets
+    # Lanes whose text has a character at step j: text_lengths > j.
+    running = np.searchsorted(-text_lengths, -np.arange(steps), side="left")
+    pv = np.full((words, lanes), _ALL_ONES, dtype=np.uint64)
+    mv = np.zeros((words, lanes), dtype=np.uint64)
+    for step in range(steps):
+        k = int(running[step])
+        pv_k = pv[:, :k]
+        mv_k = mv[:, :k]
+        eq = peq[:, peq_rows[step, :k]]
+        xv = eq | mv_k
+        matched = eq & pv_k
+        xh = matched + pv_k
+        if words > 1:
+            carry = xh < matched
+            for word in range(1, words):
+                xh[word] += carry[word - 1]
+                carry[word] |= carry[word - 1] & (xh[word] == _ZERO)
+        xh ^= pv_k
+        xh |= eq
+        ph = np.bitwise_or(xh, pv_k)
+        np.invert(ph, out=ph)
+        ph |= mv_k
+        mh = np.bitwise_and(pv_k, xh, out=xh)
+        ph_shifted = ph << _ONE
+        mh_shifted = mh << _ONE
+        if words > 1:
+            ph_shifted[1:] |= ph[:-1] >> _TOP_BIT
+            mh_shifted[1:] |= mh[:-1] >> _TOP_BIT
+        ph_shifted[0] |= _ONE
+        np.bitwise_or(xv, ph_shifted, out=pv_k)
+        np.invert(pv_k, out=pv_k)
+        pv_k |= mh_shifted
+        np.bitwise_and(ph_shifted, xv, out=mv_k)
+    # Bits of word w that lie inside the pattern: clip(m - 64 w, 0, 64).
+    inside = np.clip(
+        pattern_lengths[None, :] - _WORD_BITS * np.arange(words)[:, None], 0, _WORD_BITS
+    ).astype(np.uint64)
+    mask = np.where(
+        inside == np.uint64(_WORD_BITS),
+        _ALL_ONES,
+        (_ONE << np.minimum(inside, _TOP_BIT)) - _ONE,
+    )
+    return text_lengths + _popcount(pv & mask) - _popcount(mv & mask)
+
+
+def _edit_distances(a: list[str], b: list[str]) -> np.ndarray:
+    """:func:`_edit_distance` of every pair ``(a[i], b[i])`` of normalised strings.
+
+    Equal strings and an empty side take the scalar kernel's shortcuts.  The
+    other pairs are grouped by the word count of their longer string and
+    sorted by the length of their shorter one, longest first.  A lane step
+    costs as much as the scalar kernel's step on ``_LANE_STEP_COST`` pairs,
+    so each group first sends the scalar kernel the longest-text pairs that
+    would leave too few lanes running (all of them, in a small group); the
+    rest run as one lane block.
+    """
+    count = len(a)
+    if count <= _LANE_STEP_COST:
+        # Too few pairs to pay for even one lane step.
+        return np.array([_edit_distance(x, y) for x, y in zip(a, b)], dtype=np.int64)
+    length_a = np.fromiter(map(len, a), dtype=np.int64, count=count)
+    length_b = np.fromiter(map(len, b), dtype=np.int64, count=count)
+    longer = np.maximum(length_a, length_b)
+    shorter = np.minimum(length_a, length_b)
+    equal = np.fromiter(map(operator.eq, a, b), dtype=bool, count=count)
+    distances = np.where(equal, 0, longer)
+    pending = np.flatnonzero(~equal & (shorter > 0))
+    pending = pending[np.argsort(-shorter[pending], kind="stable")]
+    word_counts = (longer[pending] + (_WORD_BITS - 1)) // _WORD_BITS
+    b_is_pattern = (length_a < length_b).tolist()
+    for words in sorted(set(word_counts.tolist())):
+        group = pending[word_counts == words]
+        steps = shorter[group]
+        # Cost, in scalar steps, of sending the first p pairs to the scalar
+        # kernel and the rest to lanes that run for the (p+1)-th pair's steps.
+        cost = np.concatenate(([0], np.cumsum(steps))) + _LANE_STEP_COST * np.append(
+            steps, 0
+        )
+        split = int(np.argmin(cost))
+        distances[group[:split]] = [
+            _edit_distance(a[i], b[i]) for i in group[:split].tolist()
+        ]
+        lanes = group[split:]
+        if len(lanes):
+            members = lanes.tolist()
+            patterns = [b[i] if b_is_pattern[i] else a[i] for i in members]
+            texts = [a[i] if b_is_pattern[i] else b[i] for i in members]
+            distances[lanes] = _lane_block(
+                patterns, texts, longer[lanes], shorter[lanes], words
+            )
+    return distances
+
+
 def levenshtein_distance(left: str | None, right: str | None) -> int:
     """Compute the Levenshtein edit distance between two strings.
 
@@ -114,6 +299,66 @@ def levenshtein_ratio(left: str | None, right: str | None) -> float:
     if total_length == 0:
         return 1.0
     return 1.0 - _edit_distance(a, b) / total_length
+
+
+def _normalised_windows(lefts: Sequence[str | None], rights: Sequence[str | None]):
+    """Yield ``(start, a, b)``: the normalised strings of each window of
+    ``_LANE_BLOCK`` consecutive pairs, so that working memory stays bounded.
+
+    Raises:
+        ValueError: if ``lefts`` and ``rights`` differ in length.
+    """
+    if len(lefts) != len(rights):
+        raise ValueError(f"got {len(lefts)} left and {len(rights)} right strings")
+    for start in range(0, len(lefts), _LANE_BLOCK):
+        stop = start + _LANE_BLOCK
+        yield (
+            start,
+            list(map(_normalise, lefts[start:stop])),
+            list(map(_normalise, rights[start:stop])),
+        )
+
+
+def levenshtein_distances(
+    lefts: Sequence[str | None], rights: Sequence[str | None]
+) -> np.ndarray:
+    """:func:`levenshtein_distance` of every pair ``(lefts[i], rights[i])``.
+
+    Returns an ``int64`` array of the same integers the scalar function
+    computes, from the lane-parallel kernel: each step of the recurrence is
+    one chain of array operations over a block of up to 1,024 pairs.
+
+    Raises:
+        ValueError: if ``lefts`` and ``rights`` differ in length.
+    """
+    distances = np.zeros(len(lefts), dtype=np.int64)
+    for start, a, b in _normalised_windows(lefts, rights):
+        distances[start : start + len(a)] = _edit_distances(a, b)
+    return distances
+
+
+def levenshtein_ratios(
+    lefts: Sequence[str | None], rights: Sequence[str | None]
+) -> np.ndarray:
+    """:func:`levenshtein_ratio` of every pair ``(lefts[i], rights[i])``.
+
+    A ``float64`` array bit-identical to the scalar ratios: the distances
+    are the same integers, and ``1.0 - d / total`` divides two exactly
+    representable doubles as Python's ``int / int`` does.
+
+    Raises:
+        ValueError: if ``lefts`` and ``rights`` differ in length.
+    """
+    ratios = np.ones(len(lefts))
+    for start, a, b in _normalised_windows(lefts, rights):
+        distances = _edit_distances(a, b)
+        total = np.fromiter(map(len, a), dtype=np.int64, count=len(a)) + np.fromiter(
+            map(len, b), dtype=np.int64, count=len(b)
+        )
+        # Two empty strings: ratio 1.0, as in the scalar function.
+        share = np.divide(distances, total, out=np.zeros(len(a)), where=total > 0)
+        ratios[start : start + len(a)] = 1.0 - share
+    return ratios
 
 
 def jaccard_similarity(left: str | None, right: str | None) -> float:

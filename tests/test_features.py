@@ -11,6 +11,7 @@ from repro.features import (
     StructureAwareExtractor,
     create_feature_extractor,
 )
+from repro.features import structure_aware
 from repro.features.structure_aware import BOTH_MISSING_SIMILARITY
 from repro.text import similarity
 
@@ -83,8 +84,35 @@ class TestStructureAwareExtractor:
         assert ((beer_question_features >= 0.0) & (beer_question_features <= 1.0)).all()
 
 
+class TestValueCacheBound:
+    """A batched insert never leaves the value cache above its bound."""
+
+    @pytest.mark.parametrize("similarity_name", ["levenshtein_ratio", "jaccard"])
+    def test_one_call_with_more_distinct_pairs_than_the_bound(
+        self, monkeypatch, similarity_name
+    ):
+        bound = 8
+        monkeypatch.setattr(structure_aware, "DEFAULT_VALUE_CACHE_SIZE", bound)
+        extractor = StructureAwareExtractor(MUSIC_ATTRIBUTES, similarity=similarity_name)
+        pairs = [
+            make_pair(
+                {"title": f"title {index}", "album": f"album {index}", "genre": "pop"},
+                {"title": f"title {index + 1}", "album": None, "genre": "rock"},
+            )
+            for index in range(12)
+        ]
+        oracle = np.vstack([extractor.extract(pair) for pair in pairs])
+        for repeat in range(2):
+            # The second pass finds part of its pairs cached.
+            matrix = extractor.extract_matrix(pairs[repeat:])
+            assert len(extractor._value_cache) <= bound
+            assert matrix.tobytes() == oracle[repeat:].tobytes()
+        extractor.extract_matrix(pairs[:2])
+        assert 0 < len(extractor._value_cache) <= bound
+
+
 class TestLevenshteinKernelDifferential:
-    """BatchER-LR features are bit-identical under the DP oracle kernel."""
+    """BatchER-LR features are bit-identical to ratios from the DP oracle."""
 
     @pytest.mark.parametrize("name, scale", [("beer", 1.0), ("ab", 0.04)])
     def test_lr_matrix_is_bit_identical_under_the_dp_oracle(self, monkeypatch, name, scale):
@@ -94,11 +122,18 @@ class TestLevenshteinKernelDifferential:
 
         longest: list[int] = []
 
-        def counting_oracle(a: str, b: str) -> int:
-            longest.append(max(len(a), len(b)))
-            return dp_edit_distance(a, b)
+        def dp_ratios(lefts, rights):
+            # Eq. 5 over the DP distance, for every distinct value pair the
+            # extractor sends its lane-parallel kernel.
+            ratios = []
+            for left, right in zip(lefts, rights):
+                a, b = similarity._normalise(left), similarity._normalise(right)
+                longest.append(max(len(a), len(b)))
+                total = len(a) + len(b)
+                ratios.append(1.0 if total == 0 else 1.0 - dp_edit_distance(a, b) / total)
+            return np.array(ratios, dtype=float)
 
-        monkeypatch.setattr(similarity, "_edit_distance", counting_oracle)
+        monkeypatch.setattr(structure_aware, "levenshtein_ratios", dp_ratios)
         oracle = create_feature_extractor("lr", dataset.attributes).extract_matrix(pairs)
         assert longest, "the oracle was never called"
         if name == "ab":

@@ -9,6 +9,7 @@ bounding, graceful drain, and byte-identity of wire and routed bodies.
 import asyncio
 import http.client
 import json
+import random
 import re
 import socket
 import threading
@@ -17,8 +18,6 @@ import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import BatcherConfig
 from repro.service import ResolutionService, ServiceConfig
@@ -1003,23 +1002,26 @@ _HEADER_LINES = (
 _BAD_LENGTHS = (b"+%s", b"-%s", b"%s;", b"0x%s", b"%s %s", b"\xb2", b"", b"abc")
 
 
-def _line(max_size):
-    # One line's worth of raw bytes: no LF, never empty (an empty header line
-    # would end the header block and turn later headers into a new request).
-    return st.binary(min_size=1, max_size=max_size).filter(
-        lambda data: b"\n" not in data and not data.startswith(b"HEAD")
-    )
+#: Requests drawn per run, one seed each.
+FUZZ_REQUESTS = 200
 
 
-def _mostly(common, rare):
-    """``common`` four draws in five, ``rare`` otherwise."""
-    return st.integers(min_value=0, max_value=4).flatmap(
-        lambda pick: rare if pick == 0 else common
-    )
+def _line(rng, max_size):
+    """One line's worth of raw bytes: no LF, never empty (an empty header
+    line would end the header block and turn later headers into a new
+    request), and not a ``HEAD`` request line in disguise."""
+    while True:
+        data = bytes(rng.randrange(256) for _ in range(rng.randint(1, max_size)))
+        if b"\n" not in data and not data.startswith(b"HEAD"):
+            return data
 
 
-@st.composite
-def _requests(draw):
+def _mostly(rng, common, rare):
+    """``common()`` four draws in five, ``rare()`` otherwise."""
+    return rare() if rng.randrange(5) == 0 else common()
+
+
+def _request(rng):
     """One request attempt: its bytes, whether it is a ``HEAD``, whether its
     framing is ambiguous, and where (if at all) the input is cut off.
 
@@ -1027,17 +1029,23 @@ def _requests(draw):
     are reached instead of being masked by an earlier 400.  The body is
     never longer than the ``Content-Length`` the request claims: a client
     that sends more than it frames has itself started a second request,
-    which no server can tell apart from pipelining.
+    which no server can tell apart from pipelining.  Drawn from a seeded
+    ``random.Random``, so the example set depends only on the seed.
     """
-    request_line = draw(_mostly(st.sampled_from(_REQUEST_LINES), _line(32)))
-    headers = draw(
-        st.lists(_mostly(st.sampled_from(_HEADER_LINES), _line(24)), max_size=3)
+    request_line = _mostly(
+        rng, lambda: rng.choice(_REQUEST_LINES), lambda: _line(rng, 32)
     )
-    body = draw(_mostly(st.just(RESOLVE_BODY), st.binary(max_size=48)))
-    mode = draw(
-        st.sampled_from(
-            ["conflicting", "exact", "truncated", "repeated", "invalid", "none"]
-        )
+    headers = [
+        _mostly(rng, lambda: rng.choice(_HEADER_LINES), lambda: _line(rng, 24))
+        for _ in range(rng.randint(0, 3))
+    ]
+    body = _mostly(
+        rng,
+        lambda: RESOLVE_BODY,
+        lambda: bytes(rng.randrange(256) for _ in range(rng.randint(0, 48))),
+    )
+    mode = rng.choice(
+        ["conflicting", "exact", "truncated", "repeated", "invalid", "none"]
     )
     length = str(len(body)).encode()
     if mode == "none":
@@ -1045,34 +1053,49 @@ def _requests(draw):
     elif mode == "exact":
         framing = [b"Content-Length: " + length]
     elif mode == "truncated":
-        extra = draw(st.integers(min_value=1, max_value=200))
-        framing = [b"Content-Length: %d" % (len(body) + extra)]
+        framing = [b"Content-Length: %d" % (len(body) + rng.randint(1, 200))]
     elif mode == "repeated":
         framing = [b"Content-Length: " + length] * 2
     elif mode == "conflicting":
-        other = draw(
-            st.integers(min_value=0, max_value=2 * len(body) + 1).filter(
-                lambda value: value != len(body)
-            )
+        other = rng.choice(
+            [value for value in range(2 * len(body) + 2) if value != len(body)]
         )
         framing = [b"Content-Length: " + length, b"Content-Length: %d" % other]
-        framing = draw(st.permutations(framing))
+        rng.shuffle(framing)
     else:
-        bad = draw(st.sampled_from(_BAD_LENGTHS))
+        bad = rng.choice(_BAD_LENGTHS)
         framing = [b"Content-Length: " + bad.replace(b"%s", length)]
-    at = draw(st.integers(min_value=0, max_value=len(headers)))
+    at = rng.randint(0, len(headers))
     lines = headers[:at] + framing + headers[at:]
     data = b"\r\n".join([request_line, *lines]) + b"\r\n\r\n" + body
     ambiguous = mode in ("conflicting", "invalid") or any(
         line.lower().startswith(b"transfer-encoding") for line in lines
     )
-    cut = draw(_mostly(st.none(), st.integers(min_value=1, max_value=len(data) - 1)))
+    cut = _mostly(rng, lambda: None, lambda: rng.randint(1, len(data) - 1))
     return data, request_line.startswith(b"HEAD "), ambiguous, cut
 
 
+#: Found by an earlier fuzz run: a ``HEAD`` request line cut off after
+#: four bytes was answered with a body.
+_FOUND_REQUESTS = {
+    "head-cut-after-4-bytes": (
+        b"HEAD /healthz HTTP/1.1\r\nTransfer-Encoding: identity\r\n\r\n",
+        True,
+        True,
+        4,
+    ),
+}
+
+_FUZZ_CASES = {
+    **_FOUND_REQUESTS,
+    **{f"seed{seed}": _request(random.Random(seed)) for seed in range(FUZZ_REQUESTS)},
+}
+
+
 class TestFramingFuzz:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(attempt=_requests())
+    @pytest.mark.parametrize(
+        "attempt", list(_FUZZ_CASES.values()), ids=list(_FUZZ_CASES)
+    )
     def test_one_response_per_request_no_phantoms_no_hangs(
         self, framing_server, attempt
     ):

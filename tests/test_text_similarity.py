@@ -1,10 +1,15 @@
 """Unit and property-based tests for the string similarity functions."""
 
+import random
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from levenshtein_oracle import levenshtein_distance as oracle_distance
 
+from repro.text import similarity
 from repro.text.similarity import (
     SIMILARITY_FUNCTIONS,
     available_similarity_functions,
@@ -14,7 +19,9 @@ from repro.text.similarity import (
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
+    levenshtein_distances,
     levenshtein_ratio,
+    levenshtein_ratios,
     monge_elkan_similarity,
     overlap_coefficient,
     tokenize_value,
@@ -179,6 +186,85 @@ class TestLevenshteinAgainstOracle:
         # A combining accent is its own code point, hence its own edit.
         assert levenshtein_distance("caf\u00e9", "cafe\u0301") == 2
         assert levenshtein_distance("cafe", "cafe\u0301") == 1
+
+
+def _assert_lanes_match(lefts, rights):
+    """The lane kernel equals the DP oracle and the scalar ratio bit for bit,
+    with either side as ``lefts``."""
+    expected = [oracle_distance(left, right) for left, right in zip(lefts, rights)]
+    scalar = np.array([levenshtein_ratio(left, right) for left, right in zip(lefts, rights)])
+    for a, b in ((lefts, rights), (rights, lefts)):
+        distances = levenshtein_distances(a, b)
+        ratios = levenshtein_ratios(a, b)
+        assert distances.dtype == np.int64 and ratios.dtype == np.float64
+        assert distances.tolist() == expected
+        assert ratios.tobytes() == scalar.tobytes()
+
+
+class TestLaneKernel:
+    """``levenshtein_distances``/``levenshtein_ratios`` against the oracles.
+
+    ``_LANE_STEP_COST`` 0 sends every pair that is not equal and has no
+    empty side through the lanes, however few there are; the default mixes
+    scalar and lane pairs as production calls do.
+    """
+
+    @given(
+        st.lists(_edit_pairs(), min_size=1, max_size=6),
+        st.sampled_from((0, similarity._LANE_STEP_COST)),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    def test_matches_the_scalar_kernel_and_the_dp_oracle(self, pairs, step_cost):
+        lefts = [left for left, _ in pairs]
+        rights = [right for _, right in pairs]
+        with mock.patch.object(similarity, "_LANE_STEP_COST", step_cost):
+            _assert_lanes_match(lefts, rights)
+
+    @pytest.mark.parametrize("step_cost", [0, similarity._LANE_STEP_COST])
+    def test_edge_cases_in_one_call(self, step_cost):
+        pairs = [("", ""), (None, None), (None, "  "), ("abc", None), ("abc", "abc")]
+        pairs += [("  Hello World\t", "hello world"), ("KITTEN", " kitten ")]
+        pairs += [("\U0001f600\U0001f601", "\U0001f600"), ("caf\u00e9", "cafe\u0301")]
+        pairs += [("a\ud800b", "ab"), ("\x00a", "a\x00"), ("\u0130x", "i\u0307x")]
+        for length in (63, 64, 65, 129):
+            base = "ab" * (length // 2) + "a" * (length % 2)
+            pairs += [
+                (base, base[:-1] + "z"),
+                (base, "z" + base[1:]),
+                (base, base + "z"),
+                (base, base[1:] + "z"),
+                (base, base.upper() + "  "),
+                (base, "b"),
+                (base[: length // 2], base),
+            ]
+        with mock.patch.object(similarity, "_LANE_STEP_COST", step_cost):
+            _assert_lanes_match([left for left, _ in pairs], [right for _, right in pairs])
+
+    def test_many_blocks_of_mixed_lengths(self):
+        rng = random.Random(3)
+        alphabet = "abcde \u00e9\U0001f600"
+
+        def text(length):
+            return "".join(rng.choice(alphabet) for _ in range(length))
+
+        lefts = [text(rng.randrange(0, 140)) for _ in range(2500)]
+        rights = [
+            left[: rng.randrange(0, len(left) + 1)] + text(rng.randrange(0, 8))
+            if rng.random() < 0.7 else text(rng.randrange(0, 140))
+            for left in lefts
+        ]
+        distances = levenshtein_distances(lefts, rights)
+        assert distances.tolist() == [
+            levenshtein_distance(left, right) for left, right in zip(lefts, rights)
+        ]
+        scalar = np.array([levenshtein_ratio(left, right) for left, right in zip(lefts, rights)])
+        assert levenshtein_ratios(lefts, rights).tobytes() == scalar.tobytes()
+
+    def test_empty_input_and_length_mismatch(self):
+        assert levenshtein_distances([], []).tolist() == []
+        assert levenshtein_ratios([], []).tolist() == []
+        with pytest.raises(ValueError, match="1 left and 2 right"):
+            levenshtein_ratios(["a"], ["a", "b"])
 
 
 class TestJaccard:
