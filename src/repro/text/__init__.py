@@ -20,7 +20,6 @@ from repro.text.similarity import (
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
-    levenshtein_distances,
     levenshtein_ratio,
     levenshtein_ratios,
     monge_elkan_similarity,
@@ -38,7 +37,6 @@ __all__ = [
     "jaro_similarity",
     "jaro_winkler_similarity",
     "levenshtein_distance",
-    "levenshtein_distances",
     "levenshtein_ratio",
     "levenshtein_ratios",
     "monge_elkan_similarity",

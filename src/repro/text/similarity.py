@@ -14,18 +14,16 @@ over the similarity function are possible.
 
 All functions accept plain strings, treat ``None``/empty values as empty
 strings, and return a float in ``[0, 1]`` (except ``levenshtein_distance``,
-which returns a non-negative integer); ``levenshtein_distances`` and
-``levenshtein_ratios`` take two equally long sequences and return numpy
-arrays of the same values.
+which returns a non-negative integer); ``levenshtein_ratios`` takes two
+equally long sequences and returns a numpy array of the same values.
 
 The Levenshtein kernel comes in two forms that compute the same integers.
 The scalar one (``levenshtein_distance``/``levenshtein_ratio``) runs one pair
-at a time on Python ints.  The lane-parallel one
-(``levenshtein_distances``/``levenshtein_ratios``) runs the same recurrence
-over a whole list of pairs at once, one pair per lane of ``uint64`` numpy
-arrays, so each step costs one fixed chain of array operations for up to
-1,024 pairs instead of one chain per pair; the feature extractor featurizes
-through it.
+at a time on Python ints.  The lane-parallel one (``levenshtein_ratios``)
+runs the same recurrence over a whole list of pairs at once, one pair per
+lane of ``uint64`` numpy arrays, so each step costs one fixed chain of array
+operations for up to 1,024 pairs instead of one chain per pair; the feature
+extractor featurizes through it.
 """
 
 from __future__ import annotations
@@ -49,8 +47,14 @@ _WORD_BITS = 64
 _LANE_BLOCK = 1024
 
 #: A lane step costs about as much as the scalar kernel's step on this many
-#: pairs (2-vCPU x86 VM, numpy 2.4: 20-28 us against 0.7-1.0 us).
+#: pairs (2-vCPU x86 VM, numpy 2.4: 20-28 us against 0.7-1.0 us), so groups
+#: of at most this many pairs run on the scalar kernel.
 _LANE_STEP_COST = 30
+
+#: Upper bound on the bytes of one lane run's character table, which holds
+#: ``words * lanes * alphabet`` ``uint64`` masks: a full block of one-word
+#: lanes over 255 symbols.  English values use under 60 symbols.
+_LANE_TABLE_BYTES = 2 << 20
 
 _BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
 
@@ -127,7 +131,7 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return per_byte.reshape(words.shape[0], words.shape[1], 8).sum(axis=(0, 2))
 
 
-def _lane_block(
+def _lane_distances(
     patterns: list[str],
     texts: list[str],
     pattern_lengths: np.ndarray,
@@ -147,23 +151,47 @@ def _lane_block(
     below it.  A lane's last column holds the vertical deltas of its whole
     pattern, so its distance is the text length plus the ``+1`` deltas minus
     the ``-1`` deltas, counted once at the end instead of at every step.
+
+    The lanes run in consecutive runs whose character table fits in
+    ``_LANE_TABLE_BYTES``; a run of at most ``_LANE_STEP_COST`` pairs runs on
+    the scalar kernel instead.
     """
     lanes = len(patterns)
-    width = words * _WORD_BITS
-    steps = int(text_lengths[0])
+    if lanes <= _LANE_STEP_COST:
+        return np.array(
+            [_edit_distance(pattern, text) for pattern, text in zip(patterns, texts)],
+            dtype=np.int64,
+        )
     codes = np.frombuffer(
         "".join(patterns + texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     )
     # Dense symbol ids 1..S over the code points present; id 0 pads the
-    # patterns and is never a text character.  The tables are zeroed lazily
-    # by the allocator, so only their pages that hold a symbol are touched.
+    # patterns and is never a text character.
     present = np.zeros(int(codes.max()) + 1, dtype=bool)
     present[codes] = True
     symbols = np.flatnonzero(present)
     alphabet = len(symbols) + 1
+    fit = _LANE_TABLE_BYTES // (words * alphabet * 8)
+    if fit < lanes:
+        # A run's alphabet is a subset of this one, so its table fits.
+        fit = max(fit, 1)
+        return np.concatenate(
+            [
+                _lane_distances(
+                    patterns[start : start + fit],
+                    texts[start : start + fit],
+                    pattern_lengths[start : start + fit],
+                    text_lengths[start : start + fit],
+                    words,
+                )
+                for start in range(0, lanes, fit)
+            ]
+        )
     symbol_ids = np.zeros(len(present), dtype=np.int32)
     symbol_ids[symbols] = np.arange(1, alphabet, dtype=np.int32)
     ids = symbol_ids[codes]
+    width = words * _WORD_BITS
+    steps = int(text_lengths[0])
     split = int(pattern_lengths.sum())
     pattern_ids = np.zeros((lanes, width), dtype=np.int32)
     pattern_ids[np.arange(width) < pattern_lengths[:, None]] = ids[:split]
@@ -228,16 +256,13 @@ def _edit_distances(a: list[str], b: list[str]) -> np.ndarray:
     """:func:`_edit_distance` of every pair ``(a[i], b[i])`` of normalised strings.
 
     Equal strings and an empty side take the scalar kernel's shortcuts.  The
-    other pairs are grouped by the word count of their longer string and
-    sorted by the length of their shorter one, longest first.  A lane step
-    costs as much as the scalar kernel's step on ``_LANE_STEP_COST`` pairs,
-    so each group first sends the scalar kernel the longest-text pairs that
-    would leave too few lanes running (all of them, in a small group); the
-    rest run as one lane block.
+    other pairs are grouped by the word count of their longer string, and
+    each group runs through :func:`_lane_distances` sorted by the length of
+    its shorter strings, longest first.
     """
     count = len(a)
     if count <= _LANE_STEP_COST:
-        # Too few pairs to pay for even one lane step.
+        # No group can be large enough for the lanes: skip the set-up.
         return np.array([_edit_distance(x, y) for x, y in zip(a, b)], dtype=np.int64)
     length_a = np.fromiter(map(len, a), dtype=np.int64, count=count)
     length_b = np.fromiter(map(len, b), dtype=np.int64, count=count)
@@ -251,24 +276,12 @@ def _edit_distances(a: list[str], b: list[str]) -> np.ndarray:
     b_is_pattern = (length_a < length_b).tolist()
     for words in sorted(set(word_counts.tolist())):
         group = pending[word_counts == words]
-        steps = shorter[group]
-        # Cost, in scalar steps, of sending the first p pairs to the scalar
-        # kernel and the rest to lanes that run for the (p+1)-th pair's steps.
-        cost = np.concatenate(([0], np.cumsum(steps))) + _LANE_STEP_COST * np.append(
-            steps, 0
+        members = group.tolist()
+        patterns = [b[i] if b_is_pattern[i] else a[i] for i in members]
+        texts = [a[i] if b_is_pattern[i] else b[i] for i in members]
+        distances[group] = _lane_distances(
+            patterns, texts, longer[group], shorter[group], words
         )
-        split = int(np.argmin(cost))
-        distances[group[:split]] = [
-            _edit_distance(a[i], b[i]) for i in group[:split].tolist()
-        ]
-        lanes = group[split:]
-        if len(lanes):
-            members = lanes.tolist()
-            patterns = [b[i] if b_is_pattern[i] else a[i] for i in members]
-            texts = [a[i] if b_is_pattern[i] else b[i] for i in members]
-            distances[lanes] = _lane_block(
-                patterns, texts, longer[lanes], shorter[lanes], words
-            )
     return distances
 
 
@@ -301,42 +314,6 @@ def levenshtein_ratio(left: str | None, right: str | None) -> float:
     return 1.0 - _edit_distance(a, b) / total_length
 
 
-def _normalised_windows(lefts: Sequence[str | None], rights: Sequence[str | None]):
-    """Yield ``(start, a, b)``: the normalised strings of each window of
-    ``_LANE_BLOCK`` consecutive pairs, so that working memory stays bounded.
-
-    Raises:
-        ValueError: if ``lefts`` and ``rights`` differ in length.
-    """
-    if len(lefts) != len(rights):
-        raise ValueError(f"got {len(lefts)} left and {len(rights)} right strings")
-    for start in range(0, len(lefts), _LANE_BLOCK):
-        stop = start + _LANE_BLOCK
-        yield (
-            start,
-            list(map(_normalise, lefts[start:stop])),
-            list(map(_normalise, rights[start:stop])),
-        )
-
-
-def levenshtein_distances(
-    lefts: Sequence[str | None], rights: Sequence[str | None]
-) -> np.ndarray:
-    """:func:`levenshtein_distance` of every pair ``(lefts[i], rights[i])``.
-
-    Returns an ``int64`` array of the same integers the scalar function
-    computes, from the lane-parallel kernel: each step of the recurrence is
-    one chain of array operations over a block of up to 1,024 pairs.
-
-    Raises:
-        ValueError: if ``lefts`` and ``rights`` differ in length.
-    """
-    distances = np.zeros(len(lefts), dtype=np.int64)
-    for start, a, b in _normalised_windows(lefts, rights):
-        distances[start : start + len(a)] = _edit_distances(a, b)
-    return distances
-
-
 def levenshtein_ratios(
     lefts: Sequence[str | None], rights: Sequence[str | None]
 ) -> np.ndarray:
@@ -344,13 +321,19 @@ def levenshtein_ratios(
 
     A ``float64`` array bit-identical to the scalar ratios: the distances
     are the same integers, and ``1.0 - d / total`` divides two exactly
-    representable doubles as Python's ``int / int`` does.
+    representable doubles as Python's ``int / int`` does.  The pairs are
+    normalised and run in windows of ``_LANE_BLOCK``, so that working memory
+    stays bounded.
 
     Raises:
         ValueError: if ``lefts`` and ``rights`` differ in length.
     """
+    if len(lefts) != len(rights):
+        raise ValueError(f"got {len(lefts)} left and {len(rights)} right strings")
     ratios = np.ones(len(lefts))
-    for start, a, b in _normalised_windows(lefts, rights):
+    for start in range(0, len(lefts), _LANE_BLOCK):
+        a = list(map(_normalise, lefts[start : start + _LANE_BLOCK]))
+        b = list(map(_normalise, rights[start : start + _LANE_BLOCK]))
         distances = _edit_distances(a, b)
         total = np.fromiter(map(len, a), dtype=np.int64, count=len(a)) + np.fromiter(
             map(len, b), dtype=np.int64, count=len(b)

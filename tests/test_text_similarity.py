@@ -1,12 +1,14 @@
 """Unit and property-based tests for the string similarity functions."""
 
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from levenshtein_oracle import dp_edit_distance
 from levenshtein_oracle import levenshtein_distance as oracle_distance
 
 from repro.text import similarity
@@ -19,7 +21,6 @@ from repro.text.similarity import (
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
-    levenshtein_distances,
     levenshtein_ratio,
     levenshtein_ratios,
     monge_elkan_similarity,
@@ -188,13 +189,20 @@ class TestLevenshteinAgainstOracle:
         assert levenshtein_distance("cafe", "cafe\u0301") == 1
 
 
+def _lane_edit_distances(lefts, rights):
+    """``similarity._edit_distances`` of the normalised strings."""
+    return similarity._edit_distances(
+        list(map(similarity._normalise, lefts)), list(map(similarity._normalise, rights))
+    )
+
+
 def _assert_lanes_match(lefts, rights):
     """The lane kernel equals the DP oracle and the scalar ratio bit for bit,
     with either side as ``lefts``."""
     expected = [oracle_distance(left, right) for left, right in zip(lefts, rights)]
     scalar = np.array([levenshtein_ratio(left, right) for left, right in zip(lefts, rights)])
     for a, b in ((lefts, rights), (rights, lefts)):
-        distances = levenshtein_distances(a, b)
+        distances = _lane_edit_distances(a, b)
         ratios = levenshtein_ratios(a, b)
         assert distances.dtype == np.int64 and ratios.dtype == np.float64
         assert distances.tolist() == expected
@@ -202,7 +210,7 @@ def _assert_lanes_match(lefts, rights):
 
 
 class TestLaneKernel:
-    """``levenshtein_distances``/``levenshtein_ratios`` against the oracles.
+    """``_edit_distances``/``levenshtein_ratios`` against the oracles.
 
     ``_LANE_STEP_COST`` 0 sends every pair that is not equal and has no
     empty side through the lanes, however few there are; the default mixes
@@ -253,7 +261,7 @@ class TestLaneKernel:
             if rng.random() < 0.7 else text(rng.randrange(0, 140))
             for left in lefts
         ]
-        distances = levenshtein_distances(lefts, rights)
+        distances = _lane_edit_distances(lefts, rights)
         assert distances.tolist() == [
             levenshtein_distance(left, right) for left, right in zip(lefts, rights)
         ]
@@ -261,10 +269,54 @@ class TestLaneKernel:
         assert levenshtein_ratios(lefts, rights).tobytes() == scalar.tobytes()
 
     def test_empty_input_and_length_mismatch(self):
-        assert levenshtein_distances([], []).tolist() == []
+        assert similarity._edit_distances([], []).tolist() == []
         assert levenshtein_ratios([], []).tolist() == []
         with pytest.raises(ValueError, match="1 left and 2 right"):
             levenshtein_ratios(["a"], ["a", "b"])
+
+
+def _cjk(rng, length, span):
+    """``length`` distinct CJK ideographs drawn from the first ``span``."""
+    return "".join(chr(0x4E00 + code) for code in rng.sample(range(span), length))
+
+
+class TestLaneTableBudget:
+    """A wide alphabet must not grow the lane kernel's character table past
+    ``_LANE_TABLE_BYTES``: the lanes split into smaller runs, or go to the
+    scalar kernel, and the ratios stay bit-identical to the scalar ones."""
+
+    @pytest.mark.parametrize(
+        "lanes, left_length, right_length, span",
+        [
+            # Five-word patterns whose unsplit table would be about 33 MB:
+            # no run of lanes fits, so every pair runs on the scalar kernel.
+            (64, 320, 1, 20_000),
+            # One-word patterns over about 4,000 symbols, about 32 MB
+            # unsplit: runs of 65 lanes.
+            (1024, 60, 35, 4_000),
+        ],
+    )
+    def test_peak_allocation_stays_within_the_budget(
+        self, lanes, left_length, right_length, span
+    ):
+        rng = random.Random(lanes)
+        lefts = [_cjk(rng, left_length, span) for _ in range(lanes)]
+        rights = [
+            left[: right_length // 2] + _cjk(rng, right_length - right_length // 2, span)
+            for left in lefts
+        ]
+        characters = sum(map(len, lefts)) + sum(map(len, rights))
+        tracemalloc.start()
+        try:
+            ratios = levenshtein_ratios(lefts, rights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Besides the table, the kernel keeps a few arrays of at most
+        # 8 bytes per input character each.
+        assert peak < similarity._LANE_TABLE_BYTES + 32 * characters
+        scalar = np.array([levenshtein_ratio(left, right) for left, right in zip(lefts, rights)])
+        assert ratios.tobytes() == scalar.tobytes()
 
 
 class TestJaccard:
