@@ -15,7 +15,8 @@ python -m compileall -q src
 
 echo "== tier-1 tests =="
 # --durations=15 keeps the slowest tests visible so suite latency creep is
-# caught in review, not discovered months later.
+# caught in review, not discovered months later.  The suite also runs
+# `repro-serve --self-test` (tests/test_service_http.py::TestSelfTestCLI).
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q --durations=15 "$@"
 
 echo "== paper, ablation and component benches import (benchmarks/bench_*.py) =="
@@ -24,22 +25,6 @@ echo "== paper, ablation and component benches import (benchmarks/bench_*.py) ==
 # unnoticed; collecting them imports every one without running it (~2 s).
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest --collect-only -q -p no:cacheprovider \
   benchmarks/bench_*.py > /dev/null
-
-echo "== service smoke test (repro-serve --self-test) =="
-# The self-test also validates the observability surface end to end: it runs
-# one traced pass and one untraced pass (equal labels prove instrumentation
-# never alters results), asserts span nesting, and scrapes its own
-# GET /metrics over HTTP to check the Prometheus exposition is well-formed
-# with populated latency histograms, retry counters and cache hit-rate gauges,
-# and GETs /stats to check that every counter it reports (submissions,
-# resolutions, joins, rejections, flushes, cache, bulk) equals its /metrics
-# sample — the metrics registry is the only store behind both endpoints.
-# It additionally serves itself over HTTP to assert that a cached
-# POST /resolve body comes off the wire byte-identical to the one
-# ServiceRouter.handle returns in-process, and that HEAD /healthz answers 200
-# without a body; and it checks the tenant admission layer (quota
-# reject/recover, budget blocking, API-key auth) on a fake clock.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.service.cli --self-test
 
 echo "== observability smoke (traced run + repro-trace render) =="
 # A fixed-seed traced pipeline run persists its spans as JSONL; the reader
@@ -69,25 +54,13 @@ PY
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.observability.cli "$OBS_TRACE" --top 5 > /dev/null
 rm -f "$OBS_TRACE"
 
-echo "== observability smoke benchmark (BENCH_observability.json) =="
-# --small --max-overhead-pct 0: an identity and trace-shape oracle, not a
-# stopwatch — it *asserts* that a traced run returns byte-identical results
-# to the untraced run and that the persisted trace nests correctly; the
-# wall-clock overhead floor stays for manual/release invocations
-# (benchmarks/bench_observability.py asserts <= 5% by default).
-# The smoke report goes to a scratch file so it never clobbers a full-size
-# BENCH_observability.json with small-n numbers.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_observability.py \
-  --small --max-overhead-pct 0 --report "$(mktemp)" > /dev/null
-
 echo "== feature engine smoke benchmark (BENCH_features.json) =="
-# --min-speedup 0: the smoke run checks the equivalence oracles and emits the
-# report; the wall-clock floor stays for manual/release invocations only
-# (timing assertions on shared CI runners are load-dependent).  The smoke
+# Featurizes the serve pool cold with the scalar loop and with extract_matrix
+# and *asserts* equal matrices; it times both but gates neither.  The smoke
 # report goes to a scratch file so it never clobbers the tracked
 # BENCH_features.json.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_feature_engine.py \
-  --min-speedup 0 --report "$(mktemp)" > /dev/null
+  --report "$(mktemp)" > /dev/null
 
 echo "== batch planning smoke benchmark (BENCH_planning.json) =="
 # --small --min-speedup 0: a timing-independent run of the planning oracle —
@@ -121,27 +94,6 @@ echo "== resilience chaos smoke benchmark (BENCH_resilience.json) =="
 # so it never clobbers a full-size BENCH_resilience.json with small-n numbers.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_resilience.py \
   --small --report "$(mktemp)" > /dev/null
-
-echo "== serving latency smoke benchmark (BENCH_latency.json) =="
-# --small --oracles-only: timing-independent — it *asserts* that every body
-# the asyncio front end puts on the wire is byte-identical to the one
-# ServiceRouter.handle returns in-process for an identically seeded service
-# (live and cached passes), and that a greedy tenant hammering admission at
-# 10x quota cannot starve a quota-respecting tenant (virtual-clock token
-# buckets).  The p50/p95/p99 load arm runs only on manual/release
-# invocations; the smoke report goes to a scratch file so it never clobbers
-# the tracked full-size BENCH_latency.json.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_latency.py \
-  --small --oracles-only --report "$(mktemp)" > /dev/null
-
-echo "== service throughput benchmark (BENCH_service.json) =="
-# The cross-caller amortization claim, gated: micro-batched serving makes
-# fewer LLM calls than per-pair serial resolution and is at least 2x its
-# pairs/s, and a repeat pass of the same pairs makes zero new LLM calls
-# (served by the result cache, faster still).  About 2.5 s.  The report goes
-# to a scratch file so it never overwrites the tracked BENCH_service.json.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_service_throughput.py \
-  --report "$(mktemp)" > /dev/null
 
 echo "== end-to-end benchmark smoke (benchmarks/e2e) =="
 # The benchmark's own tests: `run.py --small` on all four workloads, untraced

@@ -255,8 +255,8 @@ class NoopTracer(Tracer):
 
     ``span()`` allocates nothing, never reads the clock and never touches the
     context variable — the cost of tracing-off on the hot path is one method
-    call returning a module-level singleton (verified by
-    ``benchmarks/bench_observability.py``).
+    call returning a module-level singleton (``tests/test_observability.py``
+    checks that every ``span()`` returns that one object).
     """
 
     enabled = False

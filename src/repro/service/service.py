@@ -16,7 +16,7 @@ consumer.  A submitted pair takes one of three paths:
 Requests may be submitted before :meth:`ResolutionService.start`; they simply
 queue up (capacity permitting) and are drained once the consumer starts.
 Pre-start submission gives deterministic flush compositions, which the
-self-test and benchmarks use to pin down exact outputs for a fixed seed.
+self-test and the tests use to pin down exact outputs for a fixed seed.
 """
 
 from __future__ import annotations

@@ -314,10 +314,14 @@ class TestResolverAndServiceIntegration:
         assert second_stats.misses == first_stats.misses
 
     def test_service_stats_expose_feature_store(self, beer_dataset):
+        from repro.resilience import BreakerConfig
         from repro.service import ResolutionService, ServiceConfig
 
         config = ServiceConfig(
-            batcher=BatcherConfig(seed=1), max_batch_size=8, num_workers=1
+            batcher=BatcherConfig(seed=1),
+            max_batch_size=8,
+            num_workers=1,
+            breaker=BreakerConfig(),
         )
         service = ResolutionService.from_dataset(beer_dataset, config)
         questions = [pair.without_label() for pair in beer_dataset.splits.test][:8]
@@ -328,6 +332,16 @@ class TestResolverAndServiceIntegration:
         assert stats.feature_store.size >= len(questions)
         payload = stats.to_dict()["feature_store"]
         assert set(payload) >= {"size", "hit_rate", "evictions"}
+        # On a healthy backend the breaker stays closed, and its families
+        # render at zero so scrape schemas are stable before the first outage.
+        assert stats.to_dict()["breaker"]["state"] == "closed"
+        for family in (
+            "repro_breaker_state",
+            "repro_breaker_trips_total",
+            "repro_breaker_fast_failures_total",
+            "repro_service_degraded_total",
+        ):
+            assert [value for _, value in service.metrics.get(family).samples()] == [0]
 
     def test_spill_carries_vectors_and_warm_start_seeds_store(
         self, beer_dataset, tmp_path

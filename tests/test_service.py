@@ -1,6 +1,7 @@
 """Tests for the micro-batching ResolutionService facade."""
 
 import json
+import re
 import sys
 import threading
 import time
@@ -506,6 +507,7 @@ class TestServiceLifecycle:
             service.resolve_many(questions[:8])
             planning = service.stats().to_dict()["feature_store"]["planning"]
             assert planning["sparse_graphs"] > 0
+            assert {"sparse_graphs", "cross_joins", "edges_built"} <= set(planning)
             assert not {"dense_graphs", "dense_radii"} & set(planning)
             assert not [key for key in planning if key.startswith("lsh_")]
             routes = service.metrics.get("repro_planner_route_total")
@@ -939,6 +941,10 @@ def _exposition_value(text: str, key: str) -> float:
     return sum(values)
 
 
+#: One Prometheus text-exposition sample line: ``name{labels} value``.
+_SAMPLE_LINE = re.compile(r"[A-Za-z_:][A-Za-z0-9_:]*(\{[^{}]*\})? [^ ]+")
+
+
 #: Every integer counter of ``GET /stats`` and the ``/metrics`` sample (or
 #: family total) it must equal.
 STATS_TO_METRICS = {
@@ -1050,6 +1056,11 @@ class TestOneSourceOfCounters:
         for key, sample in STATS_TO_METRICS.items():
             assert counters[key] == _exposition_value(exposition, sample), key
         assert _exposition_value(exposition, "repro_service_degraded_total") == 1
+        assert _exposition_value(exposition, "repro_cache_hit_rate") > 0
+        # A simulated backend has no transport: its retry family renders at 0.
+        assert _exposition_value(exposition, "repro_transport_retries_total") == 0
+        samples = [line for line in exposition.splitlines() if not line.startswith("#")]
+        assert samples and all(map(_SAMPLE_LINE.fullmatch, samples))
         # The mix touched every event counter it claims to.
         assert {
             key: counters[key]

@@ -590,19 +590,27 @@ def _request_counts(service):
 
 
 class TestFrontendIdentity:
-    def test_wire_bodies_byte_identical_to_router(self, aio_service, beer_dataset):
-        # The self-test helper drives a cached POST over HTTP and through
-        # ServiceRouter.handle in-process, and byte-compares the bodies;
-        # reuse it as the unit-level oracle.
+    def test_wire_bodies_byte_identical_to_router(
+        self, aio_service, aio_server, beer_dataset
+    ):
         from repro.engines.faults import FakeClock
         from repro.service import TenantConfig
-        from repro.service.cli import _frontend_checks
 
-        checks = _frontend_checks(aio_service)
-        assert checks == {
-            "wire_body_byte_identical_to_router": True,
-            "head_healthz_answered_without_body": True,
-        }
+        # A cached POST comes off the wire byte-identical to the body
+        # ServiceRouter.handle returns in-process for the same request...
+        cached = _resolve_body("identity", "identity")
+        _wire_post(aio_server, cached)  # warm the cache: the pair below is a hit
+        wire = _wire_post(aio_server, cached)
+        assert wire[0] == 200 and wire[2]
+        assert wire == _routed_post(aio_service, cached)
+        # ...and HEAD /healthz answers 200 without a body.
+        connection = http.client.HTTPConnection(*_host_port(aio_server), timeout=10)
+        try:
+            connection.request("HEAD", "/healthz")
+            response = connection.getresponse()
+            assert (response.status, response.read()) == (200, b"")
+        finally:
+            connection.close()
 
         # Every /resolve outcome: the event-loop path and handle() must send
         # the same status, Retry-After and body bytes.  A frozen clock keeps

@@ -80,6 +80,42 @@ class TestTenantQuota:
         clock.advance(1.0)
         tenant.admit()  # refused attempts left no debt behind
 
+    def test_greedy_tenant_cannot_starve_a_quota_respecting_one(self):
+        # Over 20 virtual seconds one tenant fires 10x its quota in a burst
+        # each second while another submits exactly its quota, spread out.
+        seconds, quota, greed = 20, 5, 50
+        clock = FakeClock()
+        manager = TenantManager(
+            tuple(
+                TenantConfig(
+                    name=name, api_key=f"k-{name}", requests_per_second=quota, burst=quota
+                )
+                for name in ("greedy", "respectful")
+            ),
+            clock=clock,
+        )
+        greedy = manager.authenticate("k-greedy")
+        respectful = manager.authenticate("k-respectful")
+        respectful_rejections = 0
+        for _ in range(seconds):
+            for _ in range(greed):
+                try:
+                    greedy.admit()
+                except TenantQuotaExceeded:
+                    pass
+            for _ in range(quota):
+                try:
+                    respectful.admit()
+                except TenantQuotaExceeded:
+                    respectful_rejections += 1
+                clock.advance(1.0 / quota)
+        assert respectful_rejections == 0
+        assert respectful.stats()["admitted"] == seconds * quota
+        # The greedy tenant gets its burst up front plus its refill over the
+        # window, not one request more.
+        assert greedy.stats()["admitted"] <= quota + seconds * quota
+        assert greedy.stats()["rejected_quota"] >= 1
+
     def test_multi_unit_admission(self):
         clock = FakeClock()
         tenant = Tenant(
