@@ -56,7 +56,8 @@ rm -f "$OBS_TRACE"
 
 echo "== feature engine smoke benchmark (BENCH_features.json) =="
 # Featurizes the serve pool cold with the scalar loop and with extract_matrix
-# and *asserts* equal matrices; it times both but gates neither.  The smoke
+# (the similarity memo is emptied before each timed arm) and *asserts* equal
+# matrices; it times both but gates neither.  The smoke
 # report goes to a scratch file so it never clobbers the tracked
 # BENCH_features.json.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_feature_engine.py \

@@ -9,32 +9,30 @@ attribute contributes 0 similarity, and missing-vs-missing contributes a
 neutral 0.5 (the pair gives no evidence either way on that attribute).
 
 :meth:`StructureAwareExtractor.extract_matrix` is the columnar primary path.
-It collects the distinct value pairs of every attribute column, computes
-those not memoized from earlier calls (ER attribute columns are highly
-repetitive: brewery names, genres, manufacturers), and gathers the matrix
-from them in one indexing step.  For BatchER-LR the uncached pairs of all
-columns go to :func:`~repro.text.similarity.levenshtein_ratios` in one call,
-which runs the bit-parallel kernel over blocks of pairs at once; other
-similarity functions run pair by pair.  The scalar
-:meth:`~StructureAwareExtractor.extract` remains the equivalence oracle: both
-paths produce bit-identical vectors.
+It collects the distinct value pairs of every attribute column and reads
+their similarities from the process-wide similarity memo of
+:mod:`repro.text.similarity` (:func:`~repro.text.similarity.memoized_similarities`),
+which computes only the pairs it does not hold yet; ER attribute columns are
+highly repetitive (brewery names, genres, manufacturers), and the simulated
+LLM reads the same memo.  For BatchER-LR the misses of all columns run
+through the lane-parallel Levenshtein kernel in one pass; other similarity
+functions run pair by pair.  The memo is shared by every extractor, run and
+thread of the process, and bounded by
+``repro.text.similarity.SIMILARITY_MEMO_SIZE`` values.  The scalar
+:meth:`~StructureAwareExtractor.extract` stays uncached and is the
+equivalence oracle: both paths produce bit-identical vectors.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
 from repro.data.schema import EntityPair
 from repro.features.base import FeatureExtractor
-from repro.text.similarity import get_similarity_function, levenshtein_ratios
+from repro.text.similarity import get_similarity_function, memoized_similarities
 
 #: Similarity assigned when both attribute values are missing.
 BOTH_MISSING_SIMILARITY = 0.5
-
-#: Bound on the memoized (left value, right value) -> similarity cache.
-DEFAULT_VALUE_CACHE_SIZE = 262144
 
 
 class StructureAwareExtractor(FeatureExtractor):
@@ -59,11 +57,6 @@ class StructureAwareExtractor(FeatureExtractor):
         self.similarity_name = similarity
         self._similarity = get_similarity_function(similarity)
         self.name = f"structure-{'lr' if similarity == 'levenshtein_ratio' else similarity}"
-        # (left value, right value) -> similarity, shared by every attribute
-        # column (the similarity function only sees the values) and kept
-        # across calls.  Cleared wholesale on overflow: cheap, rare, and
-        # deterministic.
-        self._value_cache: dict[tuple[str | None, str | None], float] = {}
 
     @property
     def dimension(self) -> int:
@@ -78,39 +71,18 @@ class StructureAwareExtractor(FeatureExtractor):
 
     def _attribute_similarities(
         self, keys: list[tuple[str | None, str | None]]
-    ) -> list[float]:
-        """:meth:`attribute_similarity` of every ``(left, right)`` key."""
-        fixed = [_missing_similarity(left, right) for left, right in keys]
-        lefts = [left for (left, _), value in zip(keys, fixed) if value is None]
-        rights = [right for (_, right), value in zip(keys, fixed) if value is None]
-        if self.similarity_name == "levenshtein_ratio":
-            computed = levenshtein_ratios(lefts, rights).tolist()
-        else:
-            computed = [
-                float(self._similarity(left, right)) for left, right in zip(lefts, rights)
-            ]
-        return _filled(fixed, computed)
-
-    def _memoized_similarities(
-        self, keys: list[tuple[str | None, str | None]]
     ) -> np.ndarray:
-        """Similarity of every key, computing only the uncached ones.
+        """:meth:`attribute_similarity` of every ``(left, right)`` key.
 
-        The new values enter the value cache together; when they would push
-        it past ``DEFAULT_VALUE_CACHE_SIZE`` it is cleared first, and at most
-        that many of them are kept.
+        Keys with a missing side take their fixed value; the others are read
+        through the similarity memo.
         """
-        similarities = [self._value_cache.get(key) for key in keys]
-        missing = [key for key, value in zip(keys, similarities) if value is None]
-        if missing:
-            computed = self._attribute_similarities(missing)
-            if len(self._value_cache) + len(missing) > DEFAULT_VALUE_CACHE_SIZE:
-                self._value_cache.clear()
-            self._value_cache.update(
-                islice(zip(missing, computed), DEFAULT_VALUE_CACHE_SIZE)
-            )
-            similarities = _filled(similarities, computed)
-        return np.array(similarities, dtype=float)
+        fixed = [_missing_similarity(left, right) for left, right in keys]
+        computed = memoized_similarities(
+            self.similarity_name,
+            [key for key, value in zip(keys, fixed) if value is None],
+        )
+        return np.array(_filled(fixed, computed), dtype=float)
 
     def extract(self, pair: EntityPair) -> np.ndarray:
         vector = np.empty(self.dimension, dtype=float)
@@ -123,11 +95,11 @@ class StructureAwareExtractor(FeatureExtractor):
     def extract_matrix(self, pairs) -> np.ndarray:
         """Columnar featurization: one similarity column per attribute.
 
-        The *distinct* value pairs of all columns are computed once (memoized
-        across calls and columns; for BatchER-LR the uncached ones in one
-        lane-parallel :func:`~repro.text.similarity.levenshtein_ratios`
-        call), then the matrix is gathered from them in one indexing step.
-        Bit-identical to the scalar :meth:`extract` loop.
+        The *distinct* value pairs of all columns are read through the
+        similarity memo in one call (for BatchER-LR its misses run through
+        the lane-parallel Levenshtein kernel together), then the matrix is
+        gathered from them in one indexing step.  Bit-identical to the scalar
+        :meth:`extract` loop.
         """
         pairs = list(pairs)
         if not pairs:
@@ -145,7 +117,7 @@ class StructureAwareExtractor(FeatureExtractor):
             ]
         keys = list(distinct)
         del distinct  # only the keys are needed from here on
-        return self._memoized_similarities(keys)[cells]
+        return self._attribute_similarities(keys)[cells]
 
 
 def _filled(values: list[float | None], fills: list[float]) -> list[float]:

@@ -24,6 +24,15 @@ LLM's accuracy in the paper's experiments —
 
 Every decision is driven by RNGs seeded from the model name, the client seed
 and the question content, so the whole benchmark suite is reproducible.
+
+Perception reads each attribute's Levenshtein ratio (Eq. 5) through the
+process-wide similarity memo of :mod:`repro.text.similarity`: the present
+value pairs of a prompt's demonstrations and questions go to one
+:func:`~repro.text.similarity.levenshtein_ratios` call, so the pairs the
+feature extractor already compared, in this run or an earlier one, are read
+rather than recomputed.  The memo is bounded by
+``repro.text.similarity.SIMILARITY_MEMO_SIZE`` values and its values equal
+the scalar ratios, so answers never depend on what it holds.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import numpy as np
 from repro.llm.base import LLMClient
 from repro.llm.comprehension import ReadDemonstration, ReadPair, read_prompt
 from repro.llm.profiles import ModelProfile, get_profile
-from repro.text.similarity import levenshtein_ratio
+from repro.text.similarity import levenshtein_ratios
 from repro.text.tokenizer import ApproxTokenizer
 
 #: Weight of the mean attribute similarity in the internal score.
@@ -79,6 +88,18 @@ def _pair_signature(pair: ReadPair) -> str:
     return f"{left}##{right}"
 
 
+def _present_values(pair: ReadPair) -> list[tuple[str, str, str]]:
+    """``(attribute, left value, right value)`` of every attribute with a value
+    on both sides, in attribute order."""
+    present = []
+    for attribute in sorted(set(pair.left) | set(pair.right)):
+        left_value = pair.left.get(attribute, "").strip()
+        right_value = pair.right.get(attribute, "").strip()
+        if left_value and right_value:
+            present.append((attribute, left_value, right_value))
+    return present
+
+
 class SimulatedLLM(LLMClient):
     """Behavioural simulation of an LLM answering ER prompts.
 
@@ -116,27 +137,31 @@ class SimulatedLLM(LLMClient):
 
     # -- perception ---------------------------------------------------------
 
-    def _attribute_similarities(self, pair: ReadPair) -> dict[str, float]:
-        """Per-attribute similarity judgement over the attributes present on either side."""
-        similarities: dict[str, float] = {}
-        for attribute in sorted(set(pair.left) | set(pair.right)):
-            left_value = pair.left.get(attribute, "").strip()
-            right_value = pair.right.get(attribute, "").strip()
-            if not left_value or not right_value:
-                # A missing value is not evidence for or against a match; a
-                # capable reader simply ignores that attribute.
-                continue
-            similarities[attribute] = levenshtein_ratio(left_value, right_value)
-        return similarities
+    def _attribute_similarities(
+        self, pairs: tuple[ReadPair, ...]
+    ) -> list[dict[str, float]]:
+        """Per-attribute similarity judgement of every pair of a prompt.
 
-    def _perceive(self, pair: ReadPair) -> tuple[float, dict[str, float]]:
+        Only attributes present on both sides count: a missing value is not
+        evidence for or against a match, and a capable reader simply ignores
+        that attribute.  The present value pairs of all ``pairs`` take one
+        memoized :func:`~repro.text.similarity.levenshtein_ratios` call.
+        """
+        present = [_present_values(pair) for pair in pairs]
+        ratios = iter(
+            levenshtein_ratios(
+                [left for values in present for _, left, _ in values],
+                [right for values in present for _, _, right in values],
+            ).tolist()
+        )
+        return [{attribute: next(ratios) for attribute, _, _ in values} for values in present]
+
+    def _perceive(self, similarities: dict[str, float]) -> float:
         """Internal (noise-free) match score of a question in ``[0, 1]``."""
-        similarities = self._attribute_similarities(pair)
         if not similarities:
-            return 0.5, similarities
+            return 0.5
         values = list(similarities.values())
-        score = MEAN_WEIGHT * float(np.mean(values)) + MIN_WEIGHT * float(np.min(values))
-        return score, similarities
+        return MEAN_WEIGHT * float(np.mean(values)) + MIN_WEIGHT * float(np.min(values))
 
     def _pair_distance(
         self, left: dict[str, float], right: dict[str, float]
@@ -296,17 +321,17 @@ class SimulatedLLM(LLMClient):
         # Perceive each demonstration once per prompt: every question's
         # calibration reuses the same per-demonstration similarity profiles
         # (recomputing them per question is quadratic in batch size).
-        demo_perceptions = [self._perceive(demo) for demo in parsed.demonstrations]
-        demo_scores = [score for score, _ in demo_perceptions]
-        demo_profiles = [profile for _, profile in demo_perceptions]
-        question_perceptions = [self._perceive(question) for question in parsed.questions]
-        question_scores = [score for score, _ in question_perceptions]
+        profiles = self._attribute_similarities(parsed.demonstrations + parsed.questions)
+        demo_profiles = profiles[: len(parsed.demonstrations)]
+        question_profiles = profiles[len(parsed.demonstrations) :]
+        demo_scores = [self._perceive(profile) for profile in demo_profiles]
+        question_scores = [self._perceive(profile) for profile in question_profiles]
 
         calibrations = [
             self._demo_calibrated_threshold(
                 profile_vector, parsed.demonstrations, demo_scores, demo_profiles
             )
-            for _, profile_vector in question_perceptions
+            for profile_vector in question_profiles
         ]
 
         # A lone question gives the model no in-prompt contrast to anchor
@@ -321,8 +346,8 @@ class SimulatedLLM(LLMClient):
             )
 
         decisions: list[bool] = []
-        for question, (score, _), (threshold, adjustment) in zip(
-            parsed.questions, question_perceptions, calibrations
+        for question, score, (threshold, adjustment) in zip(
+            parsed.questions, question_scores, calibrations
         ):
             decisions.append(
                 self._decide(

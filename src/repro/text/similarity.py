@@ -22,8 +22,18 @@ The scalar one (``levenshtein_distance``/``levenshtein_ratio``) runs one pair
 at a time on Python ints.  The lane-parallel one (``levenshtein_ratios``)
 runs the same recurrence over a whole list of pairs at once, one pair per
 lane of ``uint64`` numpy arrays, so each step costs one fixed chain of array
-operations for up to 1,024 pairs instead of one chain per pair; the feature
-extractor featurizes through it.
+operations for up to 1,024 pairs instead of one chain per pair.
+
+The bulk entry points read through one process-wide memo of similarity
+values, keyed per function by the exact ``(left, right)`` strings:
+:func:`levenshtein_ratios` and :func:`memoized_similarities` look each pair
+up and compute only the misses, Levenshtein misses in one lane-kernel pass.
+The feature extractor's columns and the simulated LLM's prompt reading both
+go through it, so a value pair compared by one is not compared again by the
+other, nor by a later run in the same process.  The memo holds at most
+``SIMILARITY_MEMO_SIZE`` values over all functions and is cleared wholesale
+when an insert would pass that bound.  The scalar functions stay uncached:
+they are the oracles.
 """
 
 from __future__ import annotations
@@ -31,7 +41,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+import threading
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -317,19 +329,33 @@ def levenshtein_ratio(left: str | None, right: str | None) -> float:
 def levenshtein_ratios(
     lefts: Sequence[str | None], rights: Sequence[str | None]
 ) -> np.ndarray:
-    """:func:`levenshtein_ratio` of every pair ``(lefts[i], rights[i])``.
+    """:func:`levenshtein_ratio` of every pair ``(lefts[i], rights[i])``, memoized.
 
-    A ``float64`` array bit-identical to the scalar ratios: the distances
-    are the same integers, and ``1.0 - d / total`` divides two exactly
-    representable doubles as Python's ``int / int`` does.  The pairs are
-    normalised and run in windows of ``_LANE_BLOCK``, so that working memory
-    stays bounded.
+    A ``float64`` array bit-identical to the scalar ratios.  Pairs already
+    in the similarity memo are read from it; the others run through the
+    lane kernel together (see :func:`_lane_ratios`) and enter the memo.
 
     Raises:
         ValueError: if ``lefts`` and ``rights`` differ in length.
     """
     if len(lefts) != len(rights):
         raise ValueError(f"got {len(lefts)} left and {len(rights)} right strings")
+    return np.array(
+        memoized_similarities("levenshtein_ratio", list(zip(lefts, rights))), dtype=float
+    )
+
+
+def _lane_ratios(
+    lefts: Sequence[str | None], rights: Sequence[str | None]
+) -> np.ndarray:
+    """:func:`levenshtein_ratio` of every pair through the lane kernel, unmemoized.
+
+    A ``float64`` array bit-identical to the scalar ratios: the distances
+    are the same integers, and ``1.0 - d / total`` divides two exactly
+    representable doubles as Python's ``int / int`` does.  The pairs are
+    normalised and run in windows of ``_LANE_BLOCK``, so that working memory
+    stays bounded.
+    """
     ratios = np.ones(len(lefts))
     for start in range(0, len(lefts), _LANE_BLOCK):
         a = list(map(_normalise, lefts[start : start + _LANE_BLOCK]))
@@ -475,6 +501,66 @@ SIMILARITY_FUNCTIONS = {
     "monge_elkan": monge_elkan_similarity,
 }
 """Registry of named similarity functions usable by feature extractors."""
+
+
+#: Bound on the values the similarity memo holds, over every function.
+SIMILARITY_MEMO_SIZE = 262_144
+
+#: The similarity memo: function name -> (left, right) -> similarity.  The
+#: tables are never replaced, only cleared, so a reader needs no lock.
+_memo_tables: dict[str, dict[tuple[str | None, str | None], float]] = {
+    name: {} for name in SIMILARITY_FUNCTIONS
+}
+#: Serialises inserts, so concurrent callers never push the memo past its bound.
+_memo_lock = threading.Lock()
+
+
+def memoized_similarities(
+    name: str, keys: Sequence[tuple[str | None, str | None]]
+) -> list[float]:
+    """Similarity ``name`` of every ``(left, right)`` key, through the memo.
+
+    Each key is looked up by its exact strings; the distinct misses are
+    computed together (Levenshtein ratios by :func:`_lane_ratios`, other
+    functions pair by pair) and enter the memo together.  When they would
+    push it past ``SIMILARITY_MEMO_SIZE`` values it is cleared first, and at
+    most that many of them are kept.  Values equal the scalar function's.
+
+    Raises:
+        KeyError: if ``name`` is not a registered similarity function.
+    """
+    table = _memo_tables[name]
+    values = list(map(table.get, keys))
+    if None not in values:
+        return values
+    missing = list(dict.fromkeys(key for key, value in zip(keys, values) if value is None))
+    if name == "levenshtein_ratio":
+        computed = _lane_ratios(
+            [left for left, _ in missing], [right for _, right in missing]
+        ).tolist()
+    else:
+        function = SIMILARITY_FUNCTIONS[name]
+        computed = [float(function(left, right)) for left, right in missing]
+    found = dict(zip(missing, computed))
+    with _memo_lock:
+        bound = SIMILARITY_MEMO_SIZE
+        if similarity_memo_size() + len(found) > bound:
+            for stale in _memo_tables.values():
+                stale.clear()
+        table.update(islice(found.items(), bound))
+    return [found[key] if value is None else value for key, value in zip(keys, values)]
+
+
+def similarity_memo_size() -> int:
+    """Number of values the similarity memo holds, over every function."""
+    return sum(map(len, _memo_tables.values()))
+
+
+def clear_similarity_memo() -> None:
+    """Empty the similarity memo."""
+    with _memo_lock:
+        for table in _memo_tables.values():
+            table.clear()
 
 
 @lru_cache(maxsize=1)

@@ -12,6 +12,7 @@ from repro.data.registry import load_dataset
 from repro.engine.faults import CrashingLLM
 from repro.engines.registry import create_engine
 from repro.features.structure_aware import StructureAwareExtractor
+from repro.text.similarity import clear_similarity_memo
 
 #: Every variable ``create_engine`` reads from the environment.
 ENGINE_VARIABLES = (
@@ -31,6 +32,13 @@ def clean_engine_env(monkeypatch):
     """Keep every test hermetic: no engine selection leaks in from the shell."""
     for variable in ENGINE_VARIABLES:
         monkeypatch.delenv(variable, raising=False)
+
+
+@pytest.fixture(autouse=True)
+def cold_similarity_memo():
+    """Start every test with an empty similarity memo, so that no test's
+    outcome depends on which tests ran before it."""
+    clear_similarity_memo()
 
 
 @pytest.fixture(scope="session")

@@ -84,15 +84,15 @@ class TestStructureAwareExtractor:
         assert ((beer_question_features >= 0.0) & (beer_question_features <= 1.0)).all()
 
 
-class TestValueCacheBound:
-    """A batched insert never leaves the value cache above its bound."""
+class TestSimilarityMemoBound:
+    """A batched insert never leaves the shared similarity memo above its bound."""
 
     @pytest.mark.parametrize("similarity_name", ["levenshtein_ratio", "jaccard"])
     def test_one_call_with_more_distinct_pairs_than_the_bound(
         self, monkeypatch, similarity_name
     ):
         bound = 8
-        monkeypatch.setattr(structure_aware, "DEFAULT_VALUE_CACHE_SIZE", bound)
+        monkeypatch.setattr(similarity, "SIMILARITY_MEMO_SIZE", bound)
         extractor = StructureAwareExtractor(MUSIC_ATTRIBUTES, similarity=similarity_name)
         pairs = [
             make_pair(
@@ -102,13 +102,14 @@ class TestValueCacheBound:
             for index in range(12)
         ]
         oracle = np.vstack([extractor.extract(pair) for pair in pairs])
+        assert similarity.similarity_memo_size() == 0, "extract() must stay uncached"
         for repeat in range(2):
-            # The second pass finds part of its pairs cached.
+            # The second pass finds part of its pairs memoized.
             matrix = extractor.extract_matrix(pairs[repeat:])
-            assert len(extractor._value_cache) <= bound
+            assert similarity.similarity_memo_size() <= bound
             assert matrix.tobytes() == oracle[repeat:].tobytes()
         extractor.extract_matrix(pairs[:2])
-        assert 0 < len(extractor._value_cache) <= bound
+        assert 0 < similarity.similarity_memo_size() <= bound
 
 
 class TestLevenshteinKernelDifferential:
@@ -120,22 +121,35 @@ class TestLevenshteinKernelDifferential:
         pairs = list(dataset.candidate_pairs)
         kernel = create_feature_extractor("lr", dataset.attributes).extract_matrix(pairs)
 
+        seen: list[tuple[str, str]] = []
         longest: list[int] = []
 
         def dp_ratios(lefts, rights):
-            # Eq. 5 over the DP distance, for every distinct value pair the
-            # extractor sends its lane-parallel kernel.
+            # Eq. 5 over the DP distance, for every value pair the memo
+            # sends the lane-parallel kernel.
             ratios = []
             for left, right in zip(lefts, rights):
                 a, b = similarity._normalise(left), similarity._normalise(right)
+                seen.append((left, right))
                 longest.append(max(len(a), len(b)))
                 total = len(a) + len(b)
                 ratios.append(1.0 if total == 0 else 1.0 - dp_edit_distance(a, b) / total)
             return np.array(ratios, dtype=float)
 
-        monkeypatch.setattr(structure_aware, "levenshtein_ratios", dp_ratios)
+        monkeypatch.setattr(similarity, "_lane_ratios", dp_ratios)
+        # The kernel run filled the memo: empty it, or the oracle sees nothing.
+        similarity.clear_similarity_memo()
         oracle = create_feature_extractor("lr", dataset.attributes).extract_matrix(pairs)
-        assert longest, "the oracle was never called"
+        distinct = {
+            (pair.left.value(attribute), pair.right.value(attribute))
+            for pair in pairs
+            for attribute in dataset.attributes
+        }
+        compared = {
+            key for key in distinct if structure_aware._missing_similarity(*key) is None
+        }
+        # The oracle saw every distinct value pair with both sides present, once.
+        assert sorted(seen) == sorted(compared)
         if name == "ab":
             # ab's descriptions run past one 64-bit word: real multi-word inputs.
             assert sum(length > 64 for length in longest) > 100

@@ -203,6 +203,9 @@ def _assert_lanes_match(lefts, rights):
     scalar = np.array([levenshtein_ratio(left, right) for left, right in zip(lefts, rights)])
     for a, b in ((lefts, rights), (rights, lefts)):
         distances = _lane_edit_distances(a, b)
+        # A cold memo, so that the ratios come from the lanes, not from an
+        # earlier example.
+        similarity.clear_similarity_memo()
         ratios = levenshtein_ratios(a, b)
         assert distances.dtype == np.int64 and ratios.dtype == np.float64
         assert distances.tolist() == expected
