@@ -11,7 +11,12 @@ BENCH_SUMS="$(mktemp)"
 git ls-files -z 'BENCH_*.json' | xargs -0 sha256sum > "$BENCH_SUMS"
 
 echo "== compileall =="
-python -m compileall -q src
+# The bytecode goes to a scratch prefix, not into src/: `.pyc` files left in
+# the checkout would speed up every later `import repro`, and the end-to-end
+# benchmark times a fresh import as `setup_s`.
+PYCACHE_DIR="$(mktemp -d)"
+PYTHONPYCACHEPREFIX="$PYCACHE_DIR" python -m compileall -q src
+rm -rf "$PYCACHE_DIR"
 
 echo "== tier-1 tests =="
 # --durations=15 keeps the slowest tests visible so suite latency creep is

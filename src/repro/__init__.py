@@ -8,7 +8,7 @@ It provides:
   (:mod:`repro.data`),
 * string similarity, tokenization and embedding substrates (:mod:`repro.text`),
 * clustering (:mod:`repro.clustering`) and feature extraction
-  (:mod:`repro.features`) behind a content-addressed columnar feature engine
+  (:mod:`repro.features`) behind a columnar feature engine
   (:class:`FeatureStore`) shared by the pipeline, resolver sessions and the
   service,
 * the BatchER design space: question batching (:mod:`repro.batching`) and

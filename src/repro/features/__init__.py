@@ -14,9 +14,10 @@ Both expose the same interface, so the rest of the pipeline is agnostic to the
 extractor choice (which is exactly what Exp-6 / Table VII varies).
 
 Consumers featurize through the columnar feature engine
-(:class:`FeatureStore`): a content-addressed, memoizing store that computes
-misses in vectorised batches and caches one pairwise-distance matrix per run.
-The scalar ``extract`` path is kept as the equivalence oracle.
+(:class:`FeatureStore`), which featurizes in vectorised, fixed-size blocks and
+owns the run's batch planner; repeated value pairs are served by the
+process-wide similarity memo below it.  The scalar ``extract`` path is kept as
+the equivalence oracle.
 """
 
 from repro.features.base import FeatureExtractor

@@ -63,8 +63,8 @@ class PipelineContext:
             the owner of the run's
             :class:`~repro.clustering.neighbors.NeighborPlanner`, which builds
             the batch-planning neighbour graphs).  A long-lived session
-            (``Resolver``, the service) pre-sets a shared store so vectors
-            are memoized across calls; ``Featurize`` builds an ephemeral one
+            (``Resolver``, the service) pre-sets a shared store so one
+            planner counts every call; ``Featurize`` builds an ephemeral one
             otherwise.
         question_features / pool_features: feature matrices (``Featurize``).
         batches: question batches (``BatchQuestions``).

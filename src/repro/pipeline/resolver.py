@@ -236,9 +236,11 @@ class Resolver:
         """Pool feature matrix, computed once per pool version.
 
         A long-lived session resolves many small chunks against the same
-        (large) pool; the matrix is cached per pool version, and the vectors
-        behind it live in the session's content-addressed feature store — so
-        growing the pool re-featurizes only the new demonstrations.
+        (large) pool, so the matrix is cached per pool version.  Growing the
+        pool featurizes the whole pool again through the session's feature
+        store; the earlier demonstrations are then read back from the
+        extractor's memos (the process-wide similarity memo, the sentence
+        encoder's text cache), not recomputed.
         """
         if self._pool_features_cache is None:
             store = self.feature_store

@@ -53,11 +53,12 @@ class Featurize(PipelineStage):
 
     Featurization goes through the context's columnar
     :class:`~repro.features.engine.FeatureStore` (an ephemeral one is built
-    when a long-lived session did not pre-set a shared store), so repeated
-    pair contents reuse memoized vectors and misses are computed in vectorized
-    batches.  Matrices already present on the context are kept — a session
-    that caches pool features across calls (e.g. a ``Resolver``) pre-sets
-    ``pool_features`` and only the questions are featurized.
+    when a long-lived session did not pre-set a shared store), so pairs are
+    featurized in vectorized batches and repeated value pairs are read from
+    the process-wide similarity memo.  Matrices already present on the
+    context are kept — a session that caches pool features across calls
+    (e.g. a ``Resolver``) pre-sets ``pool_features`` and only the questions
+    are featurized.
     """
 
     name = "featurize"

@@ -12,10 +12,9 @@ callers.
 Layers:
 
 * :class:`ResultCache` — pair-level LRU keyed by canonical content
-  fingerprints (:func:`pair_fingerprint`, shared with the columnar feature
-  engine), with optional JSONL spill / warm-start; repeat queries cost zero
-  LLM calls, and spilled entries carry their feature vectors so a restart
-  warm-starts the session's :class:`~repro.features.engine.FeatureStore` too.
+  fingerprints (:func:`pair_fingerprint`), with optional JSONL spill /
+  warm-start of the judgements (the spill replaces its file atomically);
+  repeat queries cost zero LLM calls.
 * :class:`RequestQueue` / :class:`MicroBatcher` — bounded admission with
   backpressure, and size-or-deadline flushing.
 * :class:`ResolutionService` — the facade: cache lookup, in-flight

@@ -6,20 +6,20 @@ not by ``pair_id`` — means any two requests about the same record contents hit
 the same entry, so repeat queries cost zero LLM calls regardless of who
 submitted them or what ids they used.
 
-The fingerprint scheme (:func:`~repro.data.fingerprint.pair_fingerprint`) is
-shared with the columnar feature engine, so the spill file can carry each
-entry's feature vector alongside its judgement: a warm-started service
-repopulates both the result cache *and* the feature store from one JSONL file.
+The cache spills to and warm-starts from a JSONL file of judgements, one
+``{"fingerprint", "label", "answered"}`` entry per line; the spill replaces
+the file atomically, so a failed spill leaves the previous one intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from repro.data.fingerprint import pair_fingerprint
 from repro.data.schema import MatchLabel
@@ -108,66 +108,50 @@ class ResultCache:
         with self._lock:
             return list(self._entries.items())
 
-    def spill(
-        self,
-        path: str | Path,
-        vector_lookup: Callable[[str], Sequence[float] | None] | None = None,
-        vector_tag: str | None = None,
-    ) -> int:
+    def spill(self, path: str | Path) -> int:
         """Write all entries to ``path`` as JSONL (LRU order, oldest first).
 
         Returns the number of entries written.  The file is a warm-start
         artifact, not a database: :meth:`warm_start` replays it through
         :meth:`put`, so capacity and recency semantics are preserved.
 
-        Args:
-            vector_lookup: optional callable mapping a fingerprint to its
-                feature vector (or ``None``); when it yields one, the entry
-                gains a ``"vector"`` field, letting :meth:`warm_start` seed a
-                feature store alongside the result cache.
-            vector_tag: provenance tag written as the ``"extractor"`` field of
-                every vector-carrying entry (the feature store's spill tag);
-                warm-start uses it to reject vectors from a different
-                extractor variant or attribute schema.
+        The entries go to a sibling temp file, which is flushed, synced and
+        then renamed over ``path`` — so a spill that fails part-way leaves
+        the previous file as it was, never a truncated one.
         """
         entries = self._snapshot()
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            for fingerprint, result in entries:
-                entry: dict[str, object] = {
-                    "fingerprint": fingerprint,
-                    "label": int(result.label),
-                    "answered": result.answered,
-                }
-                if vector_lookup is not None:
-                    vector = vector_lookup(fingerprint)
-                    if vector is not None:
-                        entry["vector"] = [float(value) for value in vector]
-                        if vector_tag is not None:
-                            entry["extractor"] = vector_tag
-                handle.write(json.dumps(entry) + "\n")
+        scratch = path.with_name(path.name + ".tmp")
+        try:
+            with scratch.open("w", encoding="utf-8") as handle:
+                for fingerprint, result in entries:
+                    entry = {
+                        "fingerprint": fingerprint,
+                        "label": int(result.label),
+                        "answered": result.answered,
+                    }
+                    handle.write(json.dumps(entry) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(scratch, path)
+        except BaseException:
+            scratch.unlink(missing_ok=True)
+            raise
         return len(entries)
 
-    def warm_start(
-        self,
-        path: str | Path,
-        on_vector: Callable[[str, list[float], str | None], None] | None = None,
-    ) -> int:
+    def warm_start(self, path: str | Path) -> int:
         """Load entries spilled by :meth:`spill`; missing file is a no-op.
 
-        Returns the number of entries loaded.  Files written before the
-        vector extension (no ``"vector"`` fields) load unchanged.
+        Returns the number of entries loaded.  Fields other than
+        ``fingerprint``, ``label`` and ``answered`` are ignored, so files
+        whose entries also carry ``"vector"`` and ``"extractor"`` fields (the
+        format of earlier releases) load unchanged.
 
-        Args:
-            on_vector: optional callback invoked with ``(fingerprint, vector,
-                extractor_tag)`` for entries carrying a spilled feature
-                vector — the service uses it to seed the feature store after
-                checking the tag against the current extractor.
-
-        Torn-tail tolerance: a spill interrupted mid-write (a crash, a full
-        disk) leaves at most one partial entry, and only as the *final* line
-        of the file.  An unparseable final line is therefore skipped — the
+        Torn-tail tolerance: a file written in place and interrupted
+        mid-write (a crash, a full disk — how earlier releases spilled)
+        holds at most one partial entry, and only as the *final* line of the
+        file.  An unparseable final line is therefore skipped — the
         preceding entries warm-start normally — while corruption anywhere
         else still raises, since that is a damaged file rather than an
         interrupted append.
@@ -188,18 +172,6 @@ class ResultCache:
                 result = CachedResult(
                     label=MatchLabel(entry["label"]), answered=bool(entry["answered"])
                 )
-                vector = entry.get("vector")
-                if vector is not None:
-                    if not isinstance(vector, list):
-                        raise ValueError(
-                            f"'vector' must be a list, got {type(vector).__name__}"
-                        )
-                    vector = [float(value) for value in vector]
-                tag = entry.get("extractor")
-                if tag is not None and not isinstance(tag, str):
-                    raise ValueError(
-                        f"'extractor' must be a string, got {type(tag).__name__}"
-                    )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as error:
                 if index == len(lines) - 1:
                     break  # torn final line from an interrupted spill
@@ -207,8 +179,6 @@ class ResultCache:
                     f"invalid cache spill entry at {path}:{line_number}: {error}"
                 ) from error
             self.put(fingerprint, result)
-            if vector is not None and on_vector is not None:
-                on_vector(fingerprint, vector, tag)
             loaded += 1
         return loaded
 

@@ -196,10 +196,10 @@ class ServiceStats:
             model, schema capability, request/token counters and — for HTTP
             backends — retry and rate-limit counters), from
             :meth:`repro.llm.base.LLMClient.describe`.
-        feature_store: snapshot of the session's columnar feature-vector
-            store (size, hit rate, evictions, and the ``planning``
-            counters of its sparse-neighbor-graph planner); ``None`` before
-            the store exists (no demonstrations yet).
+        feature_store: snapshot of the session's columnar feature engine
+            (its chunked-extraction count and the ``planning`` counters of
+            its sparse-neighbor-graph planner); ``None`` before the store
+            exists (no demonstrations yet).
         uptime_seconds: seconds since :meth:`ResolutionService.start` (0.0
             before).
         throughput_pairs_per_second: ``resolved / uptime_seconds``.
@@ -342,9 +342,6 @@ class ResolutionService:
         # one resolved; ``from_submit`` is False for futures a bulk request
         # attached, which the ``resolved`` counter does not count.
         self._inflight: dict[str, list[tuple[EntityPair, Future, bool]]] = {}
-        # Spilled feature vectors that arrived before the session's feature
-        # store existed (schema not yet known); seeded once it does.
-        self._pending_vectors: dict[str, tuple[list[float], str | None]] = {}
         self._lock = threading.Lock()
         # Serializes the plan phases (the session's stateful part: feature
         # store, labeled pool) of flushes and bulk chunks.
@@ -460,22 +457,7 @@ class ResolutionService:
         ).set_function(lambda: len(cache))
         metrics.gauge(
             "repro_cache_hit_rate", "Fraction of result-cache lookups served."
-        ).set_function(
-            lambda: cache.hits / (cache.hits + cache.misses)
-            if (cache.hits + cache.misses)
-            else 0.0
-        )
-        metrics.gauge(
-            "repro_feature_store_hit_rate",
-            "Fraction of feature-vector lookups served from the store.",
-        ).set_function(self._feature_store_hit_rate)
-        metrics.gauge(
-            "repro_feature_store_size", "Feature vectors currently cached."
-        ).set_function(
-            lambda: self._resolver.feature_store.stats().size
-            if self._resolver.feature_store is not None
-            else 0
-        )
+        ).set_function(lambda: cache.hit_rate)
         metrics.counter(
             "repro_planner_route_total",
             "Epsilon-graph builds by planning regime (only the exact sparse join).",
@@ -563,12 +545,6 @@ class ResolutionService:
                 labels=("reason",),
             ).inc(0, reason="429")
 
-    def _feature_store_hit_rate(self) -> float:
-        store = self._resolver.feature_store
-        if store is None:
-            return 0.0
-        return store.stats().hit_rate
-
     def _planner_stat(self, name: str) -> int:
         """One counter of the resolver's planner (0 before planning)."""
         store = self._resolver.feature_store
@@ -649,7 +625,7 @@ class ResolutionService:
         if self._resolver.pool_size:
             self._resolver.warm()
         if self.config.spill_path is not None:
-            self._cache.warm_start(self.config.spill_path, on_vector=self._seed_vector)
+            self._cache.warm_start(self.config.spill_path)
         if self._started_at is None:
             self._started_at = self._clock.monotonic()
         self._batcher.start()
@@ -677,68 +653,9 @@ class ResolutionService:
         # warm-started from the file): stopping a never-started service must
         # not truncate a previous session's persisted cache.
         if spill and self.config.spill_path is not None and self._started_at is not None:
-            self._drain_pending_vectors()
-            store = self._resolver.feature_store
-            if store is not None:
-                self._cache.spill(
-                    self.config.spill_path,
-                    vector_lookup=store.get,
-                    vector_tag=store.spill_tag,
-                )
-            else:
-                # The schema was never learned this session, so the store was
-                # never built: write the still-buffered warm-start vectors
-                # back out instead of silently dropping them from the file.
-                with self._lock:
-                    pending = dict(self._pending_vectors)
-                tags = {tag for _, tag in pending.values()}
-                tag = tags.pop() if len(tags) == 1 else None
-                self._cache.spill(
-                    self.config.spill_path,
-                    vector_lookup=(
-                        (lambda fingerprint: pending.get(fingerprint, (None, None))[0])
-                        if tag is not None
-                        else None
-                    ),
-                    vector_tag=tag,
-                )
+            self._cache.spill(self.config.spill_path)
         if self._owns_executor and isinstance(self._executor, ConcurrentExecutor):
             self._executor.shutdown()
-
-    def _seed_vector(
-        self, fingerprint: str, vector: list[float], tag: str | None
-    ) -> None:
-        """Seed the session's feature store with one spilled vector.
-
-        Vectors are skipped silently unless both their provenance tag
-        (extractor variant + attribute schema) and their dimensionality match
-        the current store — a spill file from a session with a different
-        configuration must not poison the store.  The tag check matters even
-        when dimensions agree: e.g. the ``lr`` and ``jaccard`` structure-aware
-        extractors share a dimension but produce different vectors.
-
-        When the store does not exist yet (attribute schema still unknown),
-        the vector is buffered and seeded once it does — otherwise a session
-        that learns its schema only after ``start()`` would drop every
-        spilled vector and re-spill the file without them.
-        """
-        store = self._resolver.feature_store
-        if store is None:
-            with self._lock:
-                self._pending_vectors[fingerprint] = (vector, tag)
-            return
-        if tag != store.spill_tag or len(vector) != store.dimension:
-            return
-        store.put(fingerprint, vector)
-
-    def _drain_pending_vectors(self) -> None:
-        """Seed buffered spill vectors once the feature store exists."""
-        if not self._pending_vectors or self._resolver.feature_store is None:
-            return
-        with self._lock:
-            pending, self._pending_vectors = self._pending_vectors, {}
-        for fingerprint, (vector, tag) in pending.items():
-            self._seed_vector(fingerprint, vector, tag)
 
     def __enter__(self) -> "ResolutionService":
         return self.start()
@@ -783,8 +700,6 @@ class ResolutionService:
             raise ServiceClosed("service has been stopped")
         if tenant is not None:
             tenant.admit()
-        if self._pending_vectors:
-            self._drain_pending_vectors()
         fingerprint = pair_fingerprint(pair)
         cached = self._cache.get(fingerprint)
         if cached is not None:
@@ -1118,9 +1033,6 @@ class ResolutionService:
         session raised (every owned fingerprint's waiters have then failed
         with it), else ``None``.
         """
-        # First resolutions may establish the attribute schema (and hence the
-        # feature store); seed any warm-start vectors that were waiting on it.
-        self._drain_pending_vectors()
         try:
             # One flush or chunk is one logical request for deadline purposes:
             # the budget spans both phases, retry backoff included.
@@ -1217,8 +1129,6 @@ class ResolutionService:
 
     def stats(self) -> ServiceStats:
         """Return a point-in-time snapshot of the service's counters."""
-        if self._pending_vectors:
-            self._drain_pending_vectors()
         resolved = int(self._metric_resolved.value())
         rejected = self._metric_rejected
         served = self._metric_bulk_served

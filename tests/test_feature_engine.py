@@ -3,27 +3,30 @@
 The engine's contract has two halves:
 
 1. **Equivalence** — the vectorized ``extract_matrix`` paths (columnar
-   similarity columns, batched sentence encoding, store memoization) are
-   bit-identical to the scalar ``extract`` oracle, so engine-served runs
-   reproduce engine-free runs exactly; and
-2. **Caching semantics** — content-addressed hits, LRU eviction, statistics
-   and the per-run pairwise-distance matrix reuse.
+   similarity columns, batched sentence encoding, chunked store extraction)
+   are bit-identical to the scalar ``extract`` oracle, so engine-served runs
+   reproduce engine-free runs exactly, duplicate and renamed pairs included;
+   and
+2. **Sharing** — one store (and its planner) per session, statistics, and
+   reuse through the similarity memo rather than a vector cache.
 """
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.batcher import BatchER
 from repro.core.config import BatcherConfig
-from repro.data.fingerprint import pair_fingerprint
-from repro.data.schema import EntityPair, MatchLabel, Record
+from repro.data.schema import EntityPair, Record
 from repro.features import FeatureStore, create_feature_extractor, create_feature_store
 from repro.features.factory import EXTRACTOR_VARIANTS
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.pipeline import Pipeline
 from repro.text.embeddings import HashingSentenceEncoder
+from repro.text.similarity import similarity_memo_size
 
 
 def scalar_matrix(extractor, pairs):
@@ -117,82 +120,67 @@ class TestColumnarExtractorEquivalence:
         assert np.array_equal(first, second)
 
 
+def renamed(pair, prefix):
+    """``pair`` with the same record contents under new pair and record ids."""
+    return EntityPair(
+        pair_id=f"{prefix}{pair.pair_id}",
+        left=Record(f"{prefix}{pair.left.record_id}", dict(pair.left.values)),
+        right=Record(f"{prefix}{pair.right.record_id}", dict(pair.right.values)),
+        label=pair.label,
+    )
+
+
+def beer_questions(dataset):
+    return list(dataset.splits.test)[:40]
+
+
+def with_duplicates(dataset):
+    pairs = list(dataset.splits.test)[:20]
+    return pairs + pairs[:10] + [pairs[3], pairs[3]]
+
+
+def with_renamed_copies(dataset):
+    pairs = list(dataset.splits.test)[:20]
+    return pairs + [renamed(pair, "copy-") for pair in pairs[::2]]
+
+
 class TestFeatureStore:
-    def test_store_matrix_matches_scalar_oracle(self, beer_dataset):
-        pairs = list(beer_dataset.splits.test)[:40]
-        store = create_feature_store("lr", beer_dataset.attributes)
-        oracle = create_feature_extractor("lr", beer_dataset.attributes)
+    @pytest.mark.parametrize("variant", ["lr", "semantic"])
+    @pytest.mark.parametrize(
+        "questions", [beer_questions, with_duplicates, with_renamed_copies]
+    )
+    def test_store_matrix_matches_scalar_oracle(self, beer_dataset, questions, variant):
+        # Duplicates and same contents under other ids featurize to the
+        # same rows as their originals: every row equals the scalar extract.
+        pairs = questions(beer_dataset)
+        store = create_feature_store(variant, beer_dataset.attributes)
+        oracle = create_feature_extractor(variant, beer_dataset.attributes)
         cold = store.extract_matrix(pairs)
         warm = store.extract_matrix(pairs)
         expected = scalar_matrix(oracle, pairs)
         assert np.array_equal(cold, expected)
         assert np.array_equal(warm, expected)
 
-    def test_hits_and_misses_are_counted(self, beer_dataset):
-        pairs = list(beer_dataset.splits.test)[:10]
-        store = create_feature_store("lr", beer_dataset.attributes)
-        store.extract_matrix(pairs)
-        stats = store.stats()
-        assert stats.misses == 10 and stats.hits == 0 and stats.size == 10
-        store.extract_matrix(pairs)
-        stats = store.stats()
-        assert stats.hits == 10 and stats.misses == 10
-        assert stats.hit_rate == pytest.approx(0.5)
-
-    def test_content_addressing_ignores_ids(self):
-        attributes = ("name",)
-        store = create_feature_store("lr", attributes)
-        a = make_pair("a", {"name": "x"}, {"name": "y"})
-        b = make_pair("totally-different-id", {"name": "x"}, {"name": "y"})
-        store.extract_matrix([a])
-        store.extract_matrix([b])
-        assert store.stats().hits == 1
-        assert len(store) == 1
-
-    def test_duplicates_within_one_call_computed_once(self):
-        attributes = ("name",)
-        store = create_feature_store("lr", attributes)
-        a = make_pair("a", {"name": "x"}, {"name": "y"})
-        b = make_pair("b", {"name": "x"}, {"name": "y"})
-        matrix = store.extract_matrix([a, b])
-        assert np.array_equal(matrix[0], matrix[1])
-        assert len(store) == 1
-
-    def test_lru_eviction(self):
-        attributes = ("name",)
-        extractor = create_feature_extractor("lr", attributes)
-        store = FeatureStore(extractor, capacity=2)
-        pairs = [
-            make_pair(f"p{i}", {"name": f"value {i}"}, {"name": f"other {i}"})
-            for i in range(4)
-        ]
-        store.extract_matrix(pairs)
-        stats = store.stats()
-        assert stats.size == 2
-        assert stats.evictions == 2
-
-    def test_get_and_put_roundtrip(self):
-        attributes = ("name", "style")
-        store = create_feature_store("lr", attributes)
-        pair = make_pair("p", {"name": "a"}, {"name": "b"})
-        fingerprint = store.fingerprint(pair)
-        assert fingerprint == pair_fingerprint(pair)
-        assert store.get(fingerprint) is None
-        store.put(fingerprint, [0.25, 0.5])
-        vector = store.get(fingerprint)
-        assert np.array_equal(vector, [0.25, 0.5])
-        vector[:] = 0.0  # copies only: the store entry must not be mutable
-        assert np.array_equal(store.get(fingerprint), [0.25, 0.5])
-
-    def test_put_rejects_wrong_dimension(self):
-        store = create_feature_store("lr", ("name",))
-        with pytest.raises(ValueError, match="shape"):
-            store.put("deadbeef", [0.1, 0.2])
-
-    def test_invalid_capacity_rejected(self):
-        extractor = create_feature_extractor("lr", ("name",))
-        with pytest.raises(ValueError):
-            FeatureStore(extractor, capacity=0)
+    def test_concurrent_callers_get_oracle_rows(self, beer_dataset):
+        # The sentence encoder's memo caches are unsynchronized; the store
+        # serializes extraction, so interleaved callers still get exact rows.
+        pairs = list(beer_dataset.splits.test)[:60]
+        store = create_feature_store("semantic", beer_dataset.attributes)
+        oracle = create_feature_extractor("semantic", beer_dataset.attributes)
+        expected = scalar_matrix(oracle, pairs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [
+                    pool.submit(store.extract_matrix, pairs[index % 4::4])
+                    for index in range(8)
+                ]
+                matrices = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for index, matrix in enumerate(matrices):
+            assert np.array_equal(matrix, expected[index % 4::4])
 
     def test_empty_matrix(self):
         store = create_feature_store("lr", ("name",))
@@ -222,7 +210,8 @@ class TestChunkedExtraction:
         )
         assert chunked.stats().chunked_extracts == 1
         assert one_shot.stats().chunked_extracts == 0
-        # Hits on a warm store flow through the same chunked path.
+        # A second call, served from the warm similarity memo, is walked the
+        # same way.
         assert np.array_equal(
             chunked.extract_matrix(pairs), one_shot.extract_matrix(pairs)
         )
@@ -303,15 +292,15 @@ class TestResolverAndServiceIntegration:
         resolver.warm()
         store = resolver.feature_store
         assert store is not None
-        assert len(store) == resolver.pool_size
         questions = [pair.without_label() for pair in beer_dataset.splits.test][:8]
         resolver.resolve(questions)
-        first_stats = store.stats()
-        # The same questions again: every vector is served from the store.
+        size = similarity_memo_size()
+        assert size > 0
+        # The same questions again: every value pair, in featurization and
+        # in the simulated model alike, is read back from the memo.
         resolver.resolve(questions)
-        second_stats = store.stats()
-        assert second_stats.hits >= first_stats.hits + len(questions)
-        assert second_stats.misses == first_stats.misses
+        assert similarity_memo_size() == size
+        assert resolver.feature_store is store
 
     def test_service_stats_expose_feature_store(self, beer_dataset):
         from repro.resilience import BreakerConfig
@@ -329,9 +318,9 @@ class TestResolverAndServiceIntegration:
             service.resolve_many(questions)
             stats = service.stats()
         assert stats.feature_store is not None
-        assert stats.feature_store.size >= len(questions)
+        assert stats.feature_store.planning["sparse_graphs"] >= 1
         payload = stats.to_dict()["feature_store"]
-        assert set(payload) >= {"size", "hit_rate", "evictions"}
+        assert set(payload) == {"chunked_extracts", "planning"}
         # On a healthy backend the breaker stays closed, and its families
         # render at zero so scrape schemas are stable before the first outage.
         assert stats.to_dict()["breaker"]["state"] == "closed"
@@ -342,125 +331,3 @@ class TestResolverAndServiceIntegration:
             "repro_service_degraded_total",
         ):
             assert [value for _, value in service.metrics.get(family).samples()] == [0]
-
-    def test_spill_carries_vectors_and_warm_start_seeds_store(
-        self, beer_dataset, tmp_path
-    ):
-        from repro.service import ResolutionService, ServiceConfig
-
-        spill = tmp_path / "cache.jsonl"
-        config = ServiceConfig(
-            batcher=BatcherConfig(seed=1),
-            max_batch_size=8,
-            num_workers=1,
-            spill_path=str(spill),
-        )
-        questions = [pair.without_label() for pair in beer_dataset.splits.test][:8]
-        with ResolutionService.from_dataset(beer_dataset, config) as service:
-            service.resolve_many(questions)
-        entries = [json.loads(line) for line in spill.read_text().splitlines()]
-        assert entries and all("vector" in entry for entry in entries)
-        dimension = len(beer_dataset.attributes)
-        assert all(len(entry["vector"]) == dimension for entry in entries)
-        expected_tag = f"structure-lr/{tuple(beer_dataset.attributes)!r}"
-        assert all(entry["extractor"] == expected_tag for entry in entries)
-
-        # A fresh service warm-starts both caches from the spill file.
-        restarted = ResolutionService.from_dataset(beer_dataset, config)
-        restarted.start()
-        try:
-            store = restarted.resolver.feature_store
-            for entry in entries:
-                assert store.get(entry["fingerprint"]) is not None
-            by_fingerprint = {
-                entry["fingerprint"]: MatchLabel(entry["label"]) for entry in entries
-            }
-            resolutions = restarted.resolve_many(questions)
-            assert restarted.stats().llm_calls == 0  # pure cache hits
-            for question, resolution in zip(questions, resolutions):
-                assert resolution.label == by_fingerprint[pair_fingerprint(question)]
-        finally:
-            restarted.stop(spill=False)
-
-    def test_spilled_vectors_seed_late_known_schema(self, beer_dataset, tmp_path):
-        """A service that learns its schema only after start() (demonstrations
-        added later) must buffer spilled vectors and seed them once the
-        feature store exists — not drop them."""
-        from repro.service import ResolutionService, ServiceConfig
-
-        spill = tmp_path / "cache.jsonl"
-        questions = [pair.without_label() for pair in beer_dataset.splits.test][:4]
-        config = ServiceConfig(
-            batcher=BatcherConfig(seed=1), num_workers=1, spill_path=str(spill)
-        )
-        with ResolutionService.from_dataset(beer_dataset, config) as service:
-            service.resolve_many(questions)
-
-        # Restart with *no* demonstrations and no attributes: the store
-        # cannot exist at start(), so the spilled vectors are buffered.
-        late = ResolutionService(config)
-        late.start()
-        try:
-            assert late.resolver.feature_store is None
-            late.resolver.add_demonstrations(list(beer_dataset.splits.train)[:40])
-            late.resolve_many(questions[:2])  # first flush drains the buffer
-            store = late.resolver.feature_store
-            for question in questions:
-                assert store.get(pair_fingerprint(question)) is not None
-        finally:
-            late.stop(spill=False)
-
-    def test_warm_start_rejects_other_extractor_variant(self, beer_dataset, tmp_path):
-        """Same dimension, different variant: the 'lr' and 'jaccard' extractors
-        both produce len(attributes)-d vectors, so the provenance tag is what
-        keeps a jaccard session from being poisoned with lr vectors."""
-        from repro.service import ResolutionService, ServiceConfig
-
-        spill = tmp_path / "cache.jsonl"
-        questions = [pair.without_label() for pair in beer_dataset.splits.test][:4]
-        lr_config = ServiceConfig(
-            batcher=BatcherConfig(seed=1, feature_extractor="lr"),
-            num_workers=1,
-            spill_path=str(spill),
-        )
-        with ResolutionService.from_dataset(beer_dataset, lr_config) as service:
-            service.resolve_many(questions)
-
-        jaccard_config = lr_config.with_overrides(
-            batcher=BatcherConfig(seed=1, feature_extractor="jaccard")
-        )
-        restarted = ResolutionService.from_dataset(beer_dataset, jaccard_config)
-        restarted.start()
-        try:
-            store = restarted.resolver.feature_store
-            for question in questions:
-                assert store.get(pair_fingerprint(question)) is None
-            assert len(restarted.cache) > 0  # judgements still warm-start
-        finally:
-            restarted.stop(spill=False)
-
-    def test_warm_start_skips_mismatched_vectors(self, beer_dataset, tmp_path):
-        from repro.service import ResolutionService, ServiceConfig
-
-        spill = tmp_path / "cache.jsonl"
-        spill.write_text(
-            json.dumps(
-                {
-                    "fingerprint": "00" * 16,
-                    "label": 1,
-                    "answered": True,
-                    "vector": [0.1, 0.2],  # wrong dimensionality for the schema
-                }
-            )
-            + "\n"
-        )
-        config = ServiceConfig(
-            batcher=BatcherConfig(seed=1), num_workers=1, spill_path=str(spill)
-        )
-        service = ResolutionService.from_dataset(beer_dataset, config)
-        service.start()
-        try:
-            assert service.resolver.feature_store.get("00" * 16) is None
-            assert len(service.cache) == 1  # the judgement itself still loads
-        finally:
-            service.stop(spill=False)

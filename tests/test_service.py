@@ -451,6 +451,102 @@ class TestServiceLifecycle:
         finally:
             second_service.stop()
 
+    def test_stop_spills_judgements_only(
+        self, beer_dataset, service_config, questions, tmp_path
+    ):
+        spill = tmp_path / "cache.jsonl"
+        config = service_config.with_overrides(spill_path=str(spill))
+        service = _started_service(beer_dataset, config)
+        resolutions = service.resolve_many(questions[:8])
+        service.stop()
+        entries = [json.loads(line) for line in spill.read_text().splitlines()]
+        assert all(sorted(entry) == ["answered", "fingerprint", "label"] for entry in entries)
+        labels = {entry["fingerprint"]: entry["label"] for entry in entries}
+        assert [labels[pair_fingerprint(pair)] for pair in questions[:8]] == [
+            int(resolution.label) for resolution in resolutions
+        ]
+
+    def test_warm_start_from_a_vector_carrying_spill(
+        self, beer_dataset, service_config, questions, tmp_path
+    ):
+        # Earlier releases spilled feature vectors and an extractor tag next
+        # to each judgement: the judgements still serve, and the next spill
+        # rewrites the file without the extra fields.
+        spill = tmp_path / "cache.jsonl"
+        labels = [MatchLabel.MATCH, MatchLabel.NON_MATCH] * 2
+        spill.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "fingerprint": pair_fingerprint(pair),
+                        "label": int(label),
+                        "answered": True,
+                        "vector": [0.5] * len(beer_dataset.attributes),
+                        "extractor": "structure-lr/('name',)",
+                    }
+                )
+                + "\n"
+                for pair, label in zip(questions[:4], labels)
+            )
+        )
+        config = service_config.with_overrides(spill_path=str(spill))
+        service = _started_service(beer_dataset, config)
+        try:
+            revived = service.resolve_many(questions[:4])
+            assert service.stats().llm_calls == 0
+            assert [resolution.label for resolution in revived] == labels
+        finally:
+            service.stop()
+        entries = [json.loads(line) for line in spill.read_text().splitlines()]
+        assert len(entries) == 4
+        assert all("vector" not in entry and "extractor" not in entry for entry in entries)
+
+    def test_session_without_a_schema_keeps_every_spilled_entry(
+        self, beer_dataset, service_config, questions, tmp_path
+    ):
+        spill = tmp_path / "cache.jsonl"
+        config = service_config.with_overrides(spill_path=str(spill))
+        seeded = _started_service(beer_dataset, config)
+        first = seeded.resolve_many(questions[:4])
+        seeded.stop()
+        persisted = sorted(spill.read_text().splitlines())
+
+        # No demonstrations and no attributes: the session never builds a
+        # feature store, yet it serves and re-spills every judgement.
+        late = ResolutionService(config).start()
+        try:
+            assert late.resolver.feature_store is None
+            revived = late.resolve_many(questions[:4])
+            assert [r.label for r in revived] == [r.label for r in first]
+            assert late.stats().llm_calls == 0
+        finally:
+            late.stop()
+        assert sorted(spill.read_text().splitlines()) == persisted
+
+    def test_spill_serves_another_extractor_variant(
+        self, beer_dataset, service_config, questions, tmp_path
+    ):
+        # A spill holds judgements keyed by pair contents, so a session
+        # featurizing with another extractor still serves them.
+        spill = str(tmp_path / "cache.jsonl")
+        lr_config = service_config.with_overrides(
+            spill_path=spill, batcher=BatcherConfig(seed=1, feature_extractor="lr")
+        )
+        seeded = _started_service(beer_dataset, lr_config)
+        first = seeded.resolve_many(questions[:4])
+        seeded.stop()
+
+        jaccard_config = lr_config.with_overrides(
+            batcher=BatcherConfig(seed=1, feature_extractor="jaccard")
+        )
+        restarted = _started_service(beer_dataset, jaccard_config)
+        try:
+            revived = restarted.resolve_many(questions[:4])
+            assert restarted.stats().llm_calls == 0
+            assert [r.label for r in revived] == [r.label for r in first]
+        finally:
+            restarted.stop(spill=False)
+
     def test_cancelled_future_does_not_kill_the_consumer(
         self, beer_dataset, service_config, questions
     ):
@@ -1057,6 +1153,10 @@ class TestOneSourceOfCounters:
             assert counters[key] == _exposition_value(exposition, sample), key
         assert _exposition_value(exposition, "repro_service_degraded_total") == 1
         assert _exposition_value(exposition, "repro_cache_hit_rate") > 0
+        assert _exposition_value(exposition, "repro_cache_hit_rate") == pytest.approx(
+            service.cache.hit_rate
+        )
+        assert "repro_feature_store" not in exposition
         # A simulated backend has no transport: its retry family renders at 0.
         assert _exposition_value(exposition, "repro_transport_retries_total") == 0
         samples = [line for line in exposition.splitlines() if not line.startswith("#")]

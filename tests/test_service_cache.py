@@ -1,5 +1,7 @@
 """Tests for the pair-level result cache and canonical fingerprints."""
 
+import json
+
 import pytest
 
 from repro.data.schema import EntityPair, MatchLabel, Record
@@ -94,8 +96,8 @@ class TestPairFingerprint:
         ids=["ascii", "unicode", "none-values", "empty-record", "both-empty", "separators"],
     )
     def test_golden_digests(self, left, right, expected):
-        # Spill files and feature stores key on these digests, so any change
-        # to the encoding or the hashing must leave them unchanged.
+        # Spill files and the result cache key on these digests, so any
+        # change to the encoding or the hashing must leave them unchanged.
         assert pair_fingerprint(_pair("p", left, right)) == expected
 
 
@@ -135,17 +137,65 @@ class TestResultCache:
         with pytest.raises(ValueError, match="capacity"):
             ResultCache(capacity=0)
 
-    def test_spill_and_warm_start_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("source", ["spill", "vector-carrying-file"])
+    def test_spill_and_warm_start_roundtrip(self, tmp_path, source):
         path = tmp_path / "nested" / "cache.jsonl"
-        cache = ResultCache(capacity=8)
-        cache.put("fp1", CachedResult(MatchLabel.MATCH, True))
-        cache.put("fp2", CachedResult(MatchLabel.NON_MATCH, False))
-        assert cache.spill(path) == 2
+        if source == "spill":
+            cache = ResultCache(capacity=8)
+            cache.put("fp1", CachedResult(MatchLabel.MATCH, True))
+            cache.put("fp2", CachedResult(MatchLabel.NON_MATCH, False))
+            assert cache.spill(path) == 2
+        else:
+            # Earlier releases spilled each entry's feature vector and its
+            # extractor tag too; those fields are ignored on load.
+            path.parent.mkdir()
+            path.write_text(
+                '{"fingerprint": "fp1", "label": 1, "answered": true, '
+                '"vector": [0.25, 0.5], '
+                '"extractor": "structure-lr/(\'name\', \'abv\')"}\n'
+                '{"fingerprint": "fp2", "label": 0, "answered": false, '
+                '"vector": [0.1], "extractor": "structure-jaccard/()"}\n',
+                encoding="utf-8",
+            )
 
         warmed = ResultCache(capacity=8)
         assert warmed.warm_start(path) == 2
         assert warmed.get("fp1") == CachedResult(MatchLabel.MATCH, True)
         assert warmed.get("fp2") == CachedResult(MatchLabel.NON_MATCH, False)
+        # A spill writes the judgement and nothing else.
+        assert warmed.spill(path) == 2
+        entries = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [sorted(entry) for entry in entries] == [
+            ["answered", "fingerprint", "label"]
+        ] * 2
+
+    @pytest.mark.parametrize("earlier_spill", [True, False], ids=["over-a-spill", "first"])
+    def test_failed_spill_leaves_previous_file_intact(self, tmp_path, earlier_spill):
+        path = tmp_path / "cache.jsonl"
+        if earlier_spill:
+            cache = ResultCache(capacity=8)
+            for index in range(3):
+                cache.put(f"fp{index}", CachedResult(MatchLabel.MATCH, True))
+            cache.spill(path)
+            previous = path.read_text(encoding="utf-8")
+
+        class DiskFull:
+            def __int__(self):
+                raise OSError("No space left on device")
+
+        # The second entry's write raises, after the first was written.
+        failing = ResultCache(capacity=8)
+        failing.put("new0", CachedResult(MatchLabel.NON_MATCH, True))
+        failing.put("new1", CachedResult(DiskFull(), True))
+        failing.put("new2", CachedResult(MatchLabel.NON_MATCH, True))
+        with pytest.raises(OSError, match="No space"):
+            failing.spill(path)
+
+        # No temp file is left behind, and an earlier spill is untouched.
+        assert list(tmp_path.iterdir()) == ([path] if earlier_spill else [])
+        if earlier_spill:
+            assert path.read_text(encoding="utf-8") == previous
+            assert ResultCache(capacity=8).warm_start(path) == 3
 
     def test_warm_start_missing_file_is_noop(self, tmp_path):
         cache = ResultCache(capacity=4)
